@@ -10,9 +10,9 @@ more, which is what optimality means operationally.
 
 import numpy as np
 
-from clfsynth import Box, FeedbackLaw, build_inverse_cost, build_mu, \
-    estimate_level_constants, evaluate_cost, find_base_level, hjb_residual, \
-    load_system, optimal_feedback, sample_box
+from clfsynth import Box, FeedbackLaw, base_level_ladder, build_inverse_cost, \
+    build_mu, evaluate_cost, find_base_level, hjb_residual, load_system, \
+    optimal_feedback, sample_box
 from clfsynth.runner import synthesize_problem
 
 np.set_printoptions(precision=6, suppress=True)
@@ -31,8 +31,8 @@ def main():
           f"local gain error {synth.gain_error:.1e}")
 
     r0 = find_base_level(V, plant, R, grid, box=box, n_samples=2000)
-    ladder = estimate_level_constants(V, plant, R, r0, k_max=K_MAX,
-                                      box=box, n_samples=2000)
+    r0, ladder = base_level_ladder(V, plant, R, r0, grid, k_max=K_MAX,
+                                   box=box, n_samples=2000)
     scaling = build_mu(r0, ladder)
     print(f"\nbase level          {r0:.6g} (unscaled domination holds below)")
     print(f"annulus constants   {np.array(ladder)}")

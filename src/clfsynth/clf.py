@@ -13,7 +13,7 @@ import numpy as np
 from . import numdiff
 from .errors import CertificateError
 from .linear_core import LinearSystem, is_hurwitz
-from .sampling import Box, halton_engine, quadratic_level_box, sample_box
+from .sampling import halton_engine, quadratic_level_box, sample_box
 
 ORIGIN_TOL = 1e-12
 
@@ -178,20 +178,17 @@ def check_artstein_sampled(V, sys, region, n_samples=2000, zero_tol=None,
     return report
 
 
-def find_r0(V, sys, K_o, level_grid, n_samples=2000, box=None, seed=0,
-            delta_margin=None, origin_exclusion=1e-7):
-    """Largest grid level r0 such that u = K_o x decreases V on {V <= r0}.
+def _scan_levels(V, level_grid, slack_at, n_samples, box, seed, origin_exclusion,
+                 failure):
+    """Largest grid level whose sampled sublevel set satisfies slack < -margin.
 
-    Scans the ascending grid; a level passes when every sample with
-    0 < V(x) <= level satisfies L_a V + L_b V K_o x < -margin. Levels with
-    no samples are skipped (neither passed nor failed). Raises when the
-    first populated level already fails.
+    slack_at(x) returns (slack, margin) at a sample. The box defaults to the
+    bounding box of the top level's quadratic ellipsoid. Levels are scanned
+    in ascending order; a level passes when every sample with
+    origin_exclusion * top < V(x) <= level passes, levels with no such
+    sample are skipped, and the first failing level stops the scan.
+    Raises CertificateError with the failure message when no level passes.
     """
-    K_o = np.asarray(K_o, dtype=float).reshape(sys.p, sys.n)
-    A = sys.linearization.A
-    B = sys.linearization.B
-    if not is_hurwitz(A + B @ K_o):
-        raise ValueError("K_o does not stabilize the linearization")
     levels = sorted(float(l) for l in level_grid)
     if not levels or levels[0] <= 0:
         raise ValueError("level_grid must contain positive levels")
@@ -200,26 +197,48 @@ def find_r0(V, sys, K_o, level_grid, n_samples=2000, box=None, seed=0,
     pts = sample_box(box, n_samples, seed=seed)
     vals = np.array([V.value(x) for x in pts])
     v_floor = origin_exclusion * levels[-1]
-    vdots = np.empty(len(pts))
+    slack = np.empty(len(pts))
     margins = np.empty(len(pts))
     for i, x in enumerate(pts):
-        la, lb = lie_derivatives(V, sys, x)
-        vdots[i] = la + lb @ (K_o @ x)
-        margins[i] = default_delta_margin(la) if delta_margin is None else delta_margin
+        slack[i], margins[i] = slack_at(x)
     best = None
     for level in levels:
         mask = (vals > v_floor) & (vals <= level)
         if not np.any(mask):
             continue
-        if np.all(vdots[mask] < -margins[mask]):
+        if np.all(slack[mask] < -margins[mask]):
             best = level
         else:
             break
     if best is None:
-        raise CertificateError(
-            "no grid level passed the local decrease test; refine the grid "
-            "toward smaller levels or adjust the prescribed gain")
+        raise CertificateError(failure)
     return best
+
+
+def find_r0(V, sys, K_o, level_grid, n_samples=2000, box=None, seed=0,
+            delta_margin=None, origin_exclusion=1e-7):
+    """Largest grid level r0 such that u = K_o x decreases V on {V <= r0}.
+
+    Scans the ascending grid (_scan_levels); a level passes when every
+    sample with 0 < V(x) <= level satisfies L_a V + L_b V K_o x < -margin.
+    Levels with no samples are skipped (neither passed nor failed). Raises
+    when the first populated level already fails.
+    """
+    K_o = np.asarray(K_o, dtype=float).reshape(sys.p, sys.n)
+    A = sys.linearization.A
+    B = sys.linearization.B
+    if not is_hurwitz(A + B @ K_o):
+        raise ValueError("K_o does not stabilize the linearization")
+
+    def slack_at(x):
+        la, lb = lie_derivatives(V, sys, x)
+        margin = default_delta_margin(la) if delta_margin is None else delta_margin
+        return la + lb @ (K_o @ x), margin
+
+    return _scan_levels(
+        V, level_grid, slack_at, n_samples, box, seed, origin_exclusion,
+        "no grid level passed the local decrease test; refine the grid "
+        "toward smaller levels or adjust the prescribed gain")
 
 
 @dataclass

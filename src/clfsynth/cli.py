@@ -10,19 +10,12 @@ import sys
 
 import numpy as np
 
-from .clf import blend_profile, check_artstein_sampled, find_r0, local_quadratic_clf
 from .errors import CertificateError, ConfigError, DivergenceError
-from .inverse_opt import evaluate_cost, hjb_residual, optimal_feedback
 from .linear_core import LinearSystem, lqr_gain, solve_care
 from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig, \
-    OrbitalParams, build_orbital_controller, equilibrium, simulate_orbital
-from .sampling import Box, sample_box
+    OrbitalParams
 from .serialize import matrix_from_json, matrix_to_json
-from .sim import integrate
-from .structured import StrictFeedbackSystem, backstepping_synthesize
-from .synthesis import blended_controller, local_gain, sontag_controller, \
-    verify_decrease
-from .systems import load_system
+from .structured import StrictFeedbackSystem
 from . import runner
 
 
@@ -55,21 +48,6 @@ def _parse_vector(text, n, label):
     return np.asarray(vals)
 
 
-def _problem_from_args(args):
-    spec = args.system
-    if spec.endswith(".json"):
-        spec = _load_json(spec, "system")
-    system = load_system(spec)
-    if isinstance(system, StrictFeedbackSystem):
-        n = system.n_y + 1
-        p = 1
-    else:
-        n, p = system.n, system.p
-    Q = np.eye(n) if args.Q is None else matrix_from_json(_load_json(args.Q, "Q"), "Q")
-    R = np.eye(p) if args.R is None else matrix_from_json(_load_json(args.R, "R"), "R")
-    return system, Q, R
-
-
 def cmd_care(args):
     A = matrix_from_json(_load_json(args.A, "A"), "A")
     B = matrix_from_json(_load_json(args.B, "B"), "B")
@@ -88,29 +66,30 @@ def cmd_care(args):
     return 0
 
 
-def _synth_pipeline(args):
-    system, Q, R = _problem_from_args(args)
-    cfg = runner.load_config({"system": args.system if not args.system.endswith(".json")
-                              else _load_json(args.system, "system")})
+def _problem(args):
+    """(system, Q, R, box, level grid) from the shared problem flags."""
+    spec = args.system
+    if spec.endswith(".json"):
+        spec = _load_json(spec, "system")
+    cfg = {"system": spec, "prescription": {
+        "Q": None if args.Q is None else _load_json(args.Q, "Q"),
+        "R": None if args.R is None else _load_json(args.R, "R")}}
     if args.box is not None:
-        box = Box.from_dict(_load_json(args.box, "box"))
-    elif cfg["box"] is not None:
-        box = Box.from_dict(cfg["box"])
-    else:
-        raise ConfigError("this system needs an explicit --box")
+        cfg["box"] = _load_json(args.box, "box")
     if args.levels is not None:
-        grid = [float(v) for v in args.levels.split(",")]
-    elif cfg["level_grid"] is not None:
-        grid = runner.expand_level_grid(cfg["level_grid"])
-    else:
-        raise ConfigError("this system needs an explicit --levels grid")
+        cfg["level_grid"] = [float(v) for v in args.levels.split(",")]
+    return runner.load_problem(runner.load_config(cfg))
+
+
+def _synth_pipeline(args, problem=None):
+    system, Q, R, box, grid = problem or _problem(args)
     rec = runner.synthesize_problem(system, Q, R, box, grid,
                                     n_samples=args.samples, seed=args.seed)
-    return rec, Q, R, box, grid, cfg
+    return rec, Q, R, box, grid
 
 
 def cmd_synth(args):
-    rec, _, _, _, _, _ = _synth_pipeline(args)
+    rec = _synth_pipeline(args)[0]
     out = rec.to_dict()
     out["kind"] = rec.law.kind
     _emit(out, args.out)
@@ -118,7 +97,7 @@ def cmd_synth(args):
 
 
 def cmd_invopt(args):
-    rec, Q, R, box, grid, _ = _synth_pipeline(args)
+    rec, Q, R, box, grid = _synth_pipeline(args)
     costrec = runner.reconstruct_cost(rec.full, rec.V, Q, R, box, grid,
                                       k_max=args.k_max,
                                       safety_factor=args.safety_factor,
@@ -137,36 +116,22 @@ def cmd_invopt(args):
         return 0
     # cost: integrate the reconstructed running cost along the optimal law
     x0 = _parse_vector(args.x0, rec.full.n, "--x0")
-    est = evaluate_cost(rec.full, costrec.cost, costrec.law, x0,
-                        horizon=args.T, dt=args.dt)
-    v0 = rec.V.value(x0)
-    _emit({
-        "x0": list(map(float, x0)), "J": est.value, "integral": est.integral,
-        "tail": est.tail, "tail_kind": est.tail_kind,
-        "value_at_x0": v0,
-        "relative_gap": abs(est.value - v0) / v0 if v0 > 0 else 0.0,
-    }, args.out)
+    _emit(runner.cost_versus_value(rec, costrec, x0, args.T, args.dt), args.out)
     return 0
 
 
 def cmd_backstep(args):
-    system, Q, R = _problem_from_args(args)
-    if not isinstance(system, StrictFeedbackSystem):
+    problem = _problem(args)
+    if not isinstance(problem[0], StrictFeedbackSystem):
         raise ConfigError("backstep expects a strict-feedback system spec")
-    A, B = system.assemble()
-    lin = LinearSystem(A, B)
-    cert = solve_care(lin, Q, R)
-    K_o = lqr_gain(cert, lin, R)
-    V, law = backstepping_synthesize(system, K_o, P=cert.P, seed=args.seed,
-                                     n_samples=args.samples)
-    gain = local_gain(law)
+    rec = _synth_pipeline(args, problem)[0]
     _emit({
-        "K_o": matrix_to_json(K_o),
-        "P": matrix_to_json(cert.P),
-        "r0": law.metadata["r0"],
-        "partition": law.metadata["partition"],
-        "local_gain": matrix_to_json(gain),
-        "gain_error": float(np.max(np.abs(gain - K_o))),
+        "K_o": matrix_to_json(rec.K_o),
+        "P": matrix_to_json(rec.care.P),
+        "r0": rec.r0,
+        "partition": rec.law.metadata["partition"],
+        "local_gain": matrix_to_json(rec.gain),
+        "gain_error": rec.gain_error,
     }, args.out)
     return 0
 
@@ -177,24 +142,19 @@ def cmd_orbital(args):
     cost_cfg = OrbitalCostConfig.from_dict(params,
                                            _load_json(args.cost, "cost")
                                            if args.cost else {})
-    V, cost, law = build_orbital_controller(params, cost_cfg, seed=args.seed,
-                                            n_samples=args.samples)
-    star = equilibrium(params)
-    if args.x0 is not None:
-        s0 = _parse_vector(args.x0, 6, "--x0")
-    else:
-        s0 = star + np.array([0.1, 0.05, -0.05, 0.1 * params.p0, 0.05, -0.05])
-    traj = simulate_orbital(params, law, s0, dt=args.dt, T=args.T, V=V)
+    s0 = None if args.x0 is None else _parse_vector(args.x0, 6, "--x0")
+    law, traj, final_err = runner.orbital_transfer(
+        params, cost_cfg, dt=args.dt, T=args.T, s0=s0, n_samples=args.samples,
+        seed=args.seed)
     if args.trace:
         traj.to_csv(args.trace, state_names=ORBITAL_STATE_NAMES,
                     input_names=ORBITAL_INPUT_NAMES)
-    vs = traj.annotations["V"]
     _emit({
         "params": params.to_dict(),
         "r0": law.metadata["r0"],
         "ladder": law.metadata["ladder"],
-        "final_error": float(np.linalg.norm(traj.states[-1] - star)),
-        "final_value": float(vs[-1]),
+        "final_error": final_err,
+        "final_value": float(traj.annotations["V"][-1]),
         "steps": len(traj) - 1,
         "trace": args.trace,
     }, args.out)
@@ -217,6 +177,14 @@ def _add_common(p, samples=2000):
     p.add_argument("--out", default=None, help="write the JSON result here")
 
 
+def _add_problem(p):
+    p.add_argument("system", help="registry name or JSON system file")
+    p.add_argument("--Q", default=None, help="JSON file with the state weight")
+    p.add_argument("--R", default=None, help="JSON file with the input weight")
+    p.add_argument("--box", default=None, help="JSON file with the working box")
+    p.add_argument("--levels", default=None, help="comma-separated level grid")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="clfsynth",
@@ -234,22 +202,14 @@ def build_parser():
 
     p = sub.add_parser("synth", help="blend a universal-formula law with the "
                                      "prescribed linear gain")
-    p.add_argument("system", help="registry name or JSON system file")
-    p.add_argument("--Q", default=None)
-    p.add_argument("--R", default=None)
-    p.add_argument("--box", default=None, help="JSON file with the working box")
-    p.add_argument("--levels", default=None, help="comma-separated level grid")
+    _add_problem(p)
     _add_common(p)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("invopt", help="reconstruct the cost the blended law "
                                       "minimizes")
     p.add_argument("invopt_action", choices=["build", "verify-hjb", "cost"])
-    p.add_argument("system", help="registry name or JSON system file")
-    p.add_argument("--Q", default=None)
-    p.add_argument("--R", default=None)
-    p.add_argument("--box", default=None)
-    p.add_argument("--levels", default=None)
+    _add_problem(p)
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
     p.add_argument("--safety-factor", type=float, default=1.5,
                    dest="safety_factor")
@@ -264,9 +224,7 @@ def build_parser():
 
     p = sub.add_parser("backstep", help="composite design for a strict-feedback "
                                         "cascade")
-    p.add_argument("system", help="registry name or JSON system file")
-    p.add_argument("--Q", default=None)
-    p.add_argument("--R", default=None)
+    _add_problem(p)
     _add_common(p)
     p.set_defaults(fn=cmd_backstep)
 

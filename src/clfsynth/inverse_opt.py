@@ -13,18 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clf import default_delta_margin, default_zero_tol, lie_derivatives
-from .errors import CertificateError, DivergenceError
+from .clf import _scan_levels, default_delta_margin, default_zero_tol, lie_derivatives
+from .errors import BaseLevelError, CertificateError, DivergenceError
 from .linear_core import riccati_residual, solve_lyapunov
 from .sampling import halton_engine, quadratic_level_box, sample_box
 from .sim import rk4_path
 from .synthesis import FeedbackLaw, local_gain
 
 
+def _input_form(lb, R):
+    """L_bV R^-1 L_bV', the R^-1-weighted square of the input derivative."""
+    return float(lb @ np.linalg.solve(R, lb))
+
+
 def _excess_ratio(la, lb, R):
     """4 L_aV / (L_bV R^-1 L_bV'), the scaling needed to dominate the drift."""
-    denom = float(lb @ np.linalg.solve(R, lb))
-    return 4.0 * la / denom
+    return 4.0 * la / _input_form(lb, R)
+
+
+def _base_slack(la, lb, R, ell=1.0):
+    """L_aV - (1/4) ell L_bV R^-1 L_bV', the base inequality at scaling ell.
+
+    Negative where the input weight R / ell dominates the drift; its
+    negative is the reconstructed state weight at mu = ell.
+    """
+    return la - 0.25 * ell * _input_form(lb, R)
 
 
 def check_base_region(V, sys, R, r0, n_samples=400, box=None, seed=0,
@@ -33,7 +46,7 @@ def check_base_region(V, sys, R, r0, n_samples=400, box=None, seed=0,
 
     This is the unscaled inequality that must hold where mu = 1; it fails
     for levels too far from the origin. Returns the number of checked
-    samples, raises CertificateError on a violation.
+    samples, raises BaseLevelError on a violation.
     """
     if box is None:
         box = quadratic_level_box(0.5 * V.hessian_origin, r0, slack=1.25)
@@ -45,9 +58,9 @@ def check_base_region(V, sys, R, r0, n_samples=400, box=None, seed=0,
             continue
         checked += 1
         la, lb = lie_derivatives(V, sys, x)
-        s = la - 0.25 * float(lb @ np.linalg.solve(R, lb))
+        s = _base_slack(la, lb, R)
         if s >= -default_delta_margin(la):
-            raise CertificateError(
+            raise BaseLevelError(
                 f"base inequality fails at V = {v:.4g} (value {s:.3e}); "
                 "choose a smaller base level r0 for the cost construction")
     return checked
@@ -57,37 +70,17 @@ def find_base_level(V, sys, R, level_grid, n_samples=2000, box=None, seed=0,
                     origin_exclusion=1e-7):
     """Largest grid level on which the unscaled base inequality holds.
 
-    Same scan semantics as the blend-radius search: ascending levels,
-    empty levels skipped, first populated failure stops the scan.
+    Same scan as the blend-radius search (clf._scan_levels): ascending
+    levels, empty levels skipped, first populated failure stops the scan.
     """
-    levels = sorted(float(l) for l in level_grid)
-    if not levels or levels[0] <= 0:
-        raise ValueError("level_grid must contain positive levels")
-    if box is None:
-        box = quadratic_level_box(0.5 * V.hessian_origin, levels[-1], slack=1.25)
-    pts = sample_box(box, n_samples, seed=seed)
-    vals = np.array([V.value(x) for x in pts])
-    v_floor = origin_exclusion * levels[-1]
-    slack = np.empty(len(pts))
-    margins = np.empty(len(pts))
-    for i, x in enumerate(pts):
+    def slack_at(x):
         la, lb = lie_derivatives(V, sys, x)
-        slack[i] = la - 0.25 * float(lb @ np.linalg.solve(R, lb))
-        margins[i] = default_delta_margin(la)
-    best = None
-    for level in levels:
-        mask = (vals > v_floor) & (vals <= level)
-        if not np.any(mask):
-            continue
-        if np.all(slack[mask] < -margins[mask]):
-            best = level
-        else:
-            break
-    if best is None:
-        raise CertificateError(
-            "no grid level passes the base inequality; refine the grid toward "
-            "smaller levels")
-    return best
+        return _base_slack(la, lb, R), default_delta_margin(la)
+
+    return _scan_levels(
+        V, level_grid, slack_at, n_samples, box, seed, origin_exclusion,
+        "no grid level passes the base inequality; refine the grid toward "
+        "smaller levels")
 
 
 def estimate_level_constants(V, sys, R, r0, k_max=8, n_samples=400,
@@ -97,6 +90,8 @@ def estimate_level_constants(V, sys, R, r0, k_max=8, n_samples=400,
 
     On each annulus the constant is 1 when no sample exceeds the unit
     excess ratio, otherwise safety_factor times the largest sampled ratio.
+    The base region {V <= r0} is checked first on fresh samples (seed + 1);
+    a violation there raises BaseLevelError.
     Every constant is then revalidated on a fresh sample set and doubled on
     failure, up to max_doublings; a final failure means the decrease
     condition genuinely fails there (e.g. the input map vanishes where the
@@ -153,7 +148,7 @@ def estimate_level_constants(V, sys, R, r0, k_max=8, n_samples=400,
             bad = False
             for x in fresh:
                 la, lb = lie_derivatives(V, sys, x)
-                s = la - 0.25 * ell * float(lb @ np.linalg.solve(R, lb))
+                s = _base_slack(la, lb, R, ell)
                 if s >= -default_delta_margin(la):
                     bad = True
                     break
@@ -168,6 +163,26 @@ def estimate_level_constants(V, sys, R, r0, k_max=8, n_samples=400,
                 "Lyapunov function there")
         ladder.append(float(ell))
     return ladder
+
+
+def base_level_ladder(V, sys, R, r0, level_grid, k_max=8, n_samples=400,
+                      safety_factor=1.5, seed=0, box=None):
+    """(base level, ladder) of estimate_level_constants, stepping down the grid.
+
+    Starts at the scanned base level r0. When the fresh-sample base check
+    inside estimate_level_constants (seed + 1) rejects a level, the next
+    lower grid level is tried; the last rejection is raised only when no
+    grid level at or below r0 passes.
+    """
+    levels = [r0] + sorted((float(l) for l in level_grid if l < r0), reverse=True)
+    for level in levels:
+        try:
+            return level, estimate_level_constants(
+                V, sys, R, level, k_max=k_max, n_samples=n_samples,
+                safety_factor=safety_factor, seed=seed, box=box)
+        except BaseLevelError as err:
+            rejection = err
+    raise rejection
 
 
 class LevelScaling:
@@ -272,7 +287,7 @@ def build_inverse_cost(V, sys, R, Q, scaling):
     def q(x):
         la, lb = lie_derivatives(V, sys, x)
         mu = scaling.mu(V.value(x))
-        return -la + 0.25 * mu * float(lb @ np.linalg.solve(R, lb))
+        return -_base_slack(la, lb, R, mu)
 
     def r(x):
         return R / scaling.mu(V.value(x))
@@ -284,7 +299,7 @@ def hjb_residual(V, cost, sys, x):
     """q + L_aV - (1/4) L_bV r^-1 L_bV' at x; zero for a consistent triple."""
     la, lb = lie_derivatives(V, sys, x)
     rx = cost.r(x)
-    return cost.q(x) + la - 0.25 * float(lb @ np.linalg.solve(rx, lb))
+    return cost.q(x) + la - 0.25 * _input_form(lb, rx)
 
 
 def optimal_feedback(V, cost, sys):

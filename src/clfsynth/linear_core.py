@@ -379,67 +379,3 @@ def lqr_gain(cert, sys, R):
     return -np.linalg.solve(np.asarray(R, dtype=float).reshape(sys.p, sys.p),
                             sys.B.T @ P)
 
-
-@dataclass
-class LmiReport:
-    """Largest eigenvalues of the three closed-loop Lyapunov forms."""
-
-    max_eig_local: float
-    max_eig_uniting: float
-    max_eig_tail: float
-    feasible: bool
-
-    def to_dict(self):
-        return {
-            "max_eig_local": self.max_eig_local,
-            "max_eig_uniting": self.max_eig_uniting,
-            "max_eig_tail": self.max_eig_tail,
-            "feasible": self.feasible,
-        }
-
-
-def check_lmi_triple(sys, K_o, K_u, P, P_inf):
-    """Check the three simultaneous Lyapunov inequalities for a gain pair.
-
-    Feasible means (A + B K_o)'P + P(A + B K_o), the same form with K_u,
-    and (A + B K_u)'P_inf + P_inf(A + B K_u) are all negative definite.
-    """
-    K_o = np.asarray(K_o, dtype=float).reshape(sys.p, sys.n)
-    K_u = np.asarray(K_u, dtype=float).reshape(sys.p, sys.n)
-    P = _check_symmetric(_as_matrix(P, "P"), "P")
-    P_inf = _check_symmetric(_as_matrix(P_inf, "P_inf"), "P_inf")
-
-    def top(K, M):
-        Acl = sys.A + sys.B @ K
-        S = Acl.T @ M + M @ Acl
-        return float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
-
-    eigs = (top(K_o, P), top(K_u, P), top(K_u, P_inf))
-    return LmiReport(*eigs, feasible=all(e < 0 for e in eigs))
-
-
-def search_lmi_candidates(sys, K_o, P_inf, n_tries=200, seed=0):
-    """Heuristic randomized search for (K_u, P) making the triple feasible.
-
-    Samples gains around K_o, then tries Lyapunov solutions for each
-    closed loop and their convex combinations. Best effort only: returns
-    (K_u, P, report) or None. Absence of a find proves nothing.
-    """
-    rng = np.random.default_rng(seed)
-    if not is_hurwitz(sys.A + sys.B @ np.asarray(K_o, dtype=float).reshape(sys.p, sys.n)):
-        raise ValueError("K_o must stabilize the pair")
-    K_o = np.asarray(K_o, dtype=float).reshape(sys.p, sys.n)
-    eye = np.eye(sys.n)
-    for trial in range(n_tries):
-        scale = (0.1, 0.3, 1.0)[trial % 3]
-        K_u = K_o + scale * rng.standard_normal(K_o.shape)
-        if not is_hurwitz(sys.A + sys.B @ K_u):
-            continue
-        P_a = solve_lyapunov(sys.A + sys.B @ K_o, eye)
-        P_b = solve_lyapunov(sys.A + sys.B @ K_u, eye)
-        for t in np.linspace(0.0, 1.0, 11):
-            P = t * P_a + (1.0 - t) * P_b
-            report = check_lmi_triple(sys, K_o, K_u, P, P_inf)
-            if report.feasible:
-                return K_u, P, report
-    return None

@@ -16,19 +16,18 @@ from an invariance argument, which the simulation-level diagnostics
 reflect by checking V' <= 0 rather than strict decrease.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from .clf import Clf, ControlAffineSystem, check_artstein_sampled, find_r0, \
+from .clf import ControlAffineSystem, check_artstein_sampled, find_r0, \
     lie_derivatives, local_quadratic_clf
 from .errors import ArtsteinViolationError, CertificateError, DivergenceError
-from .inverse_opt import InverseOptimalCost, build_inverse_cost, build_mu, \
-    estimate_level_constants, find_base_level, optimal_feedback
-from .linear_core import LinearSystem, riccati_residual, solve_care
-from .sampling import Box, sample_box
+from .inverse_opt import InverseOptimalCost, base_level_ladder, build_inverse_cost, \
+    build_mu, find_base_level, optimal_feedback
+from .linear_core import LinearSystem, solve_care
+from .sampling import Box
 from .sim import Trajectory, rk4_path
 from .structured import additive_forward_clf
 
@@ -66,33 +65,6 @@ class OrbitalParams:
     @classmethod
     def from_dict(cls, d):
         return cls(p0=float(d.get("p0", 1.0)), mu=float(d.get("mu", 1.0)))
-
-
-@dataclass
-class OrbitalState:
-    """Named six-coordinate state with domain validation."""
-
-    chi1: float
-    chi2: float
-    chi3: float
-    chi4: float
-    chi5: float
-    chi6: float
-
-    def __post_init__(self):
-        if 1.0 + self.chi2 <= 0:
-            raise ValueError("1 + chi2 must stay positive")
-        if self.chi4 <= 0:
-            raise ValueError("chi4 must stay positive")
-
-    def as_array(self):
-        return np.array([self.chi1, self.chi2, self.chi3,
-                         self.chi4, self.chi5, self.chi6])
-
-    @classmethod
-    def from_array(cls, s):
-        s = np.asarray(s, dtype=float).reshape(6)
-        return cls(*s)
 
 
 def equilibrium(params):
@@ -338,7 +310,8 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     extension gets a blend radius and level-scaling ladder on box4, and the
     final six-state cost adds the out-of-plane channel. The returned law is
     the optimal feedback of the reconstructed cost; its metadata carries
-    the radii and the ladder.
+    the radii, the ladder and the four-state cost ("cost4") that the
+    six-state cost extends.
     """
     lin = orbital_linearization(params)
     if V0 is None:
@@ -368,10 +341,10 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
                        box=box4, seed=seed)
     r0_base = find_base_level(V_t, sys4, R_t, level_grid, n_samples=n_samples,
                               box=box4, seed=seed)
-    r0 = min(r0_blend, r0_base)
-    ladder = estimate_level_constants(V_t, sys4, R_t, r0, k_max=k_max,
-                                      n_samples=max(200, n_samples // 4),
-                                      seed=seed, box=box4)
+    r0, ladder = base_level_ladder(V_t, sys4, R_t, min(r0_blend, r0_base),
+                                   level_grid, k_max=k_max,
+                                   n_samples=max(200, n_samples // 4),
+                                   seed=seed, box=box4)
     scaling = build_mu(r0, ladder)
     cost4 = build_inverse_cost(V_t, sys4, R_t, cfg.Q_tilde, scaling)
 
@@ -395,7 +368,7 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     law = optimal_feedback(V, cost, sys6)
     law.metadata.update({
         "r0": r0, "r0_blend": r0_blend, "r0_base": r0_base,
-        "ladder": list(ladder),
+        "ladder": list(ladder), "cost4": cost4,
     })
     return V, cost, law
 

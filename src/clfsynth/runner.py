@@ -17,7 +17,7 @@ import numpy as np
 from .clf import blend_profile, check_artstein_sampled, check_positivity_properness, \
     find_r0, local_quadratic_clf
 from .errors import CertificateError, ConfigError
-from .inverse_opt import build_inverse_cost, build_mu, estimate_level_constants, \
+from .inverse_opt import base_level_ladder, build_inverse_cost, build_mu, \
     evaluate_cost, find_base_level, hjb_residual, optimal_feedback
 from .linear_core import LinearCoreConfig, LinearSystem, lqr_gain, solve_care
 from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig, \
@@ -26,7 +26,7 @@ from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig
 from .sampling import Box, sample_box
 from .serialize import matrix_from_json, matrix_to_json
 from .sim import integrate
-from .structured import StrictFeedbackSystem, additive_forward_clf, \
+from .structured import FeedforwardSystem, StrictFeedbackSystem, \
     backstepping_synthesize
 from .synthesis import blended_controller, local_gain, seam_diagnostics, \
     sontag_controller, verify_decrease
@@ -71,22 +71,18 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0,
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    if isinstance(system, StrictFeedbackSystem):
-        A, B = system.assemble()
-        lin = LinearSystem(A, B)
-        care = solve_care(lin, Q, R, lc_config)
-        K_o = lqr_gain(care, lin, R)
+    cascade = isinstance(system, StrictFeedbackSystem)
+    full = system.to_control_affine() if cascade else system
+    lin = LinearSystem(full.linearization.A, full.linearization.B)
+    care = solve_care(lin, Q, R, lc_config)
+    K_o = lqr_gain(care, lin, R)
+    if cascade:
         V, law = backstepping_synthesize(system, K_o, P=care.P, box=box,
                                          level_grid=level_grid,
                                          n_samples=n_samples, seed=seed)
-        full = system.to_control_affine()
         r0 = law.metadata["r0"]
-        artstein = check_artstein_sampled(V, full, box, n_samples=n_samples, seed=seed)
+        artstein = law.metadata["artstein"]
     else:
-        full = system
-        lin = LinearSystem(full.linearization.A, full.linearization.B)
-        care = solve_care(lin, Q, R, lc_config)
-        K_o = lqr_gain(care, lin, R)
         V = local_quadratic_clf(care.P)
         artstein = check_artstein_sampled(V, full, box, n_samples=n_samples, seed=seed)
         alpha = sontag_controller(V, full, artstein_report=artstein)
@@ -133,17 +129,17 @@ def reconstruct_cost(full, V, Q, R, box, level_grid, k_max=8, safety_factor=1.5,
     """Level ladder, scaling envelope, cost pair and optimal feedback.
 
     The base level is rescanned here because the inequality it needs
-    (unscaled domination) is stricter than the blend radius condition.
+    (unscaled domination) is stricter than the blend radius condition, and
+    steps down the grid when fresh samples reject it (base_level_ladder).
     Also samples the box for the largest HJB residual and, within the
     certified levels, the smallest reconstructed state weight.
     """
     R = np.asarray(R, dtype=float)
     r0 = find_base_level(V, full, R, level_grid, n_samples=n_samples,
                          box=box, seed=seed)
-    ladder = estimate_level_constants(V, full, R, r0, k_max=k_max,
-                                      n_samples=max(200, n_samples // 4),
-                                      safety_factor=safety_factor,
-                                      seed=seed, box=box)
+    r0, ladder = base_level_ladder(V, full, R, r0, level_grid, k_max=k_max,
+                                   n_samples=max(200, n_samples // 4),
+                                   safety_factor=safety_factor, seed=seed, box=box)
     scaling = build_mu(r0, ladder)
     cost = build_inverse_cost(V, full, R, np.asarray(Q, dtype=float), scaling)
     law = optimal_feedback(V, cost, full)
@@ -236,13 +232,24 @@ def config_hash(cfg):
         json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _prescription_matrices(cfg, n, p):
+def load_problem(cfg):
+    """(system, Q, R, box, level grid) of a config filled by load_config.
+
+    Feedforward descriptions are converted to their control-affine form;
+    missing weights default to identities.
+    """
+    system = load_system(cfg["system"])
+    if isinstance(system, FeedforwardSystem):
+        system = system.to_control_affine()
+    if cfg["box"] is None or cfg["level_grid"] is None:
+        raise ConfigError("non-registry systems need explicit 'box' and 'level_grid' "
+                          "(--box and --levels on the command line)")
     pres = cfg.get("prescription") or {}
     Q = pres.get("Q")
     R = pres.get("R")
-    Q = np.eye(n) if Q is None else matrix_from_json(Q, "Q")
-    R = np.eye(p) if R is None else matrix_from_json(R, "R")
-    return Q, R
+    Q = np.eye(system.n) if Q is None else matrix_from_json(Q, "Q")
+    R = np.eye(system.p) if R is None else matrix_from_json(R, "R")
+    return system, Q, R, Box.from_dict(cfg["box"]), expand_level_grid(cfg["level_grid"])
 
 
 def _check(name, passed, value=None, threshold=None):
@@ -252,6 +259,33 @@ def _check(name, passed, value=None, threshold=None):
     if threshold is not None:
         entry["threshold"] = float(threshold)
     return entry
+
+
+def cost_versus_value(synth, costrec, x0, horizon, dt):
+    """Cost of the reconstructed optimal feedback from x0 against V(x0)."""
+    x0 = np.asarray(x0, dtype=float)
+    est = evaluate_cost(synth.full, costrec.cost, costrec.law, x0,
+                        horizon=horizon, dt=dt)
+    v0 = synth.V.value(x0)
+    return {
+        "x0": [float(v) for v in x0],
+        "J": est.value, "integral": est.integral, "tail": est.tail,
+        "tail_kind": est.tail_kind, "value_at_x0": v0,
+        "relative_gap": abs(est.value - v0) / v0 if v0 > 0 else 0.0,
+    }
+
+
+def _finish_report(cfg, system, sections, trace_files, checks, out_dir):
+    """The report around a run's own sections; written to out_dir when given."""
+    report = dict(sections, config=cfg, config_sha256=config_hash(cfg),
+                  system=system, traces=trace_files, checks=checks,
+                  status="pass" if all(c["passed"] for c in checks) else "fail")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    return report
 
 
 def run(config, out_dir=None):
@@ -264,17 +298,10 @@ def run(config, out_dir=None):
     cfg = load_config(config)
     if cfg["system"] == "orbital":
         return _run_orbital(cfg, out_dir)
-    system = load_system(cfg["system"])
-    if cfg["box"] is None or cfg["level_grid"] is None:
-        raise ConfigError("non-registry systems need explicit 'box' and 'level_grid'")
-    box = Box.from_dict(cfg["box"])
-    grid = expand_level_grid(cfg["level_grid"])
+    system, Q, R, box, grid = load_problem(cfg)
     seed = int(cfg["sampling"]["seed"])
     n_samples = int(cfg["sampling"]["n_samples"])
     lc = LinearCoreConfig.from_dict(cfg["linear_core"])
-    n = system.n if not isinstance(system, StrictFeedbackSystem) else system.n_y + 1
-    Q, R = _prescription_matrices(cfg, n, 1 if isinstance(system, StrictFeedbackSystem)
-                                  else system.p)
 
     synth = synthesize_problem(system, Q, R, box, grid, n_samples=n_samples,
                                seed=seed, lc_config=lc)
@@ -296,22 +323,10 @@ def run(config, out_dir=None):
                value=costrec.hjb_max, threshold=1e-10),
         _check("state_weight_positive", costrec.q_min > 0.0, value=costrec.q_min),
     ]
-    cost_results = []
-    worst_rel = 0.0
-    for x0 in cfg.get("initial_states") or []:
-        x0 = np.asarray(x0, dtype=float)
-        est = evaluate_cost(synth.full, costrec.cost, costrec.law, x0,
-                            horizon=horizon, dt=dt)
-        v0 = synth.V.value(x0)
-        rel = abs(est.value - v0) / v0 if v0 > 0 else 0.0
-        worst_rel = max(worst_rel, rel)
-        cost_results.append({
-            "x0": [float(v) for v in x0],
-            "J": est.value, "integral": est.integral, "tail": est.tail,
-            "tail_kind": est.tail_kind, "value_at_x0": v0,
-            "relative_gap": rel,
-        })
+    cost_results = [cost_versus_value(synth, costrec, x0, horizon, dt)
+                    for x0 in cfg.get("initial_states") or []]
     if cost_results:
+        worst_rel = max(c["relative_gap"] for c in cost_results)
         checks.append(_check("cost_matches_value", worst_rel <= 1e-3,
                              value=worst_rel, threshold=1e-3))
 
@@ -334,23 +349,30 @@ def run(config, out_dir=None):
     if cfg.get("initial_states"):
         checks.append(_check("trajectories_monotone", traces_ok))
 
-    report = {
-        "config": cfg,
-        "config_sha256": config_hash(cfg),
-        "system": cfg["system"] if isinstance(cfg["system"], str) else "inline",
-        "synthesis": synth.to_dict(),
-        "inverse_optimal": costrec.to_dict(),
-        "costs": cost_results,
-        "traces": trace_files,
-        "checks": checks,
-        "status": "pass" if all(c["passed"] for c in checks) else "fail",
-    }
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return report
+    return _finish_report(
+        cfg, cfg["system"] if isinstance(cfg["system"], str) else "inline",
+        {"synthesis": synth.to_dict(), "inverse_optimal": costrec.to_dict(),
+         "costs": cost_results}, trace_files, checks, out_dir)
+
+
+def orbital_transfer(params, cost_cfg, dt, T, s0=None, n_samples=1500, seed=0,
+                     level_grid=None, k_max=8):
+    """Layered orbital design, then one closed-loop transfer from s0.
+
+    s0 defaults to an offset of the target orbit. Returns (law, trajectory,
+    final error). The orbit-scale coordinate carries the p0 unit, so the
+    error norm divides it out; at p0 = 1 this is the plain euclidean
+    distance to the target.
+    """
+    V, _, law = build_orbital_controller(params, cost_cfg, seed=seed,
+                                         n_samples=n_samples,
+                                         level_grid=level_grid, k_max=k_max)
+    star = equilibrium(params)
+    if s0 is None:
+        s0 = star + np.array([0.1, 0.05, -0.05, 0.1 * params.p0, 0.05, -0.05])
+    traj = simulate_orbital(params, law, s0, dt=dt, T=T, V=V)
+    unit = np.array([1.0, 1.0, 1.0, params.p0, 1.0, 1.0])
+    return law, traj, float(np.linalg.norm((traj.states[-1] - star) / unit))
 
 
 def _run_orbital(cfg, out_dir=None):
@@ -362,36 +384,23 @@ def _run_orbital(cfg, out_dir=None):
     grid = synth_opts.get("level_grid")
     if grid is not None:
         grid = expand_level_grid(grid)
-    V, cost, law = build_orbital_controller(
-        params, cost_cfg, seed=seed, n_samples=n_samples, level_grid=grid,
-        k_max=int(synth_opts.get("k_max", 8)))
-    star = equilibrium(params)
-    eq_res = float(np.linalg.norm(orbital_drift(params, star)))
+    x0 = cfg.get("initial_states")
+    law, traj, final_err = orbital_transfer(
+        params, cost_cfg, dt=float(cfg["integrator"]["dt"]),
+        T=float(cfg["integrator"]["horizon"]),
+        s0=np.asarray(x0[0], dtype=float) if x0 else None, n_samples=n_samples,
+        seed=seed, level_grid=grid, k_max=int(synth_opts.get("k_max", 8)))
+    eq_res = float(np.linalg.norm(orbital_drift(params, equilibrium(params))))
 
-    # re-derive the planar cost on the scaling the builder certified, then
-    # spot-check the stationarity identity on fresh samples
+    # spot-check the planar cost's stationarity identity on fresh samples
+    cost4 = law.metadata["cost4"]
     sys4 = orbital_reduced_system(params)
     box4 = Box.centered([0.4, 0.4, 0.4, 0.4 * params.p0])
     pts = sample_box(box4, min(n_samples, 1500), seed=seed + 3)
-    V_t = additive_forward_clf(local_quadratic_clf(cost_cfg.P0), cost_cfg.rho1)
-    R_t = np.diag([cost_cfg.R_r, cost_cfg.R_theta])
-    cost4 = build_inverse_cost(V_t, sys4, R_t, cost_cfg.Q_tilde, cost.scaling)
-    hjb4 = max(abs(hjb_residual(V_t, cost4, sys4, x)) for x in pts)
+    hjb4 = max(abs(hjb_residual(cost4.V, cost4, sys4, x)) for x in pts)
 
-    dt = float(cfg["integrator"]["dt"])
-    horizon = float(cfg["integrator"]["horizon"])
-    x0 = cfg.get("initial_states")
-    if x0:
-        s0 = np.asarray(x0[0], dtype=float)
-    else:
-        s0 = star + np.array([0.1, 0.05, -0.05, 0.1 * params.p0, 0.05, -0.05])
-    traj = simulate_orbital(params, law, s0, dt=dt, T=horizon, V=V)
     vs = traj.annotations["V"]
     monotone = not np.any(np.diff(vs) > 1e-9 * np.maximum(vs[:-1], 1e-300))
-    # the orbit-scale coordinate carries the p0 unit, so the convergence
-    # norm divides it out; at p0 = 1 this is the plain euclidean distance
-    unit = np.array([1.0, 1.0, 1.0, params.p0, 1.0, 1.0])
-    final_err = float(np.linalg.norm((traj.states[-1] - star) / unit))
     target_tol = float(cfg.get("target_tolerance", 1e-3))
 
     checks = [
@@ -408,10 +417,7 @@ def _run_orbital(cfg, out_dir=None):
         traj.to_csv(path, state_names=ORBITAL_STATE_NAMES,
                     input_names=ORBITAL_INPUT_NAMES)
         trace_files.append(os.path.basename(path))
-    report = {
-        "config": cfg,
-        "config_sha256": config_hash(cfg),
-        "system": "orbital",
+    return _finish_report(cfg, "orbital", {
         "params": params.to_dict(),
         "cost_config": cost_cfg.to_dict(),
         "design": {"r0": law.metadata["r0"], "ladder": law.metadata["ladder"]},
@@ -420,12 +426,4 @@ def _run_orbital(cfg, out_dir=None):
             "final_value": float(vs[-1]),
             "steps": int(len(traj) - 1),
         },
-        "traces": trace_files,
-        "checks": checks,
-        "status": "pass" if all(c["passed"] for c in checks) else "fail",
-    }
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return report
+    }, trace_files, checks, out_dir)

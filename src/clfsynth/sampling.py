@@ -49,28 +49,6 @@ def sample_box(box, n, seed=0, engine=None):
     return box.lows + u * (box.highs - box.lows)
 
 
-def sample_where(box, predicate, n, seed=0, max_batches=60, engine=None):
-    """Rejection-sample up to n box points satisfying a scalar predicate.
-
-    Returns whatever was found once max_batches Halton batches are
-    exhausted, which can be fewer than n points (possibly none).
-    """
-    if engine is None:
-        engine = halton_engine(box.dim, seed)
-    kept = []
-    count = 0
-    batch = max(n, 256)
-    for _ in range(max_batches):
-        pts = sample_box(box, batch, engine=engine)
-        for x in pts:
-            if predicate(x):
-                kept.append(x)
-                count += 1
-                if count >= n:
-                    return np.array(kept)
-    return np.array(kept) if kept else np.empty((0, box.dim))
-
-
 def quadratic_level_box(P, level, slack=1.1):
     """Bounding box of the ellipsoid {x' P x <= level}.
 

@@ -36,6 +36,8 @@ class StrictFeedbackSystem:
     validated within 1e-5 when supplied.
     """
 
+    p = 1
+
     def __init__(self, n_y, h1, h2, f, g, blocks=None):
         self.n_y = int(n_y)
         self.n = self.n_y + 1
@@ -278,7 +280,9 @@ def backstepping_synthesize(sys, K_o, inner_clf_factory=None, P=None,
     machinery). The default inner pair is the quadratic V_y with the
     linear gain read off the partition; a custom factory(P_y, gain) may
     return (V_y, alpha_y, alpha_y_grad). The composite must pass the
-    sampled Lyapunov test on the working box before any law is built.
+    sampled Lyapunov test on the working box before any law is built; the
+    law's metadata keeps that report ("artstein") with the radius and the
+    partition.
     """
     A, B = sys.assemble()
     K_o = np.asarray(K_o, dtype=float).reshape(1, sys.n)
@@ -309,7 +313,7 @@ def backstepping_synthesize(sys, K_o, inner_clf_factory=None, P=None,
     alpha_inf = sontag_controller(V, full, artstein_report=report)
     r0 = find_r0(V, full, K_o, level_grid, n_samples=n_samples, box=box, seed=seed)
     law = blended_controller(alpha_inf, K_o, V, blend_profile(r0))
-    law.metadata.update({"r0": r0, "partition": part.to_dict()})
+    law.metadata.update({"r0": r0, "partition": part.to_dict(), "artstein": report})
     return V, law
 
 

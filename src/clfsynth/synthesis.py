@@ -153,23 +153,6 @@ def verify_decrease(V, sys, law, region, n_samples=2000, seed=0,
     return report
 
 
-def spot_check_lipschitz(law, region, n_pairs=200, seed=0, scale=1e-4):
-    """Largest difference quotient of the map over random nearby pairs.
-
-    A finite number certifies nothing by itself; it is a smoke test
-    against gross discontinuities away from the kernel set.
-    """
-    pts = sample_box(region, n_pairs, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for x in pts:
-        d = rng.standard_normal(law.n)
-        d *= scale * (1.0 + np.linalg.norm(x)) / np.linalg.norm(d)
-        du = np.linalg.norm(law.map(x + d) - law.map(x))
-        worst = max(worst, du / np.linalg.norm(d))
-    return worst
-
-
 def seam_diagnostics(law, V, rho, region, n_pairs=200, seed=0):
     """Difference quotients across the two blend seams.
 

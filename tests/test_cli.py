@@ -6,6 +6,7 @@ capsys; a single subprocess test checks the module entry point end to end.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from clfsynth.cli import main
+from clfsynth.runner import run
 
 S3 = np.sqrt(3.0)
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore:scaling queried"),
@@ -84,6 +87,24 @@ class TestSynth:
         assert res["artstein"]["passed"] is True
         assert res["decrease"]["passed"] is True
 
+    def test_feedforward_spec(self, tmp_path, capsys):
+        # y' = x, x' = x^2 + u
+        spec = write_json(tmp_path / "ff.json", {
+            "structure": "feedforward", "n_x": 1, "p": 1,
+            "h": [{"coeff": 1.0, "exponents": [1]}],
+            "f": [[{"coeff": 1.0, "exponents": [2]}]],
+            "g": [[[{"coeff": 1.0, "exponents": [0]}]]]})
+        box = write_json(tmp_path / "box.json", {"lows": [-1, -1], "highs": [1, 1]})
+        levels = ",".join(repr(float(v)) for v in np.geomspace(0.02, 1.5, 28))
+        code, out, _ = run_cli(capsys, "synth", spec, "--box", box,
+                               "--levels", levels, "--samples", "1000")
+        assert code == 0
+        res = json.loads(out)
+        assert res["r0"] == 1.5
+        assert res["gain_error"] == 0.0
+        assert res["artstein"]["passed"] is True
+        assert res["decrease"]["passed"] is True
+
     def test_unknown_system_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "synth", "no_such_system")
         assert code == 2
@@ -140,6 +161,20 @@ class TestBackstep:
         assert "P_y" in res["partition"]
         assert res["r0"] > 0
 
+    def test_same_problem_as_synth(self, capsys):
+        flags = ("strict_feedback_demo", "--samples", "400", "--levels",
+                 "0.05,0.1,0.2,0.4,0.8")
+        code, out, _ = run_cli(capsys, "backstep", *flags)
+        assert code == 0
+        back = json.loads(out)
+        code, out, _ = run_cli(capsys, "synth", *flags)
+        assert code == 0
+        synth = json.loads(out)
+        for key in ("K_o", "r0", "local_gain", "gain_error"):
+            assert back[key] == synth[key]
+        assert np.array_equal(np.reshape(back["P"]["data"], (2, 2)),
+                              synth["care"]["P"])
+
     def test_wrong_structure_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "backstep", "scalar_linear")
         assert code == 2
@@ -158,6 +193,25 @@ class TestOrbital:
         assert res["steps"] == 2000
         header = trace.read_text().split("\n", 1)[0]
         assert header.startswith("t,chi1,chi2")
+
+    def test_final_error_matches_run(self, capsys):
+        # ten steps of the geostationary preset leave the orbit-scale error
+        # (km) dominant; both views divide it by p0
+        with open(CONFIGS / "run_orbital_geo.json") as fh:
+            cfg = json.load(fh)
+        dt = cfg["integrator"]["dt"]
+        cfg["integrator"]["horizon"] = 10 * dt
+        code, out, _ = run_cli(capsys, "orbital",
+                               "--params", str(CONFIGS / "orbital_geo.json"),
+                               "--cost", str(CONFIGS / "orbital_geo_cost.json"),
+                               "--samples", str(cfg["sampling"]["n_samples"]),
+                               "--dt", repr(dt), "--T", repr(10 * dt))
+        assert code == 0
+        res = json.loads(out)
+        sim = run(cfg)["simulation"]
+        assert res["steps"] == sim["steps"] == 10
+        assert res["final_error"] == sim["final_error"]
+        assert res["final_error"] == pytest.approx(0.1485, abs=1e-4)
 
     def test_coarse_step_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "orbital", "--samples", "400",

@@ -23,10 +23,11 @@ import numpy as np
 import pytest
 
 from clfsynth.clf import ControlAffineSystem, local_quadratic_clf
-from clfsynth.errors import CertificateError, DivergenceError
+from clfsynth.errors import BaseLevelError, CertificateError, DivergenceError
 from clfsynth.inverse_opt import (
     InverseOptimalCost,
     _excess_ratio,
+    base_level_ladder,
     build_inverse_cost,
     build_mu,
     check_base_region,
@@ -168,6 +169,28 @@ class TestEstimateLevelConstants:
         with pytest.raises(ValueError, match="k_max"):
             estimate_level_constants(unit_v(), cubic_system(), np.eye(1), 0.4,
                                      k_max=0)
+
+
+class TestBaseLevelLadder:
+    def test_steps_down_to_largest_passing_level(self):
+        # the cubic's base inequality fails above V = 1/2
+        level, ladder = base_level_ladder(unit_v(), cubic_system(), np.eye(1),
+                                          0.6, [0.1, 0.3, 0.45, 0.6], k_max=1)
+        assert level == 0.45
+        assert ladder == estimate_level_constants(unit_v(), cubic_system(),
+                                                  np.eye(1), 0.45, k_max=1)
+
+    def test_raises_when_no_grid_level_passes(self):
+        with pytest.raises(BaseLevelError, match="choose a smaller base level"):
+            base_level_ladder(unit_v(), cubic_system(), np.eye(1), 1.0,
+                              [0.7, 1.0], k_max=1)
+
+    def test_annulus_failure_is_not_retried(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sys_ = ControlAffineSystem(1, 1, plateau_system().a, vanishing_b)
+        with pytest.raises(CertificateError, match="input map vanishes"):
+            base_level_ladder(unit_v(), sys_, np.eye(1), 1.0, [0.5, 1.0], k_max=1)
 
 
 class TestBuildMu:

@@ -5,8 +5,8 @@ from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from clfsynth.errors import CertificateError
 from clfsynth.linear_core import (
-    LinearCoreConfig, LinearSystem, RiccatiCertificate, check_lmi_triple,
-    is_hurwitz, lqr_gain, riccati_residual, search_lmi_candidates, solve_care,
+    LinearCoreConfig, LinearSystem, RiccatiCertificate, is_hurwitz,
+    lqr_gain, riccati_residual, solve_care,
     solve_lyapunov, spectral_abscissa, stabilizing_gain, undetectable_modes,
     unstabilizable_modes)
 
@@ -249,45 +249,3 @@ class TestRiccatiCertificate:
         res = riccati_residual(A, B, np.eye(1), np.eye(1), P)
         assert res == pytest.approx(0.0, abs=1e-12)
 
-
-class TestLmi:
-    def _problem(self):
-        A = np.array([[0.0, 1.0], [0.5, 0.0]])
-        B = np.array([[0.0], [1.0]])
-        sys_ = LinearSystem(A, B)
-        cert = solve_care(sys_, np.eye(2), np.eye(1))
-        K = lqr_gain(cert, sys_, np.eye(1))
-        return sys_, K, cert.P
-
-    def test_lq_triple_feasible(self):
-        sys_, K, P = self._problem()
-        report = check_lmi_triple(sys_, K, K, P, P)
-        assert report.feasible
-        assert report.max_eig_local < 0
-        assert report.max_eig_uniting < 0
-        assert report.max_eig_tail < 0
-        d = report.to_dict()
-        assert d["feasible"] is True
-
-    def test_infeasible_detected(self):
-        sys_, K, P = self._problem()
-        report = check_lmi_triple(sys_, np.zeros_like(K), np.zeros_like(K), P, P)
-        assert not report.feasible
-
-    def test_search_finds_candidate(self):
-        sys_, K, P = self._problem()
-        found = search_lmi_candidates(sys_, K, P, n_tries=100, seed=2)
-        assert found is not None
-        K_u, P_mid, report = found
-        assert report.feasible
-        recheck = check_lmi_triple(sys_, K, K_u, P_mid, P)
-        assert recheck.feasible
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.floats(min_value=0.2, max_value=5.0))
-    def test_scaling_invariance(self, c):
-        # feasibility of the triple is invariant under P -> cP (both levels)
-        sys_, K, P = self._problem()
-        base = check_lmi_triple(sys_, K, K, P, P).feasible
-        scaled = check_lmi_triple(sys_, K, K, c * P, c * P).feasible
-        assert base == scaled

@@ -24,7 +24,6 @@ from clfsynth.inverse_opt import hjb_residual
 from clfsynth.orbital import (
     OrbitalCostConfig,
     OrbitalParams,
-    OrbitalState,
     build_orbital_controller,
     equilibrium,
     orbital_drift,
@@ -69,18 +68,6 @@ class TestParams:
             OrbitalParams(p0=0.0)
         par = OrbitalParams(p0=3.0, mu=0.5)
         assert OrbitalParams.from_dict(par.to_dict()) == par
-
-
-class TestState:
-    def test_round_trip(self):
-        s = np.array([0.1, -0.2, 0.3, 1.5, 0.0, -0.1])
-        assert np.array_equal(OrbitalState.from_array(s).as_array(), s)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError, match="1 \\+ chi2"):
-            OrbitalState(0.0, -1.0, 0.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="chi4"):
-            OrbitalState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestVectorField:

@@ -16,8 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
+from clfsynth import clf, runner, structured
 from clfsynth.errors import ConfigError, DivergenceError
 from clfsynth.runner import config_hash, expand_level_grid, load_config, run
+from clfsynth.sampling import Box
 from clfsynth.sim import Trajectory, integrate, rk4_path, rk4_step
 from clfsynth.synthesis import FeedbackLaw
 from clfsynth.systems import load_system
@@ -278,6 +280,44 @@ class TestRunScalar:
                 "input": [[[{"coeff": 1.0, "exponents": [0]}]]]}
         with pytest.raises(ConfigError, match="explicit 'box'"):
             run({"system": spec})
+
+    def test_base_level_steps_down_when_fresh_samples_reject_it(self):
+        # x1' = x2, x2' = -x1 + x1^2 + u: at seed 1 the scanned base level
+        # 0.9284 fails the fresh-sample base check (at V = 0.9135), so the
+        # cost is built one grid level lower
+        spec = {"n": 2, "p": 1,
+                "drift": [[{"coeff": 1.0, "exponents": [0, 1]}],
+                          [{"coeff": -1.0, "exponents": [1, 0]},
+                           {"coeff": 1.0, "exponents": [2, 0]}]],
+                "input": [[[]], [[{"coeff": 1.0, "exponents": [0, 0]}]]]}
+        grid = {"start": 0.02, "stop": 1.5, "num": 28}
+        rep = quiet_run({"system": spec, "box": {"lows": [-1, -1], "highs": [1, 1]},
+                         "level_grid": grid, "initial_states": [],
+                         "sampling": {"seed": 1, "n_samples": 1000}})
+        levels = expand_level_grid(grid)
+        assert rep["status"] == "pass"
+        assert levels[-4] == pytest.approx(0.9284, abs=1e-4)
+        assert rep["inverse_optimal"]["r0"] == levels[-5]
+
+
+class TestSynthesizeCascade:
+    def test_artstein_sweep_runs_once(self, monkeypatch):
+        real = clf.check_artstein_sampled
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (runner, structured):
+            monkeypatch.setattr(module, "check_artstein_sampled", counting)
+        rec = runner.synthesize_problem(
+            load_system("strict_feedback_demo"), np.eye(2), np.eye(1),
+            Box.centered([1.5, 1.5]), expand_level_grid([0.05, 0.2, 0.8]),
+            n_samples=300)
+        assert len(calls) == 1
+        assert rec.artstein is rec.law.metadata["artstein"]
+        assert rec.artstein.passed
 
 
 class TestRunOrbital:
