@@ -12,7 +12,8 @@ survives untouched.
 import numpy as np
 
 from clfsynth import Box, backstepping_partition, backstepping_synthesize, \
-    integrate, load_system, local_gain, lqr_gain, solve_care, verify_decrease
+    integrate, lie_sweep, load_system, local_gain, lqr_gain, sample_box, solve_care, \
+    verify_decrease
 from clfsynth.linear_core import LinearSystem
 
 np.set_printoptions(precision=6, suppress=True)
@@ -58,7 +59,7 @@ def main():
 
     box = Box.centered([1.5, 1.5])
     full = cascade.to_control_affine()
-    report = verify_decrease(V, full, law, box, n_samples=2000)
+    report = verify_decrease(lie_sweep(V, full, sample_box(box, 2000)), law)
     print(f"closed-loop decrease: {report.checked} states, "
           f"max V' = {report.max_vdot:.3e}, violations {len(report.violations)}")
 

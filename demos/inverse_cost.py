@@ -11,8 +11,9 @@ more, which is what optimality means operationally.
 import numpy as np
 
 from clfsynth import Box, FeedbackLaw, base_level_ladder, build_inverse_cost, \
-    build_mu, evaluate_cost, find_base_level, hjb_residual, load_system, \
+    build_mu, evaluate_cost, find_base_level, lie_sweep, load_system, \
     optimal_feedback, sample_box
+from clfsynth.inverse_opt import hjb_sweep
 from clfsynth.runner import synthesize_problem
 
 np.set_printoptions(precision=6, suppress=True)
@@ -30,7 +31,7 @@ def main():
     print(f"blended design      r0 = {synth.r0:.6g}, "
           f"local gain error {synth.gain_error:.1e}")
 
-    r0 = find_base_level(V, plant, R, grid, box=box, n_samples=2000)
+    r0 = find_base_level(lie_sweep(V, plant, sample_box(box, 2000)), R, grid)
     r0, ladder = base_level_ladder(V, plant, R, r0, grid, k_max=K_MAX,
                                    box=box, n_samples=2000)
     scaling = build_mu(r0, ladder)
@@ -48,7 +49,7 @@ def main():
     # stationarity identity, sampled inside the certified range
     pts = [x for x in sample_box(box, 3000, seed=3)
            if V.value(x) <= scaling.knots_s[-1]]
-    worst = max(abs(hjb_residual(V, cost, plant, x)) for x in pts)
+    worst = np.max(np.abs(hjb_sweep(lie_sweep(V, plant, pts), cost)[1]))
     print(f"\nstationarity residual over {len(pts)} states: {worst:.3e}")
 
     law = optimal_feedback(V, cost, plant)

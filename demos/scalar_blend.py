@@ -11,8 +11,8 @@ outside, so the closed loop is globally stable AND locally optimal.
 import numpy as np
 
 from clfsynth import Box, blend_profile, blended_controller, \
-    check_artstein_sampled, find_r0, integrate, load_system, local_gain, \
-    local_quadratic_clf, lqr_gain, seam_diagnostics, solve_care, \
+    check_artstein_sampled, find_r0, integrate, lie_sweep, load_system, local_gain, \
+    local_quadratic_clf, lqr_gain, sample_box, seam_diagnostics, solve_care, \
     sontag_controller, verify_decrease
 from clfsynth.linear_core import LinearSystem
 
@@ -32,7 +32,9 @@ def main():
     print(f"prescribed gain     K_o = {K_o.ravel()}")
     print(f"candidate           V(x) = {cert.P[0, 0]:.4g} x^2")
 
-    artstein = check_artstein_sampled(V, plant, box, n_samples=2000)
+    # one sweep of (V, L_aV, L_bV) over the box serves every sampled check
+    sweep = lie_sweep(V, plant, sample_box(box, 2000))
+    artstein = check_artstein_sampled(sweep)
     print(f"\ndecrease controllability: {artstein.checked} states checked, "
           f"{len(artstein.violations)} violations")
 
@@ -40,14 +42,14 @@ def main():
     print(f"universal formula   u(0.5) = {alpha.map([0.5])}  "
           f"(slope at 0 is {local_gain(alpha).ravel()}, not K_o)")
 
-    r0 = find_r0(V, plant, K_o, grid, box=box, n_samples=2000)
+    r0 = find_r0(sweep, K_o, grid)
     law = blended_controller(alpha, K_o, V, blend_profile(r0))
     print(f"\nblend radius        r0 = {r0:.6g}")
     print(f"core region         V <= {r0 / 2:.6g} uses exactly u = K_o x")
     print(f"blended local gain  {local_gain(law).ravel()} "
           f"(error {np.max(np.abs(local_gain(law) - K_o)):.1e})")
 
-    report = verify_decrease(V, plant, law, box, n_samples=2000)
+    report = verify_decrease(sweep, law)
     print(f"\nclosed-loop decrease: {report.checked} states, "
           f"max V' = {report.max_vdot:.3e}, violations {len(report.violations)}")
     seam = seam_diagnostics(law, V, blend_profile(r0), box, n_pairs=100)

@@ -9,9 +9,9 @@ from .errors import ArtsteinViolationError, BaseLevelError, CertificateError, \
     ConfigError, DivergenceError
 from .linear_core import LinearCoreConfig, LinearSystem, RiccatiCertificate, \
     is_hurwitz, lqr_gain, solve_care, solve_lyapunov, stabilizing_gain
-from .clf import ArtsteinReport, BlendProfile, Clf, ControlAffineSystem, \
+from .clf import ArtsteinReport, BlendProfile, Clf, ControlAffineSystem, LieSweep, \
     blend_profile, check_artstein_sampled, check_positivity_properness, \
-    find_r0, lie_derivatives, local_quadratic_clf
+    find_r0, lie_derivatives, lie_sweep, local_quadratic_clf
 from .synthesis import DecreaseReport, FeedbackLaw, blended_controller, \
     local_gain, seam_diagnostics, sontag_controller, verify_decrease
 from .inverse_opt import CostEstimate, InverseOptimalCost, LevelScaling, \
@@ -35,7 +35,7 @@ __all__ = [
     "BaseLevelError", "BlendProfile", "Box", "CertificateError", "Clf",
     "ConfigError", "ControlAffineSystem", "CostEstimate", "DecreaseReport",
     "DivergenceError", "FeedbackLaw", "FeedforwardSystem",
-    "InverseOptimalCost", "LevelScaling", "LinearCoreConfig",
+    "InverseOptimalCost", "LevelScaling", "LieSweep", "LinearCoreConfig",
     "LinearSystem", "OrbitalCostConfig", "OrbitalParams",
     "RiccatiCertificate", "StrictFeedbackSystem", "Trajectory",
     "additive_forward_clf", "backstepping_clf", "backstepping_partition",
@@ -45,7 +45,7 @@ __all__ = [
     "check_positivity_properness", "equilibrium",
     "estimate_level_constants", "evaluate_cost", "find_base_level",
     "find_r0", "hjb_residual", "integrate", "is_hurwitz",
-    "lie_derivatives", "load_config", "load_system", "local_gain",
+    "lie_derivatives", "lie_sweep", "load_config", "load_system", "local_gain",
     "local_quadratic_clf", "lqr_gain", "optimal_feedback",
     "orbital_linearization", "orbital_reduced_system", "orbital_system",
     "quadratic_level_box", "reconstruct_cost", "rk4_path", "rk4_step",

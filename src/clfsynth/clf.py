@@ -13,7 +13,7 @@ import numpy as np
 from . import numdiff
 from .errors import CertificateError
 from .linear_core import LinearSystem, is_hurwitz
-from .sampling import halton_engine, quadratic_level_box, sample_box
+from .sampling import halton_engine, sample_box
 
 ORIGIN_TOL = 1e-12
 
@@ -114,21 +114,64 @@ def local_quadratic_clf(P):
                hessian_origin=2.0 * P)
 
 
+def _lie_terms(V, sys, x):
+    """(grad V(x), L_a V(x), L_b V(x)): the one place grad V meets the field."""
+    g = V.gradient(x)
+    return g, float(g @ sys.a(x)), g @ sys.b(x)
+
+
 def lie_derivatives(V, sys, x):
     """(L_a V(x), L_b V(x)) with shapes (scalar, (p,))."""
-    x = np.asarray(x, dtype=float)
-    g = V.gradient(x)
-    return float(g @ sys.a(x)), g @ sys.b(x)
+    _, la, lb = _lie_terms(V, sys, np.asarray(x, dtype=float))
+    return la, lb
 
 
-def default_zero_tol(V, x):
+def kernel_tol(grad):
     """Kernel threshold for ||L_b V||: 1e-7 scaled by the gradient size."""
-    return 1e-7 * (1.0 + np.linalg.norm(V.gradient(x)))
+    return 1e-7 * (1.0 + np.linalg.norm(grad))
 
 
-def default_delta_margin(la):
-    """Strictness margin for sampled decrease tests."""
+def strict_margin(la):
+    """Strictness margin for sampled decrease tests: 1e-9 (1 + |L_a V|)."""
     return 1e-9 * (1.0 + abs(la))
+
+
+@dataclass(eq=False)
+class LieSweep:
+    """V, L_a V, L_b V and the kernel threshold of (V, sys) at a set of states.
+
+    Row i of values, la, lb (shape (N, p)) and kernel_tol belongs to
+    points[i]. Every sampled certificate is a mask over one sweep.
+    """
+
+    V: object
+    sys: object
+    points: np.ndarray
+    values: np.ndarray
+    la: np.ndarray
+    lb: np.ndarray
+    kernel_tol: np.ndarray
+
+    @property
+    def in_kernel(self):
+        """Rows where ||L_b V|| is at most the kernel threshold."""
+        return np.linalg.norm(self.lb, axis=1) <= self.kernel_tol
+
+
+def lie_sweep(V, sys, points):
+    """LieSweep at the rows of points; grad V is computed once per row.
+
+    Each row uses the arithmetic of lie_derivatives, so the two agree
+    exactly.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, sys.n)
+    terms = [_lie_terms(V, sys, x) for x in points]
+    return LieSweep(
+        V, sys, points,
+        values=np.array([V.value(x) for x in points]),
+        la=np.array([t[1] for t in terms]),
+        lb=np.array([t[2] for t in terms]).reshape(len(points), sys.p),
+        kernel_tol=np.array([kernel_tol(t[0]) for t in terms]))
 
 
 @dataclass
@@ -152,61 +195,41 @@ class ArtsteinReport:
         }
 
 
-def check_artstein_sampled(V, sys, region, n_samples=2000, zero_tol=None,
-                           seed=0, origin_exclusion=1e-9):
-    """Sample the region; flag states with L_b V ~ 0 but L_a V >= 0.
+def check_artstein_sampled(sweep):
+    """Flag sweep states with L_b V ~ 0 (kernel threshold) but L_a V >= 0.
 
-    zero_tol=None uses the gradient-scaled default. States whose value is
-    below origin_exclusion times the largest sampled value are treated as
-    the origin and skipped. A passing report certifies only the sampled
-    set.
+    States whose value is at most 1e-9 times the largest swept value are
+    treated as the origin and skipped. A passing report certifies only
+    the swept set.
     """
-    pts = sample_box(region, n_samples, seed=seed)
-    vals = np.array([V.value(x) for x in pts])
-    v_floor = origin_exclusion * max(float(np.max(vals)), ORIGIN_TOL)
-    report = ArtsteinReport(checked=0, kernel_hits=0)
-    for x, v in zip(pts, vals):
-        if v <= v_floor:
-            continue
-        report.checked += 1
-        la, lb = lie_derivatives(V, sys, x)
-        tol = default_zero_tol(V, x) if zero_tol is None else zero_tol
-        if np.linalg.norm(lb) <= tol:
-            report.kernel_hits += 1
-            if la >= 0.0:
-                report.violations.append(np.array(x))
-    return report
+    live = sweep.values > 1e-9 * max(float(np.max(sweep.values)), ORIGIN_TOL)
+    kernel = live & sweep.in_kernel
+    return ArtsteinReport(
+        checked=int(np.sum(live)), kernel_hits=int(np.sum(kernel)),
+        violations=[np.array(x) for x in sweep.points[kernel & (sweep.la >= 0.0)]])
 
 
-def _scan_levels(V, level_grid, slack_at, n_samples, box, seed, origin_exclusion,
-                 failure):
-    """Largest grid level whose sampled sublevel set satisfies slack < -margin.
+def _scan_levels(sweep, level_grid, slack, failure):
+    """Largest grid level whose swept sublevel set satisfies slack < -margin.
 
-    slack_at(x) returns (slack, margin) at a sample. The box defaults to the
-    bounding box of the top level's quadratic ellipsoid. Levels are scanned
-    in ascending order; a level passes when every sample with
-    origin_exclusion * top < V(x) <= level passes, levels with no such
-    sample are skipped, and the first failing level stops the scan.
-    Raises CertificateError with the failure message when no level passes.
+    slack holds one entry per sweep row, the margin is strict_margin(L_a V)
+    of that row. Levels are scanned in ascending order; a level passes when
+    every row with 1e-7 * top < V(x) <= level passes, levels with no such
+    row are skipped, and the first failing level stops the scan. Raises
+    CertificateError with the failure message when no level passes.
     """
     levels = sorted(float(l) for l in level_grid)
     if not levels or levels[0] <= 0:
         raise ValueError("level_grid must contain positive levels")
-    if box is None:
-        box = quadratic_level_box(0.5 * V.hessian_origin, levels[-1], slack=1.25)
-    pts = sample_box(box, n_samples, seed=seed)
-    vals = np.array([V.value(x) for x in pts])
-    v_floor = origin_exclusion * levels[-1]
-    slack = np.empty(len(pts))
-    margins = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        slack[i], margins[i] = slack_at(x)
+    vals = sweep.values
+    above_floor = vals > 1e-7 * levels[-1]
+    passes = np.asarray(slack) < -strict_margin(sweep.la)
     best = None
     for level in levels:
-        mask = (vals > v_floor) & (vals <= level)
+        mask = above_floor & (vals <= level)
         if not np.any(mask):
             continue
-        if np.all(slack[mask] < -margins[mask]):
+        if np.all(passes[mask]):
             best = level
         else:
             break
@@ -215,28 +238,24 @@ def _scan_levels(V, level_grid, slack_at, n_samples, box, seed, origin_exclusion
     return best
 
 
-def find_r0(V, sys, K_o, level_grid, n_samples=2000, box=None, seed=0,
-            delta_margin=None, origin_exclusion=1e-7):
+def find_r0(sweep, K_o, level_grid):
     """Largest grid level r0 such that u = K_o x decreases V on {V <= r0}.
 
     Scans the ascending grid (_scan_levels); a level passes when every
-    sample with 0 < V(x) <= level satisfies L_a V + L_b V K_o x < -margin.
-    Levels with no samples are skipped (neither passed nor failed). Raises
-    when the first populated level already fails.
+    swept state with 0 < V(x) <= level satisfies
+    L_a V + L_b V K_o x < -strict_margin(L_a V). Levels with no swept
+    state are skipped (neither passed nor failed). Raises when the first
+    populated level already fails.
     """
+    sys = sweep.sys
     K_o = np.asarray(K_o, dtype=float).reshape(sys.p, sys.n)
     A = sys.linearization.A
     B = sys.linearization.B
     if not is_hurwitz(A + B @ K_o):
         raise ValueError("K_o does not stabilize the linearization")
-
-    def slack_at(x):
-        la, lb = lie_derivatives(V, sys, x)
-        margin = default_delta_margin(la) if delta_margin is None else delta_margin
-        return la + lb @ (K_o @ x), margin
-
+    slack = [la + lb @ (K_o @ x) for x, la, lb in zip(sweep.points, sweep.la, sweep.lb)]
     return _scan_levels(
-        V, level_grid, slack_at, n_samples, box, seed, origin_exclusion,
+        sweep, level_grid, slack,
         "no grid level passed the local decrease test; refine the grid "
         "toward smaller levels or adjust the prescribed gain")
 

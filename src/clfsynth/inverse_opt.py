@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clf import _scan_levels, default_delta_margin, default_zero_tol, lie_derivatives
+from .clf import _scan_levels, lie_derivatives, lie_sweep, strict_margin
 from .errors import BaseLevelError, CertificateError, DivergenceError
 from .linear_core import riccati_residual, solve_lyapunov
 from .sampling import halton_engine, quadratic_level_box, sample_box
@@ -40,45 +40,38 @@ def _base_slack(la, lb, R, ell=1.0):
     return la - 0.25 * ell * _input_form(lb, R)
 
 
-def check_base_region(V, sys, R, r0, n_samples=400, box=None, seed=0,
-                      origin_exclusion=1e-7):
-    """Verify L_aV - (1/4) L_bV R^-1 L_bV' < 0 on {0 < V <= r0} samples.
+def _sweep_slack(sweep, R, ell=1.0):
+    """_base_slack at every row of a sweep."""
+    return np.array([_base_slack(la, lb, R, ell) for la, lb in zip(sweep.la, sweep.lb)])
+
+
+def check_base_region(sweep, R, r0):
+    """Verify L_aV - (1/4) L_bV R^-1 L_bV' < 0 at swept states with 0 < V <= r0.
 
     This is the unscaled inequality that must hold where mu = 1; it fails
-    for levels too far from the origin. Returns the number of checked
-    samples, raises BaseLevelError on a violation.
+    for levels too far from the origin. States with V at most 1e-7 r0
+    count as the origin. Returns the number of checked states, raises
+    BaseLevelError at the first violation.
     """
-    if box is None:
-        box = quadratic_level_box(0.5 * V.hessian_origin, r0, slack=1.25)
-    pts = sample_box(box, n_samples, seed=seed)
-    checked = 0
-    for x in pts:
-        v = V.value(x)
-        if v <= origin_exclusion * r0 or v > r0:
-            continue
-        checked += 1
-        la, lb = lie_derivatives(V, sys, x)
-        s = _base_slack(la, lb, R)
-        if s >= -default_delta_margin(la):
-            raise BaseLevelError(
-                f"base inequality fails at V = {v:.4g} (value {s:.3e}); "
-                "choose a smaller base level r0 for the cost construction")
-    return checked
+    live = (sweep.values > 1e-7 * r0) & (sweep.values <= r0)
+    slack = _sweep_slack(sweep, R)
+    bad = np.flatnonzero(live & (slack >= -strict_margin(sweep.la)))
+    if bad.size:
+        i = bad[0]
+        raise BaseLevelError(
+            f"base inequality fails at V = {sweep.values[i]:.4g} (value {slack[i]:.3e}); "
+            "choose a smaller base level r0 for the cost construction")
+    return int(np.sum(live))
 
 
-def find_base_level(V, sys, R, level_grid, n_samples=2000, box=None, seed=0,
-                    origin_exclusion=1e-7):
+def find_base_level(sweep, R, level_grid):
     """Largest grid level on which the unscaled base inequality holds.
 
     Same scan as the blend-radius search (clf._scan_levels): ascending
     levels, empty levels skipped, first populated failure stops the scan.
     """
-    def slack_at(x):
-        la, lb = lie_derivatives(V, sys, x)
-        return _base_slack(la, lb, R), default_delta_margin(la)
-
     return _scan_levels(
-        V, level_grid, slack_at, n_samples, box, seed, origin_exclusion,
+        sweep, level_grid, _sweep_slack(sweep, R),
         "no grid level passes the base inequality; refine the grid toward "
         "smaller levels")
 
@@ -105,58 +98,47 @@ def estimate_level_constants(V, sys, R, r0, k_max=8, n_samples=400,
         box = quadratic_level_box(0.5 * V.hessian_origin, top, slack=1.25)
     engine = halton_engine(box.dim, seed)
 
-    def annulus_samples(k, n):
-        lo, hi = k * r0, (k + 1) * r0
+    def band(pts, lo, hi):
+        return [x for x in pts if lo <= V.value(x) <= hi]
+
+    def annulus_sweep(k):
+        # draws from the shared engine until n_samples states lie in the annulus
         kept = []
         for _ in range(80):
-            pts = sample_box(box, max(n, 256), engine=engine)
-            for x in pts:
-                v = V.value(x)
-                if lo <= v <= hi:
-                    kept.append(x)
-                    if len(kept) >= n:
-                        return kept
-        return kept
+            kept += band(sample_box(box, max(n_samples, 256), engine=engine),
+                         k * r0, (k + 1) * r0)
+            if len(kept) >= n_samples:
+                break
+        return lie_sweep(V, sys, kept[:n_samples])
 
-    check_base_region(V, sys, R, r0, n_samples=n_samples, box=box, seed=seed + 1)
+    check_base_region(
+        lie_sweep(V, sys, band(sample_box(box, n_samples, seed=seed + 1), 0.0, r0)), R, r0)
 
     ladder = []
     for k in range(1, k_max + 1):
-        pts = annulus_samples(k, n_samples)
-        if not pts:
+        sweep = annulus_sweep(k)
+        if not len(sweep.points):
             warnings.warn(
                 f"annulus {k} has no samples inside the working box; "
                 "its constant defaults to 1", stacklevel=2)
             ladder.append(1.0)
             continue
-        sup = None
-        for x in pts:
-            la, lb = lie_derivatives(V, sys, x)
-            if np.linalg.norm(lb) <= default_zero_tol(V, x):
-                if la >= 0.0:
-                    raise CertificateError(
-                        f"decrease condition fails on annulus {k}: the input map "
-                        "vanishes at a state where the drift does not decrease")
-                continue
-            ratio = _excess_ratio(la, lb, R)
-            sup = ratio if sup is None else max(sup, ratio)
-        ell = 1.0 if sup is None or sup <= 1.0 else safety_factor * sup
+        kernel = sweep.in_kernel
+        if np.any(kernel & (sweep.la >= 0.0)):
+            raise CertificateError(
+                f"decrease condition fails on annulus {k}: the input map "
+                "vanishes at a state where the drift does not decrease")
+        ratios = [_excess_ratio(la, lb, R)
+                  for la, lb in zip(sweep.la[~kernel], sweep.lb[~kernel])]
+        sup = max(ratios, default=1.0)
+        ell = 1.0 if sup <= 1.0 else safety_factor * sup
 
-        ok = False
         for _ in range(max_doublings + 1):
-            fresh = annulus_samples(k, n_samples)
-            bad = False
-            for x in fresh:
-                la, lb = lie_derivatives(V, sys, x)
-                s = _base_slack(la, lb, R, ell)
-                if s >= -default_delta_margin(la):
-                    bad = True
-                    break
-            if not bad:
-                ok = True
+            fresh = annulus_sweep(k)
+            if not np.any(_sweep_slack(fresh, R, ell) >= -strict_margin(fresh.la)):
                 break
             ell *= 2.0
-        if not ok:
+        else:
             raise CertificateError(
                 f"annulus {k}: no finite scaling makes the decrease condition "
                 "hold on fresh samples; the candidate is not a control "
@@ -300,6 +282,23 @@ def hjb_residual(V, cost, sys, x):
     la, lb = lie_derivatives(V, sys, x)
     rx = cost.r(x)
     return cost.q(x) + la - 0.25 * _input_form(lb, rx)
+
+
+def hjb_sweep(sweep, cost):
+    """(q, HJB residual) at every sweep row, for a cost of build_inverse_cost.
+
+    Evaluates that cost's q = -(L_aV - (1/4) mu L_bV R^-1 L_bV') and
+    r = R / mu at mu = mu(V) from the sweep's Lie derivatives, so q is
+    computed once per row; the residual is hjb_residual's.
+    """
+    R, mu_at = cost.base_R, cost.scaling.mu
+    q, residual = [], []
+    for v, la, lb in zip(sweep.values, sweep.la, sweep.lb):
+        mu = mu_at(v)
+        qi = -_base_slack(la, lb, R, mu)
+        q.append(qi)
+        residual.append(qi + la - 0.25 * _input_form(lb, R / mu))
+    return np.array(q), np.array(residual)
 
 
 def optimal_feedback(V, cost, sys):

@@ -22,12 +22,12 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .clf import ControlAffineSystem, check_artstein_sampled, find_r0, \
-    lie_derivatives, local_quadratic_clf
+    lie_derivatives, lie_sweep, local_quadratic_clf
 from .errors import ArtsteinViolationError, CertificateError, DivergenceError
 from .inverse_opt import InverseOptimalCost, base_level_ladder, build_inverse_cost, \
     build_mu, find_base_level, optimal_feedback
 from .linear_core import LinearSystem, solve_care
-from .sampling import Box
+from .sampling import Box, sample_box
 from .sim import Trajectory, rk4_path
 from .structured import additive_forward_clf
 
@@ -319,7 +319,8 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     sys3 = orbital_inplane_system(params)
     if box3 is None:
         box3 = Box.centered([0.5, 0.5, 0.5])
-    report = check_artstein_sampled(V0, sys3, box3, n_samples=n_samples, seed=seed)
+    report = check_artstein_sampled(
+        lie_sweep(V0, sys3, sample_box(box3, n_samples, seed=seed)))
     if report.violations:
         raise ArtsteinViolationError(
             f"in-plane candidate fails the sampled Lyapunov test at "
@@ -337,10 +338,9 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
         scale = max(1.0, 2.0 * cfg.rho1 * (0.5 * params.p0) ** 2)
         level_grid = np.geomspace(0.01, 2.0, 40) * scale
     K4 = -np.linalg.solve(R_t, lin.B_tilde.T @ P_t)
-    r0_blend = find_r0(V_t, sys4, K4, level_grid, n_samples=n_samples,
-                       box=box4, seed=seed)
-    r0_base = find_base_level(V_t, sys4, R_t, level_grid, n_samples=n_samples,
-                              box=box4, seed=seed)
+    sweep4 = lie_sweep(V_t, sys4, sample_box(box4, n_samples, seed=seed))
+    r0_blend = find_r0(sweep4, K4, level_grid)
+    r0_base = find_base_level(sweep4, R_t, level_grid)
     r0, ladder = base_level_ladder(V_t, sys4, R_t, min(r0_blend, r0_base),
                                    level_grid, k_max=k_max,
                                    n_samples=max(200, n_samples // 4),
@@ -382,7 +382,6 @@ def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
     closed loop.
     """
     star = equilibrium(params)
-    sys6 = orbital_system(params)
     s0 = np.asarray(s0, dtype=float).reshape(6)
     _check_domain(s0)
 
@@ -401,13 +400,9 @@ def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
     inputs = np.array([law.map(s - star) for s in states])
     ann = {}
     if V is not None:
-        vs, vdots = [], []
-        for s, u in zip(states, inputs):
-            z = s - star
-            la, lb = lie_derivatives(V, sys6, z)
-            vs.append(V.value(z))
-            vdots.append(la + float(lb @ u))
-        ann = {"V": vs, "Vdot": vdots}
+        sweep = lie_sweep(V, orbital_system(params), states - star)
+        ann = {"V": sweep.values,
+               "Vdot": [la + float(lb @ u) for la, lb, u in zip(sweep.la, sweep.lb, inputs)]}
     return Trajectory(times, states, inputs, ann)
 
 

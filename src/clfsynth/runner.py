@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clf import blend_profile, check_artstein_sampled, check_positivity_properness, \
-    find_r0, local_quadratic_clf
+from .clf import blend_profile, check_positivity_properness, lie_sweep, \
+    local_quadratic_clf
 from .errors import CertificateError, ConfigError
 from .inverse_opt import base_level_ladder, build_inverse_cost, build_mu, \
-    evaluate_cost, find_base_level, hjb_residual, optimal_feedback
+    evaluate_cost, find_base_level, hjb_sweep, optimal_feedback
 from .linear_core import LinearCoreConfig, LinearSystem, lqr_gain, solve_care
 from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig, \
     OrbitalParams, build_orbital_controller, equilibrium, orbital_drift, \
@@ -27,9 +27,8 @@ from .sampling import Box, sample_box
 from .serialize import matrix_from_json, matrix_to_json
 from .sim import integrate
 from .structured import FeedforwardSystem, StrictFeedbackSystem, \
-    backstepping_synthesize
-from .synthesis import blended_controller, local_gain, seam_diagnostics, \
-    sontag_controller, verify_decrease
+    backstepping_composite
+from .synthesis import blended_design, local_gain, seam_diagnostics, verify_decrease
 from .systems import load_system
 
 
@@ -77,22 +76,19 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0,
     care = solve_care(lin, Q, R, lc_config)
     K_o = lqr_gain(care, lin, R)
     if cascade:
-        V, law = backstepping_synthesize(system, K_o, P=care.P, box=box,
-                                         level_grid=level_grid,
-                                         n_samples=n_samples, seed=seed)
-        r0 = law.metadata["r0"]
-        artstein = law.metadata["artstein"]
+        V, part = backstepping_composite(system, K_o, P=care.P)
     else:
-        V = local_quadratic_clf(care.P)
-        artstein = check_artstein_sampled(V, full, box, n_samples=n_samples, seed=seed)
-        alpha = sontag_controller(V, full, artstein_report=artstein)
-        r0 = find_r0(V, full, K_o, level_grid, n_samples=n_samples, box=box, seed=seed)
-        law = blended_controller(alpha, K_o, V, blend_profile(r0))
+        V, part = local_quadratic_clf(care.P), None
+    sweep = lie_sweep(V, full, sample_box(box, n_samples, seed=seed))
+    artstein, law = blended_design(sweep, K_o, level_grid)
+    if part is not None:
+        law.metadata["partition"] = part.to_dict()
+    r0 = law.metadata["r0"]
     positivity = check_positivity_properness(V, box, seed=seed)
     if not positivity.passed:
         raise CertificateError(
             "candidate failed positivity or properness on the working box")
-    decrease = verify_decrease(V, full, law, box, n_samples=n_samples, seed=seed)
+    decrease = verify_decrease(sweep, law)
     gain = local_gain(law)
     gain_error = float(np.max(np.abs(gain - K_o)))
     seam = seam_diagnostics(law, V, blend_profile(r0), box, n_pairs=100, seed=seed) \
@@ -135,27 +131,21 @@ def reconstruct_cost(full, V, Q, R, box, level_grid, k_max=8, safety_factor=1.5,
     certified levels, the smallest reconstructed state weight.
     """
     R = np.asarray(R, dtype=float)
-    r0 = find_base_level(V, full, R, level_grid, n_samples=n_samples,
-                         box=box, seed=seed)
+    r0 = find_base_level(lie_sweep(V, full, sample_box(box, n_samples, seed=seed)),
+                         R, level_grid)
     r0, ladder = base_level_ladder(V, full, R, r0, level_grid, k_max=k_max,
                                    n_samples=max(200, n_samples // 4),
                                    safety_factor=safety_factor, seed=seed, box=box)
     scaling = build_mu(r0, ladder)
     cost = build_inverse_cost(V, full, R, np.asarray(Q, dtype=float), scaling)
     law = optimal_feedback(V, cost, full)
-    pts = sample_box(box, n_samples, seed=seed + 17)
-    hjb_max = 0.0
-    q_min = np.inf
+    sweep = lie_sweep(V, full, sample_box(box, n_samples, seed=seed + 17))
+    q, residual = hjb_sweep(sweep, cost)
     top = (k_max + 1) * r0
-    checked = 0
-    for x in pts:
-        v = V.value(x)
-        if v <= 1e-9 * top:
-            continue
-        checked += 1
-        hjb_max = max(hjb_max, abs(hjb_residual(V, cost, full, x)))
-        if v <= top:
-            q_min = min(q_min, cost.q(x))
+    live = sweep.values > 1e-9 * top
+    hjb_max = np.max(np.abs(residual[live]), initial=0.0)
+    q_min = np.min(q[live & (sweep.values <= top)], initial=np.inf)
+    checked = int(np.sum(live))
     return CostRecord(r0=r0, ladder=[float(l) for l in ladder], scaling=scaling,
                       cost=cost, law=law, hjb_max=float(hjb_max),
                       q_min=float(q_min), checked=checked)
@@ -394,10 +384,10 @@ def _run_orbital(cfg, out_dir=None):
 
     # spot-check the planar cost's stationarity identity on fresh samples
     cost4 = law.metadata["cost4"]
-    sys4 = orbital_reduced_system(params)
     box4 = Box.centered([0.4, 0.4, 0.4, 0.4 * params.p0])
-    pts = sample_box(box4, min(n_samples, 1500), seed=seed + 3)
-    hjb4 = max(abs(hjb_residual(cost4.V, cost4, sys4, x)) for x in pts)
+    sweep4 = lie_sweep(cost4.V, orbital_reduced_system(params),
+                       sample_box(box4, min(n_samples, 1500), seed=seed + 3))
+    hjb4 = float(np.max(np.abs(hjb_sweep(sweep4, cost4)[1])))
 
     vs = traj.annotations["V"]
     monotone = not np.any(np.diff(vs) > 1e-9 * np.maximum(vs[:-1], 1e-300))

@@ -18,13 +18,11 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import numdiff
-from .clf import Clf, ControlAffineSystem, check_artstein_sampled, find_r0, \
-    local_quadratic_clf
+from .clf import Clf, ControlAffineSystem, lie_sweep, local_quadratic_clf
 from .errors import CertificateError
 from .linear_core import is_hurwitz, solve_lyapunov
-from .sampling import quadratic_level_box
-from .synthesis import blended_controller, sontag_controller
-from .clf import blend_profile
+from .sampling import quadratic_level_box, sample_box
+from .synthesis import blended_design
 
 
 class StrictFeedbackSystem:
@@ -270,19 +268,15 @@ def backstepping_clf(V_y, alpha_y, P22, alpha_y_grad=None, expected_inner_gain=N
     return Clf(n_y + 1, value, gradient, hessian_origin=H)
 
 
-def backstepping_synthesize(sys, K_o, inner_clf_factory=None, P=None,
-                            lyapunov_weight=None, box=None, level_grid=None,
-                            n_samples=2000, seed=0):
-    """Full cascade design: composite Lyapunov function plus blended law.
+def backstepping_composite(sys, K_o, inner_clf_factory=None, P=None,
+                          lyapunov_weight=None):
+    """(composite Lyapunov function, partition) of a cascade for the gain K_o.
 
     P defaults to the Lyapunov solution for the prescribed closed loop
     (pass the Riccati solution instead to anchor the inverse-optimal
     machinery). The default inner pair is the quadratic V_y with the
     linear gain read off the partition; a custom factory(P_y, gain) may
-    return (V_y, alpha_y, alpha_y_grad). The composite must pass the
-    sampled Lyapunov test on the working box before any law is built; the
-    law's metadata keeps that report ("artstein") with the radius and the
-    partition.
+    return (V_y, alpha_y, alpha_y_grad).
     """
     A, B = sys.assemble()
     K_o = np.asarray(K_o, dtype=float).reshape(1, sys.n)
@@ -304,16 +298,25 @@ def backstepping_synthesize(sys, K_o, inner_clf_factory=None, P=None,
         V_y, alpha_y, grad = inner_clf_factory(part.P_y, part.local_inner_gain)
     V = backstepping_clf(V_y, alpha_y, part.P22, alpha_y_grad=grad,
                          expected_inner_gain=part.local_inner_gain)
-    full = sys.to_control_affine()
+    return V, part
+
+
+def backstepping_synthesize(sys, K_o, inner_clf_factory=None, P=None,
+                            lyapunov_weight=None, box=None, level_grid=None,
+                            n_samples=2000, seed=0):
+    """Full cascade design: composite Lyapunov function plus blended law.
+
+    backstepping_composite, then blended_design on one sweep of the working
+    box; the law's metadata keeps the radius and the partition.
+    """
+    V, part = backstepping_composite(sys, K_o, inner_clf_factory, P, lyapunov_weight)
     if level_grid is None:
         level_grid = np.geomspace(0.05, 2.0, 24)
     if box is None:
         box = quadratic_level_box(0.5 * V.hessian_origin, max(level_grid), slack=1.25)
-    report = check_artstein_sampled(V, full, box, n_samples=n_samples, seed=seed)
-    alpha_inf = sontag_controller(V, full, artstein_report=report)
-    r0 = find_r0(V, full, K_o, level_grid, n_samples=n_samples, box=box, seed=seed)
-    law = blended_controller(alpha_inf, K_o, V, blend_profile(r0))
-    law.metadata.update({"r0": r0, "partition": part.to_dict(), "artstein": report})
+    sweep = lie_sweep(V, sys.to_control_affine(), sample_box(box, n_samples, seed=seed))
+    law = blended_design(sweep, K_o, level_grid)[1]
+    law.metadata["partition"] = part.to_dict()
     return V, law
 
 

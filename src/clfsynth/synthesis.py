@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clf import check_artstein_sampled, default_delta_margin, default_zero_tol, \
-    lie_derivatives
+from .clf import _lie_terms, blend_profile, check_artstein_sampled, find_r0, \
+    kernel_tol, strict_margin
 from .errors import ArtsteinViolationError
 from .sampling import sample_box
 
@@ -33,36 +33,27 @@ class FeedbackLaw:
         return np.asarray(self._map(np.asarray(x, dtype=float)), dtype=float).reshape(self.p)
 
 
-def sontag_controller(V, sys, zero_tol=None, region=None, n_samples=2000, seed=0,
-                      artstein_report=None):
+def sontag_controller(V, sys, artstein_report=None):
     """Universal-formula feedback from a control Lyapunov function.
 
     u(x) = -[(L_aV + sqrt(L_aV^2 + ||L_bV||^4)) / ||L_bV||^2] L_bV', and 0
-    where ||L_bV|| is below the kernel threshold. If a sampled region or a
-    precomputed report is given, construction is refused when the sampled
-    Lyapunov test shows violations.
+    where ||L_bV|| is at most the kernel threshold. Construction is refused
+    when the given sampled Lyapunov report shows violations.
     """
-    report = artstein_report
-    if report is None and region is not None:
-        report = check_artstein_sampled(V, sys, region, n_samples=n_samples,
-                                        zero_tol=zero_tol, seed=seed)
-    if report is not None and report.violations:
+    if artstein_report is not None and artstein_report.violations:
         raise ArtsteinViolationError(
             f"Lyapunov candidate fails the sampled decrease test at "
-            f"{len(report.violations)} state(s)", report.violations)
+            f"{len(artstein_report.violations)} state(s)", artstein_report.violations)
 
     def u(x):
-        la, lb = lie_derivatives(V, sys, x)
-        norm_lb = np.linalg.norm(lb)
-        tol = default_zero_tol(V, x) if zero_tol is None else zero_tol
-        if norm_lb <= tol:
+        g, la, lb = _lie_terms(V, sys, x)
+        if np.linalg.norm(lb) <= kernel_tol(g):
             return np.zeros(sys.p)
         nb2 = float(lb @ lb)
         coef = (la + np.sqrt(la * la + nb2 * nb2)) / nb2
         return -coef * lb
 
-    return FeedbackLaw("sontag", u, sys.n, sys.p,
-                       metadata={"zero_tol": "gradient-scaled" if zero_tol is None else zero_tol})
+    return FeedbackLaw("sontag", u, sys.n, sys.p)
 
 
 def blended_controller(alpha_inf, K_o, V, rho):
@@ -84,6 +75,18 @@ def blended_controller(alpha_inf, K_o, V, rho):
 
     return FeedbackLaw("blended", u, alpha_inf.n, alpha_inf.p,
                        metadata={"r0": rho.r0, "inner_kind": alpha_inf.kind})
+
+
+def blended_design(sweep, K_o, level_grid):
+    """(Artstein report, blended law) of the sweep's candidate and plant.
+
+    The sampled Lyapunov test, the universal formula and the blend radius
+    search all read the same sweep.
+    """
+    artstein = check_artstein_sampled(sweep)
+    alpha = sontag_controller(sweep.V, sweep.sys, artstein_report=artstein)
+    r0 = find_r0(sweep, K_o, level_grid)
+    return artstein, blended_controller(alpha, K_o, sweep.V, blend_profile(r0))
 
 
 def local_gain(law, h=1e-6):
@@ -127,30 +130,19 @@ class DecreaseReport:
         }
 
 
-def verify_decrease(V, sys, law, region, n_samples=2000, seed=0,
-                    delta_margin=None, origin_exclusion=1e-7):
-    """Check L_aV + L_bV map(x) < -margin at sampled region states.
+def verify_decrease(sweep, law):
+    """Check L_aV + L_bV map(x) < -strict_margin(L_aV) at swept states.
 
-    States with value below origin_exclusion times the largest sampled
-    value count as the origin and are skipped; the margin otherwise scales
-    with |L_aV| so the strictness requirement stays meaningful across
-    state magnitudes.
+    States with value at most 1e-7 times the largest swept value count as
+    the origin and are skipped; the margin scales with |L_aV| so the
+    strictness requirement stays meaningful across state magnitudes.
     """
-    pts = sample_box(region, n_samples, seed=seed)
-    vals = np.array([V.value(x) for x in pts])
-    v_floor = origin_exclusion * max(float(np.max(vals)), 1e-12)
-    report = DecreaseReport(checked=0, max_vdot=-np.inf)
-    for x, v in zip(pts, vals):
-        if v <= v_floor:
-            continue
-        report.checked += 1
-        la, lb = lie_derivatives(V, sys, x)
-        vdot = la + float(lb @ law.map(x))
-        report.max_vdot = max(report.max_vdot, vdot)
-        margin = default_delta_margin(la) if delta_margin is None else delta_margin
-        if vdot >= -margin:
-            report.violations.append(np.array(x))
-    return report
+    live = sweep.values > 1e-7 * max(float(np.max(sweep.values)), 1e-12)
+    pts, la, lb = sweep.points[live], sweep.la[live], sweep.lb[live]
+    vdot = np.array([a + float(b @ law.map(x)) for x, a, b in zip(pts, la, lb)])
+    return DecreaseReport(
+        checked=len(pts), max_vdot=float(np.max(vdot, initial=-np.inf)),
+        violations=[np.array(x) for x in pts[vdot >= -strict_margin(la)]])
 
 
 def seam_diagnostics(law, V, rho, region, n_pairs=200, seed=0):

@@ -23,7 +23,7 @@ import pytest
 
 from test_linear_core import well_posed_care_instance
 
-from clfsynth.clf import local_quadratic_clf
+from clfsynth.clf import lie_sweep, local_quadratic_clf
 from clfsynth.inverse_opt import build_inverse_cost, evaluate_cost, hjb_residual
 from clfsynth.linear_core import LinearSystem, is_hurwitz, lqr_gain, \
     riccati_residual, solve_care
@@ -138,8 +138,9 @@ def test_criterion_3_sampled_decrease_and_monotone_trajectories(demos):
     problems = []
     t0 = time.monotonic()
     for demo in demos.values():
-        rep = verify_decrease(demo.synth.V, demo.synth.full, demo.synth.law,
-                              demo.box, n_samples=11000, seed=5)
+        sweep = lie_sweep(demo.synth.V, demo.synth.full,
+                          sample_box(demo.box, 11000, seed=5))
+        rep = verify_decrease(sweep, demo.synth.law)
         if rep.checked < 10000:
             problems.append(f"{demo.name}: only {rep.checked} states checked")
         if not rep.passed:

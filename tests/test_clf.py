@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clfsynth.clf import (
     BlendProfile, Clf, ControlAffineSystem, blend_profile,
-    check_artstein_sampled, check_positivity_properness, default_delta_margin,
-    default_zero_tol, find_r0, lie_derivatives, local_quadratic_clf)
+    check_artstein_sampled, check_positivity_properness, find_r0, kernel_tol,
+    lie_derivatives, lie_sweep, local_quadratic_clf, strict_margin)
 from clfsynth.errors import CertificateError
-from clfsynth.sampling import Box
+from clfsynth.sampling import Box, quadratic_level_box, sample_box
+from clfsynth.systems import load_system
 
 
 def scalar_system(a, b):
@@ -16,6 +21,16 @@ def scalar_system(a, b):
 
 def quadratic_v():
     return local_quadratic_clf(np.eye(1))
+
+
+def box_sweep(V, sys_, box, n_samples=2000):
+    return lie_sweep(V, sys_, sample_box(box, n_samples))
+
+
+def level_sweep(V, sys_, grid):
+    """Sweep of the top grid level's ellipsoid box, widened by 1.25."""
+    box = quadratic_level_box(0.5 * V.hessian_origin, max(grid), slack=1.25)
+    return box_sweep(V, sys_, box)
 
 
 class TestControlAffineSystem:
@@ -96,14 +111,51 @@ class TestLieDerivatives:
     def test_default_tolerances_track_scale(self):
         V = quadratic_v()
         x = np.array([3.0])
-        assert default_zero_tol(V, x) == pytest.approx(1e-7 * 7.0)
-        assert default_delta_margin(4.0) == pytest.approx(1e-9 * 5.0)
+        assert kernel_tol(V.gradient(x)) == pytest.approx(1e-7 * 7.0)
+        assert strict_margin(4.0) == pytest.approx(1e-9 * 5.0)
+
+
+COEFF = st.floats(-2.0, 2.0, allow_nan=False)
+# monomials x1^i x2^j of degree 1 to 3; input cells may also be constant
+MONOMIAL = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: 1 <= sum(e) <= 3)
+INPUT_MONOMIAL = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def poly_cell(exps):
+    return st.lists(st.tuples(COEFF, exps), max_size=3).map(
+        lambda terms: [{"coeff": c, "exponents": list(e)} for c, e in terms])
+
+
+PLANAR_PLANTS = st.fixed_dictionaries({
+    "n": st.just(2), "p": st.just(1),
+    "drift": st.lists(poly_cell(MONOMIAL), min_size=2, max_size=2),
+    "input": st.lists(poly_cell(INPUT_MONOMIAL).map(lambda cell: [cell]),
+                      min_size=2, max_size=2),
+})
+
+
+class TestLieSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(spec=PLANAR_PLANTS, seed=st.integers(0, 2 ** 16),
+           p11=st.floats(0.5, 3.0), p12=st.floats(-0.4, 0.4), p22=st.floats(0.5, 3.0))
+    def test_rows_equal_pointwise_lie_derivatives(self, spec, seed, p11, p12, p22):
+        with warnings.catch_warnings(record=True):  # unstabilizable draws warn
+            sys_ = load_system(spec)
+        V = local_quadratic_clf([[p11, p12], [p12, p22]])
+        pts = sample_box(Box.centered([1.5, 1.5]), 64, seed=seed)
+        sweep = lie_sweep(V, sys_, pts)
+        for i, x in enumerate(pts):
+            la, lb = lie_derivatives(V, sys_, x)
+            assert sweep.la[i] == la
+            assert np.array_equal(sweep.lb[i], lb)
+            assert sweep.values[i] == V.value(x)
+            assert sweep.kernel_tol[i] == kernel_tol(V.gradient(x))
 
 
 class TestArtstein:
     def test_controlled_scalar_passes(self):
         sys_ = scalar_system(lambda x: x, lambda x: 1.0)
-        report = check_artstein_sampled(quadratic_v(), sys_, Box.centered([2.0]))
+        report = check_artstein_sampled(box_sweep(quadratic_v(), sys_, Box.centered([2.0])))
         assert report.passed
         assert report.kernel_hits == 0
         assert report.checked > 1500
@@ -111,20 +163,20 @@ class TestArtstein:
     def test_driftless_stable_passes_with_kernel_everywhere(self):
         # stable drift, no input: stabilizable pair, no warning expected
         sys_ = scalar_system(lambda x: -x, lambda x: 0.0)
-        report = check_artstein_sampled(quadratic_v(), sys_, Box.centered([2.0]))
+        report = check_artstein_sampled(box_sweep(quadratic_v(), sys_, Box.centered([2.0])))
         assert report.passed
         assert report.kernel_hits == report.checked
 
     def test_uncontrollable_unstable_fails(self):
         with pytest.warns(UserWarning):
             sys_ = scalar_system(lambda x: x, lambda x: 0.0)
-        report = check_artstein_sampled(quadratic_v(), sys_, Box.centered([2.0]))
+        report = check_artstein_sampled(box_sweep(quadratic_v(), sys_, Box.centered([2.0])))
         assert not report.passed
         assert len(report.violations) == report.kernel_hits
 
     def test_report_round_trip(self):
         sys_ = scalar_system(lambda x: x, lambda x: 1.0)
-        d = check_artstein_sampled(quadratic_v(), sys_, Box.centered([1.0])).to_dict()
+        d = check_artstein_sampled(box_sweep(quadratic_v(), sys_, Box.centered([1.0]))).to_dict()
         assert set(d) == {"checked", "kernel_hits", "violations", "passed"}
         assert d["passed"] is True
 
@@ -134,43 +186,46 @@ class TestFindR0:
         # x' = x^3 + u with u = -x: Vdot = 2x^4 - 2x^2 < 0 iff x^2 < 1
         sys_ = scalar_system(lambda x: x ** 3, lambda x: 1.0)
         grid = [0.25, 0.5, 0.8, 0.9, 1.1]
-        r0 = find_r0(quadratic_v(), sys_, np.array([[-1.0]]), grid)
+        r0 = find_r0(level_sweep(quadratic_v(), sys_, grid), np.array([[-1.0]]), grid)
         assert r0 == 0.9
 
     def test_cubic_threshold_scales_with_gain(self):
         # u = -2x moves the crossing to x^2 = 2
         sys_ = scalar_system(lambda x: x ** 3, lambda x: 1.0)
         grid = [0.5, 1.0, 1.5, 1.9, 2.5]
-        r0 = find_r0(quadratic_v(), sys_, np.array([[-2.0]]), grid)
+        r0 = find_r0(level_sweep(quadratic_v(), sys_, grid), np.array([[-2.0]]), grid)
         assert r0 == 1.9
 
     def test_linear_plant_passes_largest_level(self):
         sys_ = scalar_system(lambda x: x, lambda x: 1.0)
         grid = [0.5, 1.0, 4.0]
-        r0 = find_r0(quadratic_v(), sys_, np.array([[-2.0]]), grid)
+        r0 = find_r0(level_sweep(quadratic_v(), sys_, grid), np.array([[-2.0]]), grid)
         assert r0 == 4.0
 
     def test_empty_levels_skipped(self):
         sys_ = scalar_system(lambda x: x ** 3, lambda x: 1.0)
-        r0 = find_r0(quadratic_v(), sys_, np.array([[-1.0]]), [1e-12, 0.9])
+        grid = [1e-12, 0.9]
+        r0 = find_r0(level_sweep(quadratic_v(), sys_, grid), np.array([[-1.0]]), grid)
         assert r0 == 0.9
 
     def test_requires_stabilizing_gain(self):
         sys_ = scalar_system(lambda x: x, lambda x: 1.0)
         with pytest.raises(ValueError, match="stabilize"):
-            find_r0(quadratic_v(), sys_, np.array([[0.0]]), [1.0])
+            find_r0(level_sweep(quadratic_v(), sys_, [1.0]), np.array([[0.0]]), [1.0])
 
     def test_raises_when_all_levels_fail(self):
         sys_ = scalar_system(lambda x: x ** 3, lambda x: 1.0)
+        grid = [2.0, 3.0]
         with pytest.raises(CertificateError, match="no grid level"):
-            find_r0(quadratic_v(), sys_, np.array([[-1.0]]), [2.0, 3.0])
+            find_r0(level_sweep(quadratic_v(), sys_, grid), np.array([[-1.0]]), grid)
 
     def test_rejects_bad_grid(self):
         sys_ = scalar_system(lambda x: x, lambda x: 1.0)
+        sweep = box_sweep(quadratic_v(), sys_, Box.centered([2.0]))
         with pytest.raises(ValueError):
-            find_r0(quadratic_v(), sys_, np.array([[-2.0]]), [])
+            find_r0(sweep, np.array([[-2.0]]), [])
         with pytest.raises(ValueError):
-            find_r0(quadratic_v(), sys_, np.array([[-2.0]]), [-1.0, 1.0])
+            find_r0(sweep, np.array([[-2.0]]), [-1.0, 1.0])
 
 
 class TestBlendProfile:

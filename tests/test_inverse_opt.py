@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clfsynth.clf import ControlAffineSystem, local_quadratic_clf
+from clfsynth.clf import ControlAffineSystem, lie_sweep, local_quadratic_clf
 from clfsynth.errors import BaseLevelError, CertificateError, DivergenceError
 from clfsynth.inverse_opt import (
     InverseOptimalCost,
@@ -37,7 +37,7 @@ from clfsynth.inverse_opt import (
     hjb_residual,
     optimal_feedback,
 )
-from clfsynth.sampling import Box
+from clfsynth.sampling import Box, quadratic_level_box, sample_box
 from clfsynth.synthesis import FeedbackLaw
 
 SQRT2 = np.sqrt(2.0)
@@ -45,6 +45,12 @@ SQRT2 = np.sqrt(2.0)
 
 def unit_v():
     return local_quadratic_clf(np.eye(1))
+
+
+def level_sweep(V, sys_, level, n_samples=2000):
+    """Sweep of the level's ellipsoid box, widened by 1.25."""
+    box = quadratic_level_box(0.5 * V.hessian_origin, level, slack=1.25)
+    return lie_sweep(V, sys_, sample_box(box, n_samples))
 
 
 def cubic_system():
@@ -86,32 +92,33 @@ class TestExcessRatio:
 
 class TestCheckBaseRegion:
     def test_cubic_passes_below_half(self):
-        checked = check_base_region(unit_v(), cubic_system(), np.eye(1), 0.4)
+        checked = check_base_region(level_sweep(unit_v(), cubic_system(), 0.4, 400),
+                                    np.eye(1), 0.4)
         assert 200 < checked <= 400
 
     def test_cubic_fails_above_half(self):
         with pytest.raises(CertificateError, match="choose a smaller base level"):
-            check_base_region(unit_v(), cubic_system(), np.eye(1), 0.8)
+            check_base_region(level_sweep(unit_v(), cubic_system(), 0.8, 400), np.eye(1), 0.8)
 
     def test_stable_linear_passes_large_level(self):
         sys_ = ControlAffineSystem(1, 1, lambda x: np.array([-x[0]]),
                                    lambda x: np.array([[1.0]]))
-        assert check_base_region(unit_v(), sys_, np.eye(1), 25.0) > 200
+        assert check_base_region(level_sweep(unit_v(), sys_, 25.0, 400), np.eye(1), 25.0) > 200
 
 
 class TestFindBaseLevel:
     def test_cubic_grid_picks_largest_passing(self):
-        level = find_base_level(unit_v(), cubic_system(), np.eye(1),
+        level = find_base_level(level_sweep(unit_v(), cubic_system(), 0.6), np.eye(1),
                                 [0.1, 0.3, 0.45, 0.6])
         assert level == 0.45
 
     def test_all_fail_raises(self):
         with pytest.raises(CertificateError, match="no grid level passes"):
-            find_base_level(unit_v(), cubic_system(), np.eye(1), [0.7, 1.0])
+            find_base_level(level_sweep(unit_v(), cubic_system(), 1.0), np.eye(1), [0.7, 1.0])
 
     def test_bad_grid_raises(self):
         with pytest.raises(ValueError, match="level_grid"):
-            find_base_level(unit_v(), cubic_system(), np.eye(1), [-1.0, 0.0])
+            find_base_level(level_sweep(unit_v(), cubic_system(), 1.0), np.eye(1), [-1.0, 0.0])
 
 
 class TestEstimateLevelConstants:

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
-from clfsynth import numdiff
+from test_sim_runner import record_calls
+
+from clfsynth import clf, inverse_opt, numdiff
 from clfsynth.errors import CertificateError, DivergenceError
 from clfsynth.inverse_opt import hjb_residual
 from clfsynth.orbital import (
@@ -197,6 +199,21 @@ class TestCostConfig:
         assert np.allclose(cfg2.P0, cfg.P0)
         assert cfg2.rho1 == 3.0 and cfg2.R_theta == 2.0
         assert np.allclose(cfg2.Q_tilde, cfg.Q_tilde)
+
+
+class TestSharedSweeps:
+    def test_box4_points_swept_once_for_both_scans(self, monkeypatch):
+        par = OrbitalParams()
+        cfg = OrbitalCostConfig.build(par)
+        sweeps = record_calls(monkeypatch, clf, "lie_sweep")
+        scans = [record_calls(monkeypatch, clf, "find_r0"),
+                 record_calls(monkeypatch, inverse_opt, "find_base_level")]
+        build_orbital_controller(par, cfg, n_samples=400, k_max=4)
+        box4_points = sample_box(Box.centered([0.5, 0.5, 0.5, 0.5]), 400, seed=0)
+        on_box4 = [out for _, out in sweeps if np.array_equal(out.points, box4_points)]
+        assert len(on_box4) == 1
+        for calls in scans:
+            assert len(calls) == 1 and calls[0][0][0] is on_box4[0]
 
 
 class TestLayeredDesign:

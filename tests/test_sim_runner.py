@@ -16,10 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
-from clfsynth import clf, runner, structured
+from clfsynth import clf, inverse_opt, orbital, runner, structured, synthesis
 from clfsynth.errors import ConfigError, DivergenceError
 from clfsynth.runner import config_hash, expand_level_grid, load_config, run
-from clfsynth.sampling import Box
+from clfsynth.sampling import Box, sample_box
 from clfsynth.sim import Trajectory, integrate, rk4_path, rk4_step
 from clfsynth.synthesis import FeedbackLaw
 from clfsynth.systems import load_system
@@ -300,24 +300,51 @@ class TestRunScalar:
         assert rep["inverse_optimal"]["r0"] == levels[-5]
 
 
+def record_calls(monkeypatch, owner, name):
+    """(args, result) of every call of owner.name through any module binding it."""
+    real = getattr(owner, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    for module in (clf, synthesis, inverse_opt, structured, orbital, runner):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def synthesize_with_one_sweep(monkeypatch, name):
+    """synthesize_problem on a registry problem, asserting that the Artstein
+    test, the blend radius scan and the decrease check read one sweep."""
+    sweeps = record_calls(monkeypatch, clf, "lie_sweep")
+    readers = [record_calls(monkeypatch, clf, "check_artstein_sampled"),
+               record_calls(monkeypatch, clf, "find_r0"),
+               record_calls(monkeypatch, synthesis, "verify_decrease")]
+    box = Box.from_dict(runner.DEFAULT_PROBLEMS[name]["box"])
+    rec = runner.synthesize_problem(load_system(name), np.eye(box.dim), np.eye(1), box,
+                                    expand_level_grid([0.05, 0.2, 0.8]), n_samples=300)
+    assert len(sweeps) == 1
+    sweep = sweeps[0][1]
+    assert np.array_equal(sweep.points, sample_box(box, 300, seed=0))
+    for calls in readers:
+        assert len(calls) == 1 and calls[0][0][0] is sweep
+    assert rec.artstein is readers[0][0][1]
+    return rec
+
+
 class TestSynthesizeCascade:
     def test_artstein_sweep_runs_once(self, monkeypatch):
-        real = clf.check_artstein_sampled
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        for module in (runner, structured):
-            monkeypatch.setattr(module, "check_artstein_sampled", counting)
-        rec = runner.synthesize_problem(
-            load_system("strict_feedback_demo"), np.eye(2), np.eye(1),
-            Box.centered([1.5, 1.5]), expand_level_grid([0.05, 0.2, 0.8]),
-            n_samples=300)
-        assert len(calls) == 1
-        assert rec.artstein is rec.law.metadata["artstein"]
+        rec = synthesize_with_one_sweep(monkeypatch, "strict_feedback_demo")
         assert rec.artstein.passed
+
+
+class TestSynthesizePlain:
+    def test_one_sweep_serves_every_sampled_check(self, monkeypatch):
+        rec = synthesize_with_one_sweep(monkeypatch, "scalar_cubic")
+        assert rec.artstein.passed and rec.decrease.passed
 
 
 class TestRunOrbital:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from clfsynth.clf import (
-    ControlAffineSystem, blend_profile, local_quadratic_clf)
+    ControlAffineSystem, blend_profile, check_artstein_sampled, lie_sweep,
+    local_quadratic_clf)
 from clfsynth.errors import ArtsteinViolationError
-from clfsynth.sampling import Box
+from clfsynth.sampling import Box, sample_box
 from clfsynth.synthesis import (
     FeedbackLaw, blended_controller, local_gain, seam_diagnostics,
     sontag_controller, verify_decrease)
@@ -22,6 +23,10 @@ def scalar_linear():
 
 def quadratic_v():
     return local_quadratic_clf(np.eye(1))
+
+
+def box_sweep(V, sys_, box, n_samples=2000):
+    return lie_sweep(V, sys_, sample_box(box, n_samples))
 
 
 class TestFeedbackLaw:
@@ -76,8 +81,9 @@ class TestSontag:
         with pytest.warns(UserWarning):
             sys_ = ControlAffineSystem(1, 1, lambda x: np.array([x[0]]),
                                        lambda x: np.array([[0.0]]))
+        report = check_artstein_sampled(box_sweep(quadratic_v(), sys_, Box.centered([1.0])))
         with pytest.raises(ArtsteinViolationError) as exc:
-            sontag_controller(quadratic_v(), sys_, region=Box.centered([1.0]))
+            sontag_controller(quadratic_v(), sys_, artstein_report=report)
         assert len(exc.value.violations) > 0
 
 
@@ -151,7 +157,7 @@ class TestVerifyDecrease:
         sys_ = scalar_linear()
         V = quadratic_v()
         law = sontag_controller(V, sys_)
-        report = verify_decrease(V, sys_, law, Box.centered([2.0]))
+        report = verify_decrease(box_sweep(V, sys_, Box.centered([2.0])), law)
         assert report.passed
         assert report.max_vdot < 0.0
         assert report.checked > 1500
@@ -160,7 +166,7 @@ class TestVerifyDecrease:
         sys_ = scalar_linear()
         V = quadratic_v()
         bad = FeedbackLaw("linear", lambda x: np.array([x[0]]), 1, 1)
-        report = verify_decrease(V, sys_, bad, Box.centered([1.0]))
+        report = verify_decrease(box_sweep(V, sys_, Box.centered([1.0])), bad)
         assert not report.passed
         assert len(report.violations) == report.checked
 
@@ -168,7 +174,7 @@ class TestVerifyDecrease:
         sys_ = scalar_linear()
         V = quadratic_v()
         law = sontag_controller(V, sys_)
-        d = verify_decrease(V, sys_, law, Box.centered([1.0])).to_dict()
+        d = verify_decrease(box_sweep(V, sys_, Box.centered([1.0])), law).to_dict()
         assert set(d) == {"checked", "max_vdot", "violations", "passed"}
 
 
