@@ -31,9 +31,10 @@ def main():
     print(f"blended design      r0 = {synth.r0:.6g}, "
           f"local gain error {synth.gain_error:.1e}")
 
-    r0 = find_base_level(lie_sweep(V, plant, sample_box(box, 2000)), R, grid)
-    r0, ladder = base_level_ladder(V, plant, R, r0, grid, k_max=K_MAX,
-                                   box=box, n_samples=2000)
+    fit = lie_sweep(V, plant, sample_box(box, 2000, seed=0))
+    check = lie_sweep(V, plant, sample_box(box, 2000, seed=1))
+    r0, ladder = base_level_ladder(fit, check, R, find_base_level(fit, R, grid), grid,
+                                   k_max=K_MAX)
     scaling = build_mu(r0, ladder)
     print(f"\nbase level          {r0:.6g} (unscaled domination holds below)")
     print(f"annulus constants   {np.array(ladder)}")

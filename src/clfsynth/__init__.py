@@ -5,8 +5,8 @@ the origin coincides with a prescribed linear-quadratic design, and then
 reconstructs a meaningful cost that the combined law minimizes exactly.
 """
 
-from .errors import ArtsteinViolationError, BaseLevelError, CertificateError, \
-    ConfigError, DivergenceError
+from .errors import ArtsteinViolationError, CertificateError, ConfigError, \
+    DivergenceError
 from .linear_core import LinearCoreConfig, LinearSystem, RiccatiCertificate, \
     is_hurwitz, lqr_gain, solve_care, solve_lyapunov, stabilizing_gain
 from .clf import ArtsteinReport, BlendProfile, Clf, ControlAffineSystem, LieSweep, \
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtsteinReport", "ArtsteinViolationError", "BacksteppingPartition",
-    "BaseLevelError", "BlendProfile", "Box", "CertificateError", "Clf",
+    "BlendProfile", "Box", "CertificateError", "Clf",
     "ConfigError", "ControlAffineSystem", "CostEstimate", "DecreaseReport",
     "DivergenceError", "FeedbackLaw", "FeedforwardSystem",
     "InverseOptimalCost", "LevelScaling", "LieSweep", "LinearCoreConfig",

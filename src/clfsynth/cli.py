@@ -100,7 +100,6 @@ def cmd_invopt(args):
     rec, Q, R, box, grid = _synth_pipeline(args)
     costrec = runner.reconstruct_cost(rec.full, rec.V, Q, R, box, grid,
                                       k_max=args.k_max,
-                                      safety_factor=args.safety_factor,
                                       n_samples=args.samples, seed=args.seed)
     if args.invopt_action == "build":
         _emit(costrec.to_dict(), args.out)
@@ -211,8 +210,6 @@ def build_parser():
     p.add_argument("invopt_action", choices=["build", "verify-hjb", "cost"])
     _add_problem(p)
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
-    p.add_argument("--safety-factor", type=float, default=1.5,
-                   dest="safety_factor")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="stationarity residual tolerance for verify-hjb")
     p.add_argument("--x0", default=None, help="comma-separated initial state "

@@ -13,10 +13,6 @@ class CertificateError(RuntimeError):
     """A numerical certificate could not be established."""
 
 
-class BaseLevelError(CertificateError):
-    """The unscaled base inequality fails below the chosen base level."""
-
-
 class ArtsteinViolationError(CertificateError):
     """Sampled decrease condition failed; carries the violating states."""
 

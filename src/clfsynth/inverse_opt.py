@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clf import _scan_levels, lie_derivatives, lie_sweep, strict_margin
-from .errors import BaseLevelError, CertificateError, DivergenceError
+from .clf import _scan_levels, lie_derivatives, strict_margin
+from .errors import CertificateError, DivergenceError
 from .linear_core import riccati_residual, solve_lyapunov
-from .sampling import halton_engine, quadratic_level_box, sample_box
 from .sim import rk4_path
 from .synthesis import FeedbackLaw, local_gain
 
@@ -40,9 +39,14 @@ def _base_slack(la, lb, R, ell=1.0):
     return la - 0.25 * ell * _input_form(lb, R)
 
 
+def _input_forms(sweep, R):
+    """_input_form at every row of a sweep."""
+    return np.array([_input_form(lb, R) for lb in sweep.lb])
+
+
 def _sweep_slack(sweep, R, ell=1.0):
     """_base_slack at every row of a sweep."""
-    return np.array([_base_slack(la, lb, R, ell) for la, lb in zip(sweep.la, sweep.lb)])
+    return sweep.la - 0.25 * ell * _input_forms(sweep, R)
 
 
 def check_base_region(sweep, R, r0):
@@ -51,14 +55,14 @@ def check_base_region(sweep, R, r0):
     This is the unscaled inequality that must hold where mu = 1; it fails
     for levels too far from the origin. States with V at most 1e-7 r0
     count as the origin. Returns the number of checked states, raises
-    BaseLevelError at the first violation.
+    CertificateError at the first violation.
     """
     live = (sweep.values > 1e-7 * r0) & (sweep.values <= r0)
     slack = _sweep_slack(sweep, R)
     bad = np.flatnonzero(live & (slack >= -strict_margin(sweep.la)))
     if bad.size:
         i = bad[0]
-        raise BaseLevelError(
+        raise CertificateError(
             f"base inequality fails at V = {sweep.values[i]:.4g} (value {slack[i]:.3e}); "
             "choose a smaller base level r0 for the cost construction")
     return int(np.sum(live))
@@ -76,66 +80,53 @@ def find_base_level(sweep, R, level_grid):
         "smaller levels")
 
 
-def estimate_level_constants(V, sys, R, r0, k_max=8, n_samples=400,
-                             safety_factor=1.5, seed=0, box=None,
-                             max_doublings=6):
+SAFETY_FACTOR = 1.5
+MAX_DOUBLINGS = 6
+
+
+def estimate_level_constants(fit, check, R, r0, k_max=8):
     """Per-annulus scaling constants for the level sets {k r0 <= V <= (k+1) r0}.
 
-    On each annulus the constant is 1 when no sample exceeds the unit
-    excess ratio, otherwise safety_factor times the largest sampled ratio.
-    The base region {V <= r0} is checked first on fresh samples (seed + 1);
-    a violation there raises BaseLevelError.
-    Every constant is then revalidated on a fresh sample set and doubled on
-    failure, up to max_doublings; a final failure means the decrease
-    condition genuinely fails there (e.g. the input map vanishes where the
-    drift grows) and raises.
+    fit and check are sweeps of the same box at two seeds. The base region
+    {V <= r0} is checked on the rows of check first (check_base_region).
+    On each annulus the constant starts at 1 when no fit row exceeds the
+    unit excess ratio, otherwise at SAFETY_FACTOR times the largest fit
+    ratio. It is then revalidated on the check rows of the annulus and
+    doubled on failure, up to MAX_DOUBLINGS times; a final failure means the
+    decrease condition genuinely fails there (e.g. the input map vanishes
+    where the drift grows) and raises. An annulus that neither sweep
+    reaches warns and gets the constant 1.
     """
-    R = np.asarray(R, dtype=float).reshape(sys.p, sys.p)
+    R = np.asarray(R, dtype=float).reshape(fit.sys.p, fit.sys.p)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    top = (k_max + 1) * r0
-    if box is None:
-        box = quadratic_level_box(0.5 * V.hessian_origin, top, slack=1.25)
-    engine = halton_engine(box.dim, seed)
-
-    def band(pts, lo, hi):
-        return [x for x in pts if lo <= V.value(x) <= hi]
-
-    def annulus_sweep(k):
-        # draws from the shared engine until n_samples states lie in the annulus
-        kept = []
-        for _ in range(80):
-            kept += band(sample_box(box, max(n_samples, 256), engine=engine),
-                         k * r0, (k + 1) * r0)
-            if len(kept) >= n_samples:
-                break
-        return lie_sweep(V, sys, kept[:n_samples])
-
-    check_base_region(
-        lie_sweep(V, sys, band(sample_box(box, n_samples, seed=seed + 1), 0.0, r0)), R, r0)
+    check_base_region(check, R, r0)
+    kernel = fit.in_kernel
+    check_forms, check_margin = _input_forms(check, R), strict_margin(check.la)
 
     ladder = []
     for k in range(1, k_max + 1):
-        sweep = annulus_sweep(k)
-        if not len(sweep.points):
+        mine = (fit.values >= k * r0) & (fit.values <= (k + 1) * r0)
+        fresh = (check.values >= k * r0) & (check.values <= (k + 1) * r0)
+        if not (np.any(mine) or np.any(fresh)):
             warnings.warn(
                 f"annulus {k} has no samples inside the working box; "
                 "its constant defaults to 1", stacklevel=2)
             ladder.append(1.0)
             continue
-        kernel = sweep.in_kernel
-        if np.any(kernel & (sweep.la >= 0.0)):
+        if np.any(mine & kernel & (fit.la >= 0.0)):
             raise CertificateError(
                 f"decrease condition fails on annulus {k}: the input map "
                 "vanishes at a state where the drift does not decrease")
-        ratios = [_excess_ratio(la, lb, R)
-                  for la, lb in zip(sweep.la[~kernel], sweep.lb[~kernel])]
-        sup = max(ratios, default=1.0)
-        ell = 1.0 if sup <= 1.0 else safety_factor * sup
+        rows = mine & ~kernel
+        sup = max((_excess_ratio(la, lb, R) for la, lb in zip(fit.la[rows], fit.lb[rows])),
+                  default=1.0)
+        ell = 1.0 if sup <= 1.0 else SAFETY_FACTOR * sup
 
-        for _ in range(max_doublings + 1):
-            fresh = annulus_sweep(k)
-            if not np.any(_sweep_slack(fresh, R, ell) >= -strict_margin(fresh.la)):
+        for _ in range(MAX_DOUBLINGS + 1):
+            # _base_slack at ell on the annulus's check rows
+            slack = check.la[fresh] - 0.25 * ell * check_forms[fresh]
+            if not np.any(slack >= -check_margin[fresh]):
                 break
             ell *= 2.0
         else:
@@ -147,24 +138,19 @@ def estimate_level_constants(V, sys, R, r0, k_max=8, n_samples=400,
     return ladder
 
 
-def base_level_ladder(V, sys, R, r0, level_grid, k_max=8, n_samples=400,
-                      safety_factor=1.5, seed=0, box=None):
+def base_level_ladder(fit, check, R, r0, level_grid, k_max=8):
     """(base level, ladder) of estimate_level_constants, stepping down the grid.
 
-    Starts at the scanned base level r0. When the fresh-sample base check
-    inside estimate_level_constants (seed + 1) rejects a level, the next
-    lower grid level is tried; the last rejection is raised only when no
-    grid level at or below r0 passes.
+    The base level is the largest of r0 and the grid levels below it on
+    which the base inequality holds at every row of check (one
+    clf._scan_levels pass); r0 is normally find_base_level's level on fit.
     """
-    levels = [r0] + sorted((float(l) for l in level_grid if l < r0), reverse=True)
-    for level in levels:
-        try:
-            return level, estimate_level_constants(
-                V, sys, R, level, k_max=k_max, n_samples=n_samples,
-                safety_factor=safety_factor, seed=seed, box=box)
-        except BaseLevelError as err:
-            rejection = err
-    raise rejection
+    levels = [r0] + [float(l) for l in level_grid if l < r0]
+    base = _scan_levels(
+        check, levels, _sweep_slack(check, R),
+        f"no grid level up to {r0:.4g} passes the base inequality on fresh "
+        "samples; choose a smaller base level r0 for the cost construction")
+    return base, estimate_level_constants(fit, check, R, base, k_max=k_max)
 
 
 class LevelScaling:

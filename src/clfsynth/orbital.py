@@ -341,10 +341,9 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     sweep4 = lie_sweep(V_t, sys4, sample_box(box4, n_samples, seed=seed))
     r0_blend = find_r0(sweep4, K4, level_grid)
     r0_base = find_base_level(sweep4, R_t, level_grid)
-    r0, ladder = base_level_ladder(V_t, sys4, R_t, min(r0_blend, r0_base),
-                                   level_grid, k_max=k_max,
-                                   n_samples=max(200, n_samples // 4),
-                                   seed=seed, box=box4)
+    check4 = lie_sweep(V_t, sys4, sample_box(box4, n_samples, seed=seed + 1))
+    r0, ladder = base_level_ladder(sweep4, check4, R_t, min(r0_blend, r0_base),
+                                   level_grid, k_max=k_max)
     scaling = build_mu(r0, ladder)
     cost4 = build_inverse_cost(V_t, sys4, R_t, cfg.Q_tilde, scaling)
 

@@ -120,22 +120,21 @@ class CostRecord:
         }
 
 
-def reconstruct_cost(full, V, Q, R, box, level_grid, k_max=8, safety_factor=1.5,
-                     n_samples=2000, seed=0):
+def reconstruct_cost(full, V, Q, R, box, level_grid, k_max=8, n_samples=2000, seed=0):
     """Level ladder, scaling envelope, cost pair and optimal feedback.
 
     The base level is rescanned here because the inequality it needs
     (unscaled domination) is stricter than the blend radius condition, and
-    steps down the grid when fresh samples reject it (base_level_ladder).
+    steps down the grid when a second sweep of the box (seed + 1) rejects
+    it; that sweep also revalidates the ladder (base_level_ladder).
     Also samples the box for the largest HJB residual and, within the
     certified levels, the smallest reconstructed state weight.
     """
     R = np.asarray(R, dtype=float)
-    r0 = find_base_level(lie_sweep(V, full, sample_box(box, n_samples, seed=seed)),
-                         R, level_grid)
-    r0, ladder = base_level_ladder(V, full, R, r0, level_grid, k_max=k_max,
-                                   n_samples=max(200, n_samples // 4),
-                                   safety_factor=safety_factor, seed=seed, box=box)
+    fit = lie_sweep(V, full, sample_box(box, n_samples, seed=seed))
+    check = lie_sweep(V, full, sample_box(box, n_samples, seed=seed + 1))
+    r0, ladder = base_level_ladder(fit, check, R, find_base_level(fit, R, level_grid),
+                                   level_grid, k_max=k_max)
     scaling = build_mu(r0, ladder)
     cost = build_inverse_cost(V, full, R, np.asarray(Q, dtype=float), scaling)
     law = optimal_feedback(V, cost, full)
@@ -206,7 +205,10 @@ def load_config(src):
     cfg["integrator"].setdefault("horizon", 40.0)
     cfg.setdefault("inverse_optimal", {})
     cfg["inverse_optimal"].setdefault("k_max", 8)
-    cfg["inverse_optimal"].setdefault("safety_factor", 1.5)
+    unknown = sorted(set(cfg["inverse_optimal"]) - {"k_max"})
+    if unknown:
+        raise ConfigError(f"unknown inverse_optimal keys {unknown}; only 'k_max' is "
+                          "settable")
     cfg.setdefault("linear_core", {})
     env_seed = os.environ.get("CLFSYNTH_SEED")
     if env_seed is not None:
@@ -297,7 +299,6 @@ def run(config, out_dir=None):
                                seed=seed, lc_config=lc)
     costrec = reconstruct_cost(synth.full, synth.V, Q, R, box, grid,
                                k_max=int(cfg["inverse_optimal"]["k_max"]),
-                               safety_factor=float(cfg["inverse_optimal"]["safety_factor"]),
                                n_samples=n_samples, seed=seed)
 
     dt = float(cfg["integrator"]["dt"])

@@ -5,8 +5,8 @@ Hand-checked oracles used below, all for V = x**2 (so V levels are x**2):
 * drift a(x) = x^3 * clip(x^2 - 1, 0, 1), b = 1, R = 1, r0 = 1:
   the drift vanishes on the base region, and on annulus k the excess ratio
   4*LaV / (LbV R^-1 LbV) = 2*x^2*(x^2 - 1) climbs to 4 at V = 2, while the
-  clip plateau gives 2*x^2, i.e. 6 at V = 3 and 8 at V = 4.  With the default
-  safety factor 1.5 the ladder is [6, 9, 12] up to sampling slack.
+  clip plateau gives 2*x^2, i.e. 6 at V = 3 and 8 at V = 4.  With the safety
+  factor 1.5 the ladder is [6, 9, 12] up to sampling slack.
 * pure cubic drift x^3: ratio at x = sqrt(2) is 4*(2*x^4)/(4*x^2) = 2*x^2 = 4.
 * base inequality for the cubic: 2*x^4 - x^2 < 0 iff x^2 < 1/2, so the level
   0.45 passes and 0.6 does not.
@@ -22,8 +22,8 @@ import warnings
 import numpy as np
 import pytest
 
-from clfsynth.clf import ControlAffineSystem, lie_sweep, local_quadratic_clf
-from clfsynth.errors import BaseLevelError, CertificateError, DivergenceError
+from clfsynth.clf import ControlAffineSystem, LieSweep, lie_sweep, local_quadratic_clf
+from clfsynth.errors import CertificateError, DivergenceError
 from clfsynth.inverse_opt import (
     InverseOptimalCost,
     _excess_ratio,
@@ -121,83 +121,105 @@ class TestFindBaseLevel:
             find_base_level(level_sweep(unit_v(), cubic_system(), 1.0), np.eye(1), [-1.0, 0.0])
 
 
+def ladder_sweeps(V, sys_, top, n_samples=400):
+    """(fit, check): sweeps of the top level's ellipsoid box at seeds 0 and 1."""
+    box = quadratic_level_box(0.5 * V.hessian_origin, top, slack=1.25)
+    return tuple(lie_sweep(V, sys_, sample_box(box, n_samples, seed=s)) for s in (0, 1))
+
+
+def hand_sweep(values, ratios):
+    """Scalar LieSweep rows with L_bV = 2 and the given excess ratios at V = values."""
+    n = len(values)
+    la = np.array(ratios, dtype=float)  # 4 L_aV / L_bV^2 = L_aV at L_bV = 2
+    return LieSweep(unit_v(), cubic_system(), np.sqrt(values).reshape(n, 1),
+                    np.array(values, dtype=float), la, np.full((n, 1), 2.0),
+                    np.full(n, 1e-7))
+
+
 class TestEstimateLevelConstants:
     def test_plateau_ladder_matches_hand_values(self):
-        ladder = estimate_level_constants(unit_v(), plateau_system(), np.eye(1),
-                                          1.0, k_max=3, safety_factor=1.5)
+        fit, check = ladder_sweeps(unit_v(), plateau_system(), 4.0)
+        ladder = estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=3)
         assert np.allclose(ladder, [6.0, 9.0, 12.0], rtol=2e-2)
         # sampled sup never exceeds the true sup on the closed annulus
         assert ladder[0] <= 6.0 and ladder[1] <= 9.0 and ladder[2] <= 12.0
 
-    def test_unit_safety_factor_doubles_once(self):
-        # with no cushion the fresh revalidation samples find a slightly
-        # larger ratio, so each rung doubles exactly once
-        ladder = estimate_level_constants(unit_v(), plateau_system(), np.eye(1),
-                                          1.0, k_max=3, safety_factor=1.0)
-        assert np.allclose(ladder, [8.0, 12.0, 16.0], rtol=2e-2)
-        cushioned = estimate_level_constants(unit_v(), plateau_system(),
-                                             np.eye(1), 1.0, k_max=3,
-                                             safety_factor=1.5)
-        # both runs see the same initial samples on annulus 1
-        assert 0.75 * ladder[0] == pytest.approx(cushioned[0], abs=1e-9)
+    def test_check_rows_above_the_fit_ratio_double_the_constant(self):
+        # fit ratio 2 gives 1.5 * 2 = 3; the check row's ratio 4 needs
+        # more than 4, so the constant doubles once to 6
+        ladder = estimate_level_constants(hand_sweep([1.5], [2.0]),
+                                          hand_sweep([1.5], [4.0]), np.eye(1), 1.0, k_max=1)
+        assert ladder == [6.0]
 
-    def test_no_doublings_allowed_raises(self):
+    def test_no_doublings_left_raises(self):
+        # 3 doubled six times is 192, below the check row's ratio 1000
         with pytest.raises(CertificateError, match="no finite scaling"):
-            estimate_level_constants(unit_v(), plateau_system(), np.eye(1),
-                                     1.0, k_max=3, safety_factor=1.0,
-                                     max_doublings=0)
+            estimate_level_constants(hand_sweep([1.5], [2.0]),
+                                     hand_sweep([1.5], [1000.0]), np.eye(1), 1.0, k_max=1)
+
+    def test_annulus_without_fit_rows_is_revalidated_on_check_rows(self):
+        # no fit row on annulus 1 starts it at 1; the check row's ratio 3
+        # fails at 1 and 2 and passes at 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ladder = estimate_level_constants(hand_sweep([0.5], [0.0]),
+                                              hand_sweep([1.5], [3.0]), np.eye(1), 1.0,
+                                              k_max=1)
+        assert ladder == [4.0]
 
     def test_vanishing_input_with_stable_drift_floors_at_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sys_ = ControlAffineSystem(1, 1, lambda x: np.array([-x[0]]),
                                        vanishing_b)
-        ladder = estimate_level_constants(unit_v(), sys_, np.eye(1), 1.0,
-                                          k_max=2)
+        fit, check = ladder_sweeps(unit_v(), sys_, 3.0)
+        ladder = estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=2)
         assert ladder == [1.0, 1.0]
 
     def test_vanishing_input_with_bad_drift_raises(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sys_ = ControlAffineSystem(1, 1, plateau_system().a, vanishing_b)
+        fit, check = ladder_sweeps(unit_v(), sys_, 2.0)
         with pytest.raises(CertificateError, match="input map vanishes"):
-            estimate_level_constants(unit_v(), sys_, np.eye(1), 1.0, k_max=1)
+            estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=1)
 
     def test_empty_annulus_warns_and_defaults(self):
         sys_ = ControlAffineSystem(1, 1, lambda x: np.array([-x[0]]),
                                    lambda x: np.array([[1.0]]))
         box = Box(np.array([-0.3]), np.array([0.3]))
+        fit, check = (lie_sweep(unit_v(), sys_, sample_box(box, 400, seed=s)) for s in (0, 1))
         with pytest.warns(UserWarning, match="defaults to 1"):
-            ladder = estimate_level_constants(unit_v(), sys_, np.eye(1), 1.0,
-                                              k_max=1, box=box)
+            ladder = estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=1)
         assert ladder == [1.0]
 
     def test_k_max_validation(self):
+        fit, check = ladder_sweeps(unit_v(), cubic_system(), 0.4)
         with pytest.raises(ValueError, match="k_max"):
-            estimate_level_constants(unit_v(), cubic_system(), np.eye(1), 0.4,
-                                     k_max=0)
+            estimate_level_constants(fit, check, np.eye(1), 0.4, k_max=0)
 
 
 class TestBaseLevelLadder:
     def test_steps_down_to_largest_passing_level(self):
         # the cubic's base inequality fails above V = 1/2
-        level, ladder = base_level_ladder(unit_v(), cubic_system(), np.eye(1),
-                                          0.6, [0.1, 0.3, 0.45, 0.6], k_max=1)
+        fit, check = ladder_sweeps(unit_v(), cubic_system(), 1.2)
+        level, ladder = base_level_ladder(fit, check, np.eye(1), 0.6,
+                                          [0.1, 0.3, 0.45, 0.6], k_max=1)
         assert level == 0.45
-        assert ladder == estimate_level_constants(unit_v(), cubic_system(),
-                                                  np.eye(1), 0.45, k_max=1)
+        assert ladder == estimate_level_constants(fit, check, np.eye(1), 0.45, k_max=1)
 
     def test_raises_when_no_grid_level_passes(self):
-        with pytest.raises(BaseLevelError, match="choose a smaller base level"):
-            base_level_ladder(unit_v(), cubic_system(), np.eye(1), 1.0,
-                              [0.7, 1.0], k_max=1)
+        fit, check = ladder_sweeps(unit_v(), cubic_system(), 2.0)
+        with pytest.raises(CertificateError, match="choose a smaller base level"):
+            base_level_ladder(fit, check, np.eye(1), 1.0, [0.7, 1.0], k_max=1)
 
     def test_annulus_failure_is_not_retried(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sys_ = ControlAffineSystem(1, 1, plateau_system().a, vanishing_b)
+        fit, check = ladder_sweeps(unit_v(), sys_, 2.0)
         with pytest.raises(CertificateError, match="input map vanishes"):
-            base_level_ladder(unit_v(), sys_, np.eye(1), 1.0, [0.5, 1.0], k_max=1)
+            base_level_ladder(fit, check, np.eye(1), 1.0, [0.5, 1.0], k_max=1)
 
 
 class TestBuildMu:

@@ -15,9 +15,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_clf import MONOMIAL, poly_cell
 
 from clfsynth import clf, inverse_opt, orbital, runner, structured, synthesis
-from clfsynth.errors import ConfigError, DivergenceError
+from clfsynth.clf import lie_sweep, local_quadratic_clf, strict_margin
+from clfsynth.errors import CertificateError, ConfigError, DivergenceError
+from clfsynth.linear_core import LinearSystem, solve_care
 from clfsynth.runner import config_hash, expand_level_grid, load_config, run
 from clfsynth.sampling import Box, sample_box
 from clfsynth.sim import Trajectory, integrate, rk4_path, rk4_step
@@ -174,7 +179,7 @@ class TestLoadConfig:
         cfg = load_config({"system": "scalar_cubic"})
         assert cfg["sampling"] == {"seed": 0, "n_samples": 2000}
         assert cfg["integrator"] == {"dt": 0.005, "horizon": 40.0}
-        assert cfg["inverse_optimal"] == {"k_max": 8, "safety_factor": 1.5}
+        assert cfg["inverse_optimal"] == {"k_max": 8}
         assert cfg["box"] == {"lows": [-1.5], "highs": [1.5]}
         assert cfg["initial_states"] == [[0.8], [-0.6], [0.3]]
 
@@ -203,6 +208,11 @@ class TestLoadConfig:
         monkeypatch.setenv("CLFSYNTH_SEED", "abc")
         with pytest.raises(ConfigError, match="must be an integer"):
             load_config({"system": "scalar_linear"})
+
+    def test_unknown_inverse_optimal_key_rejected(self):
+        with pytest.raises(ConfigError, match="safety_factor"):
+            load_config({"system": "scalar_linear",
+                         "inverse_optimal": {"k_max": 2, "safety_factor": 1.5}})
 
 
 class TestConfigHash:
@@ -345,6 +355,70 @@ class TestSynthesizePlain:
     def test_one_sweep_serves_every_sampled_check(self, monkeypatch):
         rec = synthesize_with_one_sweep(monkeypatch, "scalar_cubic")
         assert rec.artstein.passed and rec.decrease.passed
+
+
+NONLINEAR = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: 2 <= sum(e) <= 3)
+# x1' = x2 + (degree 2-3 terms), x2' = (degree 1-3 terms) + (1 + degree 1-3 terms) u:
+# a controllable linearization under random polynomial couplings
+CONTROLLABLE_PLANTS = st.fixed_dictionaries({
+    "n": st.just(2), "p": st.just(1),
+    "drift": st.tuples(poly_cell(NONLINEAR), poly_cell(MONOMIAL)).map(
+        lambda cells: [[{"coeff": 1.0, "exponents": [0, 1]}] + cells[0], cells[1]]),
+    "input": poly_cell(MONOMIAL).map(
+        lambda cell: [[[]], [[{"coeff": 1.0, "exponents": [0, 0]}] + cell]]),
+})
+
+
+class TestReconstructCost:
+    def test_sweeps_the_box_three_times(self, monkeypatch):
+        # the fit, check and HJB sweeps of 500 rows each, plus the few
+        # origin evaluations of the cost's own validation
+        problem = runner.DEFAULT_PROBLEMS["scalar_cubic"]
+        box = Box.from_dict(problem["box"])
+        grid = expand_level_grid(problem["level_grid"])
+        synth = runner.synthesize_problem(load_system("scalar_cubic"), np.eye(1), np.eye(1),
+                                          box, grid, n_samples=500, seed=0)
+        counts = {"a": 0, "value": 0}
+        for owner, name in ((clf.ControlAffineSystem, "a"), (clf.Clf, "value")):
+            def counting(self, x, real=getattr(owner, name), name=name):
+                counts[name] += 1
+                return real(self, x)
+            monkeypatch.setattr(owner, name, counting)
+        with warnings.catch_warnings():
+            # the box reaches above the certified levels (see quiet_run)
+            warnings.filterwarnings("ignore", message=".*beyond the certified range.*")
+            runner.reconstruct_cost(synth.full, synth.V, np.eye(1), np.eye(1), box, grid,
+                                    k_max=4, n_samples=500, seed=0)
+        assert counts["a"] <= 3 * 500 + 10
+        assert counts["value"] <= 3 * 500 + 10
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=CONTROLLABLE_PLANTS, seed=st.integers(0, 2 ** 16))
+    def test_returned_ladder_holds_on_every_check_row(self, spec, seed):
+        box = Box.centered([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full = load_system(spec)
+            lin = full.linearization
+            V = local_quadratic_clf(
+                solve_care(LinearSystem(lin.A, lin.B), np.eye(2), np.eye(1)).P)
+            try:
+                rec = runner.reconstruct_cost(
+                    full, V, np.eye(2), np.eye(1), box,
+                    expand_level_grid({"start": 0.01, "stop": 1.0, "num": 16}),
+                    k_max=3, n_samples=300, seed=seed)
+            except CertificateError:
+                return  # refused: nothing uncertified was returned
+        check = lie_sweep(V, full, sample_box(box, 300, seed=seed + 1))
+        r0 = rec.r0
+        for v, la, lb in zip(check.values, check.la, check.lb):
+            if v <= 1e-7 * r0:
+                continue
+            k = int(np.ceil(v / r0)) - 1  # annulus k holds k r0 < V <= (k + 1) r0
+            if k > len(rec.ladder):
+                continue
+            ell = 1.0 if k == 0 else rec.ladder[k - 1]
+            assert la - 0.25 * ell * lb[0] ** 2 < -strict_margin(la)
 
 
 class TestRunOrbital:
