@@ -1,16 +1,19 @@
 """Linear-quadratic foundations: Lyapunov/Riccati solvers and matrix tests.
 
-The Riccati solver is a Kleinman-Newton iteration: starting from any
-stabilizing gain, each step solves one Lyapunov equation and the iterates
-decrease monotonically to the stabilizing solution. Lyapunov equations are
-solved densely through the Kronecker-vectorized form, which keeps the whole
-chain free of external factorization packages and easy to audit.
+The Riccati solver is a Kleinman-Newton iteration seeded with the gain read
+off the stable invariant subspace of the Hamiltonian matrix (Laub 1979);
+each step solves one Lyapunov equation, and from that seed one step
+usually meets the residual bar. Lyapunov equations are solved by
+Bartels-Stewart (1972): a complex Schur form, then a triangular
+back-substitution, O(n^3) in all. scipy.linalg.schur is the one
+factorization taken from outside numpy.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur, solve_triangular
 
 from .errors import CertificateError
 
@@ -40,6 +43,8 @@ class LinearCoreConfig:
 DEFAULT_CONFIG = LinearCoreConfig()
 
 _RANK_RTOL = 1e-10
+# condition estimate above which solve_lyapunov warns
+_COND_LIMIT = 1e12
 
 
 def _as_matrix(M, name):
@@ -65,30 +70,26 @@ def is_hurwitz(A, margin=None):
     """True iff every eigenvalue of A has real part below -margin."""
     if margin is None:
         margin = DEFAULT_CONFIG.hurwitz_margin
-    A = _as_matrix(A, "A")
-    return bool(np.max(np.linalg.eigvals(A).real) < -margin)
+    return spectral_abscissa(_as_matrix(A, "A")) < -margin
 
 
 def spectral_abscissa(A):
     return float(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real))
 
 
-def _pbh_rank_deficient(A, B, lam):
-    """Rank of [A - lam I, B] below n, judged by singular values."""
-    n = A.shape[0]
-    M = np.hstack([A - lam * np.eye(n), B])
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] <= _RANK_RTOL * s[0]
-
-
 def unstabilizable_modes(A, B):
-    """Eigenvalues with Re >= 0 that fail the rank test on [A - lam I, B]."""
+    """Eigenvalues with Re >= 0 that fail the rank test on [A - lam I, B].
+
+    The rank is judged by singular values: s_min <= 1e-10 s_max.
+    """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
     bad = []
     for lam in np.linalg.eigvals(A):
-        if lam.real >= 0 and _pbh_rank_deficient(A, B, lam):
-            bad.append(lam)
+        if lam.real >= 0:
+            s = np.linalg.svd(np.hstack([A - lam * np.eye(A.shape[0]), B]), compute_uv=False)
+            if s[-1] <= _RANK_RTOL * s[0]:
+                bad.append(lam)
     return bad
 
 
@@ -112,136 +113,74 @@ class LinearSystem:
             warnings.warn(msg, stacklevel=2)
 
 
-def solve_lyapunov(A_cl, Q, cond_limit=1e12):
+def _schur_lyapunov(T, C):
+    """Y with T^H Y + Y T = -C for upper triangular T, column by column.
+
+    Column j needs only the columns before it: (T^H + t_jj I) y_j =
+    -c_j - Y[:, :j] T[:j, j], a lower triangular solve.
+    """
+    n = T.shape[0]
+    TH, eye = T.conj().T, np.eye(n)
+    Y = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        rhs = -C[:, j] - Y[:, :j] @ T[:j, j]
+        Y[:, j] = solve_triangular(TH + T[j, j] * eye, rhs, lower=True, check_finite=False)
+    return Y
+
+
+def solve_lyapunov(A_cl, Q):
     """Solve A_cl' P + P A_cl = -Q for symmetric P, A_cl Hurwitz.
 
-    Dense Kronecker-vectorized solve: (I (x) A_cl' + A_cl' (x) I) vec(P)
-    = -vec(Q). Emits a warning when the Kronecker system is badly
-    conditioned.
+    Bartels-Stewart: with the complex Schur form A_cl = Z T Z^H, Y = Z^H P Z
+    solves T^H Y + Y T = -Z^H Q Z by back-substitution. Emits a warning when
+    the condition estimate 2 ||A_cl||_2 ||X_I||_2 is large, X_I being the
+    solution for Q = I: Q -> P is a positive map, so ||X_I||_2 is its norm.
     """
     A_cl = _as_matrix(A_cl, "A_cl")
     Q = _check_symmetric(_as_matrix(Q, "Q"), "Q")
     if Q.shape[0] != A_cl.shape[0]:
         raise ValueError("Q must match A_cl in size")
-    if not is_hurwitz(A_cl):
+    T, Z = schur(A_cl, output="complex")
+    abscissa = float(np.max(np.diag(T).real))
+    if not abscissa < -DEFAULT_CONFIG.hurwitz_margin:
         raise CertificateError(
             "A_cl is not Hurwitz; the Lyapunov equation has no stabilizing solution "
-            f"(spectral abscissa {spectral_abscissa(A_cl):.3e})")
-    n = A_cl.shape[0]
-    eye = np.eye(n)
-    L = np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye)
-    cond = np.linalg.cond(L)
-    if cond > cond_limit:
+            f"(spectral abscissa {abscissa:.3e})")
+    # Z^H I Z = I, and the unitary Z leaves the 2-norm of X_I unchanged
+    X_I = _schur_lyapunov(T, np.eye(A_cl.shape[0]))
+    cond = 2.0 * np.linalg.norm(A_cl, 2) * np.linalg.norm(X_I, 2)
+    if cond > _COND_LIMIT:
         warnings.warn(
-            f"Kronecker Lyapunov system is ill conditioned (cond ~ {cond:.2e}); "
+            f"Lyapunov equation is ill conditioned (cond ~ {cond:.2e}); "
             "the returned solution may lose accuracy", stacklevel=2)
-    rhs = -Q.reshape(-1)
-    vecP = np.linalg.solve(L, rhs)
-    # a couple of refinement passes claw back accuracy on stiff systems
-    for _ in range(2):
-        resid = rhs - L @ vecP
-        if np.linalg.norm(resid) <= 1e-14 * (1.0 + np.linalg.norm(rhs)):
-            break
-        vecP = vecP + np.linalg.solve(L, resid)
-    P = vecP.reshape(n, n)
+    Y = _schur_lyapunov(T, Z.conj().T @ Q @ Z)
+    P = (Z @ Y @ Z.conj().T).real
     return 0.5 * (P + P.T)
 
 
-def _bass_ladder(A, B, config):
-    """One-shot shifted-Lyapunov gain, or None when every rung fails.
+def _hamiltonian_gain(A, B, Q, R):
+    """LQ gain -R^-1 B' P0 read off the stable invariant subspace, or None.
 
-    With beta above the spectral abscissa, solve (A + beta I) Z +
-    Z (A + beta I)' = 2 B B' + 2 eps I and take K = -B' Z^-1. The eps
-    regularization covers stabilizable but not controllable pairs; every
-    candidate is verified before it is returned.
-    """
-    # the shift must exceed the magnitude of every eigenvalue real part;
-    # scaling with ||A|| keeps the placed poles commensurate with the
-    # plant's own time scale (an absolute shift wrecks slow systems)
-    norm_a = np.linalg.norm(A, 2)
-    scale = max(norm_a, 100.0 * config.hurwitz_margin)
-    eps_scale = 1.0 + np.linalg.norm(B, 2) ** 2
-    for beta in (1.1 * scale, 2.0 * scale, 8.0 * scale,
-                 norm_a + 1.0, 8.0 * (norm_a + 1.0)):
-        # mild regularization first: it keeps the gain moderate when the
-        # gramian is ill conditioned; eps = 0 is the exact construction
-        # (poles at -beta for controllable pairs) and rescues instances
-        # where any eps perturbation destroys the pole guarantee
-        for eps in (1e-8, 0.0, 1e-5, 1e-2):
-            W = 2.0 * B @ B.T + 2.0 * eps * eps_scale * np.eye(A.shape[0])
-            # M Z + Z M' = -W with M = -(A + beta I); Hurwitz by choice of beta
-            M = -(A + beta * np.eye(A.shape[0]))
-            try:
-                Z = solve_lyapunov(M.T, W)
-                K = -np.linalg.solve(Z, B).T
-            except (CertificateError, np.linalg.LinAlgError):
-                continue
-            if is_hurwitz(A + B @ K, config.hurwitz_margin):
-                return K
-    return None
-
-
-def _real_invariant_basis(lam, S, mask):
-    """Orthonormal real basis for the span of the selected eigenvectors."""
-    cols = []
-    for j in np.flatnonzero(mask):
-        if lam[j].imag < 0.0:
-            continue
-        if lam[j].imag > 0.0:
-            cols.append(S[:, j].real)
-            cols.append(S[:, j].imag)
-        else:
-            cols.append(S[:, j].real)
-    if not cols:
-        return np.zeros((S.shape[0], 0))
-    raw = np.column_stack(cols)
-    U, s, _ = np.linalg.svd(raw, full_matrices=False)
-    return U[:, s > 1e-10 * s[0]]
-
-
-def _subspace_gain(A, B, config):
-    """Pole placement restricted to the unstable invariant subspace.
-
-    Splits the state space along the eigenvectors of A, stabilizes the
-    small antistable restriction with the shifted-Lyapunov ladder, and
-    lifts the gain back with zeros on the stable complement. Moves only
-    the unstable modes, so the gain stays moderate even when the
-    full-order construction is numerically singular. Returns None when
-    the eigenbasis is unusable (defective or ill conditioned).
+    The ordered real Schur form of H = [[A, -B R^-1 B'], [-Q, -A']] puts
+    the stable eigenvalues first; when there are n of them, their invariant
+    subspace [U11; U21] is the graph of P0 = U21 U11^-1 (Laub 1979).
     """
     n = A.shape[0]
-    lam, S = np.linalg.eig(A)
-    margin = 2.0 * config.hurwitz_margin
-    V = _real_invariant_basis(lam, S, lam.real >= -margin)
-    V2 = _real_invariant_basis(lam, S, lam.real < -margin)
-    k = V.shape[1]
-    if k == 0 or k + V2.shape[1] != n:
+    H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    _, U, sdim = schur(H, sort="lhp")
+    if sdim != n:
         return None
-    M = V.T @ A @ V
-    # both blocks must be genuinely invariant for the split to be valid
-    norm_a = 1.0 + np.linalg.norm(A)
-    if np.linalg.norm(A @ V - V @ M) > 1e-8 * norm_a:
+    try:
+        P0 = np.linalg.solve(U[:n, :n].T, U[n:, :n].T).T
+    except np.linalg.LinAlgError:
         return None
-    if V2.shape[1] and np.linalg.norm(A @ V2 - V2 @ (V2.T @ A @ V2)) > 1e-8 * norm_a:
-        return None
-    S_r = np.hstack([V, V2])
-    if np.linalg.cond(S_r) > 1e10:
-        return None
-    B_split = np.linalg.solve(S_r, B)
-    K_u = _bass_ladder(M, B_split[:k], config)
-    if K_u is None:
-        return None
-    K_lift = np.hstack([K_u, np.zeros((B.shape[1], n - k))])
-    return np.linalg.solve(S_r.T, K_lift.T).T
+    return -np.linalg.solve(R, B.T @ P0)
 
 
 def stabilizing_gain(A, B, config=None):
     """Any gain K with A + B K Hurwitz, for a stabilizable pair.
 
-    Tries pole placement on the unstable invariant subspace first (it
-    leaves the stable modes alone, so the gain stays moderate), then the
-    full-order shifted-Lyapunov construction for spectra the eigenvector
-    split cannot separate.
+    Zero when A is already Hurwitz, otherwise the LQ gain for Q = I, R = I.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -249,11 +188,8 @@ def stabilizing_gain(A, B, config=None):
         config = DEFAULT_CONFIG
     if is_hurwitz(A, config.hurwitz_margin):
         return np.zeros((B.shape[1], A.shape[0]))
-    K = _subspace_gain(A, B, config)
+    K = _hamiltonian_gain(A, B, np.eye(A.shape[0]), np.eye(B.shape[1]))
     if K is not None and is_hurwitz(A + B @ K, config.hurwitz_margin):
-        return K
-    K = _bass_ladder(A, B, config)
-    if K is not None:
         return K
     raise CertificateError("failed to find a stabilizing initial gain")
 
@@ -290,18 +226,11 @@ def _sqrtm_psd(Q):
 
 
 def undetectable_modes(A, Q):
-    """Eigenvalues with Re >= 0 failing the rank test on [A - lam I; Q^(1/2)]."""
-    C = _sqrtm_psd(Q)
-    bad = []
-    n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if lam.real < 0:
-            continue
-        M = np.vstack([A - lam * np.eye(n), C])
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= _RANK_RTOL * s[0]:
-            bad.append(lam)
-    return bad
+    """Eigenvalues with Re >= 0 failing the rank test on [A - lam I; Q^(1/2)].
+
+    By duality, the stabilizability test on the pair (A', Q^(1/2)).
+    """
+    return unstabilizable_modes(np.transpose(A), _sqrtm_psd(Q))
 
 
 def riccati_residual(A, B, Q, R, P):
@@ -345,7 +274,9 @@ def solve_care(sys, Q, R, config=None):
             f"(Q^1/2, A) is not detectable: unobservable unstable mode(s) {bad}")
 
     qscale = 1.0 + np.linalg.norm(Q, ord="fro")
-    K = stabilizing_gain(A, B, config)
+    K = _hamiltonian_gain(A, B, Q, R)
+    if K is None or not is_hurwitz(A + B @ K, config.hurwitz_margin):
+        K = stabilizing_gain(A, B, config)
     P = None
     res_norm = np.inf
     for _ in range(config.max_newton_iter):

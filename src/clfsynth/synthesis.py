@@ -89,11 +89,13 @@ def blended_design(sweep, K_o, level_grid):
     return artstein, blended_controller(alpha, K_o, sweep.V, blend_profile(r0))
 
 
-def local_gain(law, h=1e-6):
+def local_gain(law, h=2.0 ** -20):
     """Jacobian of the feedback map at the origin by central differences.
 
     Universal-formula laws get one step of Richardson extrapolation, which
-    cancels the leading quadratic error of the square root branch.
+    cancels the leading quadratic error of the square root branch. The
+    power-of-two step makes the differences of a linear map exact, so a
+    linear inner law K x returns K bit for bit.
     """
     def jac(step):
         cols = []

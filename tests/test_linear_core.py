@@ -1,11 +1,15 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
+from clfsynth import linear_core
 from clfsynth.errors import CertificateError
 from clfsynth.linear_core import (
-    LinearCoreConfig, LinearSystem, RiccatiCertificate, is_hurwitz,
+    DEFAULT_CONFIG, LinearCoreConfig, LinearSystem, RiccatiCertificate, is_hurwitz,
     lqr_gain, riccati_residual, solve_care,
     solve_lyapunov, spectral_abscissa, stabilizing_gain, undetectable_modes,
     unstabilizable_modes)
@@ -30,8 +34,8 @@ def random_detectable_weight(rng, A, n):
             return Q
 
 
-def well_posed_care_instance(rng, n_max=10, p_max=3):
-    """Random stabilizable/detectable instance with a measurable residual bar.
+def _screened_care_instance(rng, n, p):
+    """One draw of size (n, p), or None when the screen rejects it.
 
     Near-unstabilizable draws can push ||P|| so high that the residual of
     even the exact solution, evaluated in double precision, exceeds the
@@ -39,23 +43,49 @@ def well_posed_care_instance(rng, n_max=10, p_max=3):
     reference solution screens them out: an instance is kept only when
     the reference residual sits far below the bar.
     """
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, p))
+    if unstabilizable_modes(A, B):
+        return None
+    C = rng.standard_normal((max(1, n // 2), n))
+    Q = C.T @ C + 1e-6 * np.eye(n)
+    if undetectable_modes(A, Q):
+        return None
+    R = np.eye(p) * float(rng.uniform(0.2, 3.0))
+    P_ref = solve_continuous_are(A, B, Q, R)
+    bar = 1e-8 * (1.0 + np.linalg.norm(Q, ord="fro"))
+    res = np.linalg.norm(riccati_residual(A, B, Q, R, P_ref), ord="fro")
+    return (A, B, Q, R, P_ref) if res <= 0.05 * bar else None
+
+
+def well_posed_care_instance(rng, n_max=10, p_max=3):
+    """Random stabilizable/detectable instance with a measurable residual bar."""
     while True:
         n = int(rng.integers(1, n_max + 1))
         p = int(rng.integers(1, min(n, p_max) + 1))
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, p))
-        if unstabilizable_modes(A, B):
-            continue
-        C = rng.standard_normal((max(1, n // 2), n))
-        Q = C.T @ C + 1e-6 * np.eye(n)
-        if undetectable_modes(A, Q):
-            continue
-        R = np.eye(p) * float(rng.uniform(0.2, 3.0))
-        P_ref = solve_continuous_are(A, B, Q, R)
-        bar = 1e-8 * (1.0 + np.linalg.norm(Q, ord="fro"))
-        res = np.linalg.norm(riccati_residual(A, B, Q, R, P_ref), ord="fro")
-        if res <= 0.05 * bar:
-            return A, B, Q, R, P_ref
+        instance = _screened_care_instance(rng, n, p)
+        if instance is not None:
+            return instance
+
+
+def chain_instance(n):
+    """Backstepping chain x_i' = x_(i+1) + lower triangular coupling, u at x_n."""
+    rng = np.random.default_rng(1000 + n)
+    A = np.diag(np.ones(n - 1), 1) + 0.3 * np.tril(rng.standard_normal((n, n)))
+    return A, np.eye(n)[:, -1:]
+
+
+def count_lyapunov_solves(monkeypatch):
+    """Wrap linear_core.solve_lyapunov; the returned list holds the call count."""
+    calls = [0]
+    inner = linear_core.solve_lyapunov
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(linear_core, "solve_lyapunov", counted)
+    return calls
 
 
 class TestHurwitz:
@@ -101,16 +131,27 @@ class TestPbh:
 class TestLyapunov:
     def test_matches_scipy(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            n = rng.integers(1, 7)
-            A = rng.standard_normal((n, n)) - (n + 1) * np.eye(n)
+        for n in (1, 2, 3, 5, 6, 8, 12, 20, 30, 50):
+            M = rng.standard_normal((n, n))
+            # complex spectra exercise the complex Schur form
+            while n > 1 and not np.any(np.linalg.eigvals(M).imag):
+                M = rng.standard_normal((n, n))
+            A = M - (spectral_abscissa(M) + 1.0) * np.eye(n)
             C = rng.standard_normal((n, n))
             Q = C.T @ C + np.eye(n)
-            P = solve_lyapunov(A, Q)
+            with warnings.catch_warnings():
+                # a well-conditioned equation raises no conditioning warning
+                warnings.simplefilter("error")
+                P = solve_lyapunov(A, Q)
             # scipy solves A X + X A^H = Q; ours solves A'P + PA = -Q
             X = solve_continuous_lyapunov(A.T, -Q)
             assert np.allclose(P, X, atol=1e-9)
             assert np.allclose(A.T @ P + P @ A, -Q, atol=1e-8)
+
+    def test_ill_conditioned_warns(self):
+        with pytest.warns(UserWarning, match="ill conditioned"):
+            P = solve_lyapunov(np.diag([-1e-8, -1e6]), np.eye(2))
+        assert np.allclose(P, np.diag([0.5e8, 0.5e-6]))
 
     def test_rejects_unstable(self):
         with pytest.raises(CertificateError):
@@ -153,6 +194,12 @@ class TestStabilizingGain:
             A, B = random_stabilizable(rng, n, p)
             K = stabilizing_gain(A, B)
             assert is_hurwitz(A + B @ K)
+
+    @pytest.mark.parametrize("n", [20, 24, 30])
+    def test_backstepping_chain(self, n):
+        A, B = chain_instance(n)
+        K = stabilizing_gain(A, B)
+        assert is_hurwitz(A + B @ K)
 
 
 class TestCare:
@@ -200,14 +247,65 @@ class TestCare:
         with pytest.raises(ValueError):
             solve_care(sys_, np.eye(1), np.zeros((1, 1)))
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         cfg = LinearCoreConfig(care_tol=1e-10, max_newton_iter=1,
                                hurwitz_margin=1e-9)
         rng = np.random.default_rng(5)
         A, B = random_stabilizable(rng, 6, 2)
         Q = random_detectable_weight(rng, A, 6)
-        with pytest.raises(CertificateError):
+        # seed with the LQ gain for 100 Q: stabilizing, but not optimal,
+        # so one Newton step cannot meet the bar
+        seed = linear_core._hamiltonian_gain
+        monkeypatch.setattr(linear_core, "_hamiltonian_gain",
+                            lambda A, B, Q, R: seed(A, B, 100.0 * Q, R))
+        with pytest.raises(CertificateError, match="did not converge") as err:
             solve_care(LinearSystem(A, B), Q, np.eye(2), cfg)
+        residual = float(re.search(r"residual (\S+)", str(err.value)).group(1))
+        assert residual == pytest.approx(3.26e2, rel=1e-2)
+        # the default cap reaches the bar from the same seed
+        calls = count_lyapunov_solves(monkeypatch)
+        cert = solve_care(LinearSystem(A, B), Q, np.eye(2))
+        assert cert.residual_norm <= 1e-10 * (1.0 + np.linalg.norm(Q, ord="fro"))
+        assert 1 < calls[0] < DEFAULT_CONFIG.max_newton_iter
+
+    def test_seed_failing_hurwitz_test_falls_back(self, monkeypatch):
+        # a zero seed leaves the double integrator unstable: the gain comes
+        # from stabilizing_gain, and the closed form is still reached
+        seed = linear_core._hamiltonian_gain
+        calls = []
+
+        def zero_first(A, B, Q, R):
+            calls.append(Q)
+            return np.zeros((1, 2)) if len(calls) == 1 else seed(A, B, Q, R)
+
+        monkeypatch.setattr(linear_core, "_hamiltonian_gain", zero_first)
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        cert = solve_care(LinearSystem(A, np.array([[0.0], [1.0]])), np.eye(2), np.eye(1))
+        assert len(calls) == 2
+        assert np.allclose(cert.P, [[SQ3, 1.0], [1.0, SQ3]], atol=1e-9)
+
+    @pytest.mark.parametrize("n", [20, 30, 40, 50])
+    def test_large_instance_one_newton_step(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        instance = None
+        while instance is None:
+            instance = _screened_care_instance(rng, n, round(n / 4))
+        A, B, Q, R, P_ref = instance
+        calls = count_lyapunov_solves(monkeypatch)
+        cert = solve_care(LinearSystem(A, B), Q, R)
+        assert calls[0] == 1
+        assert np.allclose(cert.P, P_ref, atol=1e-6 * (1 + np.linalg.norm(P_ref)))
+        assert cert.residual_norm <= 1e-8 * (1.0 + np.linalg.norm(Q, ord="fro"))
+
+    @pytest.mark.parametrize("n", [20, 24, 30])
+    def test_backstepping_chain_beyond_double_precision(self, n):
+        # the exact P of these chains is so large that no double-precision
+        # P meets the residual bar (scipy's residual is 1.05e11 at n = 20):
+        # the solver must say so with a typed error
+        A, B = chain_instance(n)
+        with pytest.warns(UserWarning, match="ill conditioned"), \
+                pytest.raises(CertificateError, match="did not converge"):
+            solve_care(LinearSystem(A, B), np.eye(n), np.eye(1))
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10.0))
