@@ -1,19 +1,20 @@
-"""Composite candidate for a strict-feedback cascade.
+"""Riccati design for a strict-feedback cascade, read through backstepping.
 
 The demo plant is y' = -y^3 + x, x' = x y^2 + u: the unactuated y block
-is driven through x, so a plain quadratic candidate built from the
-linearization cannot certify the whole cascade. Instead the Riccati
-solution P is split by a Schur complement into an inner candidate for
-the y block plus a penalty on the distance to a virtual inner law; the
-composite still has Hessian 2P at the origin, so the prescribed gain
-survives untouched.
+is driven through x. The Riccati solution P splits by a Schur complement
+into an inner weight P_y for the y block, a virtual inner law
+x = -P12 y / P22 and the weight P22 on the distance to it. With that
+linear inner law the backstepping composite
+V_y(y) + P22 (x - alpha_y(y))^2 is exactly x'Px, so the plain quadratic
+candidate certifies the whole cascade: its Hessian at the origin is 2P
+and the prescribed gain survives untouched.
 """
 
 import numpy as np
 
-from clfsynth import Box, backstepping_partition, backstepping_synthesize, \
-    integrate, lie_sweep, load_system, local_gain, lqr_gain, sample_box, solve_care, \
-    verify_decrease
+from clfsynth import Box, backstepping_clf, backstepping_partition, \
+    backstepping_synthesize, integrate, lie_sweep, load_system, local_gain, \
+    local_quadratic_clf, lqr_gain, sample_box, solve_care, verify_decrease
 from clfsynth.linear_core import LinearSystem
 
 np.set_printoptions(precision=6, suppress=True)
@@ -39,6 +40,12 @@ def main():
     print(f"inner virtual gain  {part.local_inner_gain.ravel()}")
     print(f"annihilator check   |T'PB| = "
           f"{np.max(np.abs(part.T.T @ cert.P @ B)):.2e}")
+    gain = part.local_inner_gain
+    composite = backstepping_clf(local_quadratic_clf(part.P_y), lambda y: float(gain @ y),
+                                 part.P22, alpha_y_grad=lambda y: gain)
+    pts = sample_box(Box.centered([1.5, 1.5]), 200)
+    dev = max(abs(composite.value(x) - x @ cert.P @ x) / (x @ cert.P @ x) for x in pts)
+    print(f"composite vs x'Px   max relative deviation {dev:.1e} on 200 states")
 
     V, law = backstepping_synthesize(cascade, K_o, P=cert.P, n_samples=2000,
                                      seed=0)
@@ -46,7 +53,7 @@ def main():
     print(f"local gain          {local_gain(law).ravel()} "
           f"(error {np.max(np.abs(local_gain(law) - K_o)):.1e})")
 
-    # composite Hessian at the origin comes back as exactly 2P
+    # the candidate's Hessian at the origin is 2P
     h = 1e-4
     H = np.zeros((2, 2))
     for i in range(2):

@@ -3,8 +3,9 @@
 Six equinoctial-style coordinates: two in-plane shape offsets, an
 in-plane flow offset, the orbit scale, and two out-of-plane tilt
 components. The drift conserves the tilt magnitude exactly, so the
-out-of-plane pair is handled by an additive layer on top of the in-plane
-design, and the scale by another. The script builds the layered
+out-of-plane pair and the scale enter the Lyapunov function as their own
+diagonal blocks next to the in-plane Riccati solution P0:
+z' diag(P0, rho1, rho2, rho2) z. The script builds the layered
 controller, flies the transfer, and writes the trace next to the current
 working directory for external plotting.
 

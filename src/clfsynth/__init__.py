@@ -18,8 +18,8 @@ from .inverse_opt import CostEstimate, InverseOptimalCost, LevelScaling, \
     base_level_ladder, build_inverse_cost, build_mu, estimate_level_constants, \
     evaluate_cost, find_base_level, hjb_residual, optimal_feedback
 from .structured import BacksteppingPartition, FeedforwardSystem, \
-    StrictFeedbackSystem, additive_forward_clf, backstepping_clf, \
-    backstepping_partition, backstepping_synthesize
+    StrictFeedbackSystem, backstepping_clf, backstepping_partition, \
+    backstepping_synthesize
 from .orbital import OrbitalCostConfig, OrbitalParams, build_orbital_controller, \
     equilibrium, orbital_linearization, orbital_reduced_system, orbital_system, \
     simulate_orbital
@@ -38,7 +38,7 @@ __all__ = [
     "InverseOptimalCost", "LevelScaling", "LieSweep", "LinearCoreConfig",
     "LinearSystem", "OrbitalCostConfig", "OrbitalParams",
     "RiccatiCertificate", "StrictFeedbackSystem", "Trajectory",
-    "additive_forward_clf", "backstepping_clf", "backstepping_partition",
+    "backstepping_clf", "backstepping_partition",
     "backstepping_synthesize", "base_level_ladder", "blend_profile",
     "blended_controller", "build_inverse_cost", "build_mu",
     "build_orbital_controller", "check_artstein_sampled",

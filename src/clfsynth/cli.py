@@ -219,8 +219,8 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_invopt)
 
-    p = sub.add_parser("backstep", help="composite design for a strict-feedback "
-                                        "cascade")
+    p = sub.add_parser("backstep", help="design and Riccati partition of a "
+                                        "strict-feedback cascade")
     _add_problem(p)
     _add_common(p)
     p.set_defaults(fn=cmd_backstep)

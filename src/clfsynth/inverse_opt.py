@@ -209,23 +209,23 @@ class InverseOptimalCost:
 
     base_Q and base_R are the quadratic weights recovered at the origin;
     scaling is the level envelope used to bend R into r away from it.
+    Construction requires q(0) = 0 and r(0) = base_R exactly.
     """
 
-    def __init__(self, q, r, base_Q, base_R, scaling=None, V=None, validate=True):
+    def __init__(self, q, r, base_Q, base_R, scaling=None, V=None):
         self._q = q
         self._r = r
         self.base_Q = np.asarray(base_Q, dtype=float)
         self.base_R = np.asarray(base_R, dtype=float)
         self.scaling = scaling
         self.V = V
-        if validate:
-            n = self.base_Q.shape[0]
-            q0 = self.q(np.zeros(n))
-            if abs(q0) > 1e-12:
-                raise ValueError(f"q(0) must be 0, got {q0:.3e}")
-            r0 = self.r(np.zeros(n))
-            if not np.array_equal(r0, self.base_R):
-                raise ValueError("r(0) must equal the base input weight exactly")
+        n = self.base_Q.shape[0]
+        q0 = self.q(np.zeros(n))
+        if abs(q0) > 1e-12:
+            raise ValueError(f"q(0) must be 0, got {q0:.3e}")
+        r0 = self.r(np.zeros(n))
+        if not np.array_equal(r0, self.base_R):
+            raise ValueError("r(0) must equal the base input weight exactly")
 
     def q(self, x):
         return float(self._q(np.asarray(x, dtype=float)))
@@ -317,13 +317,13 @@ class CostEstimate:
         }
 
 
-def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None, terminal_level=None):
+def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     """Integral of q + u' r u along the closed loop, plus a tail estimate.
 
     The running cost is integrated as an extra RK4 state on the same grid.
-    Integration stops inside {V <= terminal_level}, defaulting to 1e-8
-    times V(x0). For optimal feedback the tail is V at the final state
-    (exact under the HJB identity); otherwise a linear-quadratic tail
+    Integration stops inside {V <= 1e-8 V(x0)}. For optimal feedback the
+    tail is V at the final state (exact under the HJB identity); otherwise
+    a linear-quadratic tail
     estimate is used and labeled as such. Raises DivergenceError when the
     horizon ends before the terminal set is reached.
     """
@@ -335,7 +335,7 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None, terminal_level=None):
     v0 = V.value(x0)
     if v0 <= 0.0:
         return CostEstimate(0.0, 0.0, 0.0, "origin", 0.0, x0.copy())
-    level = 1e-8 * v0 if terminal_level is None else float(terminal_level)
+    level = 1e-8 * v0
 
     def f(z):
         x = z[:-1]

@@ -45,6 +45,10 @@ DEFAULT_CONFIG = LinearCoreConfig()
 _RANK_RTOL = 1e-10
 # condition estimate above which solve_lyapunov warns
 _COND_LIMIT = 1e12
+# Newton steps in a row without a new smallest residual after which
+# solve_care stops: past that point rounding, not the iteration, sets the
+# residual
+_NEWTON_STALL = 3
 
 
 def _as_matrix(M, name):
@@ -241,6 +245,11 @@ def riccati_residual(A, B, Q, R, P):
 def solve_care(sys, Q, R, config=None):
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
+    The Newton iteration stops at the residual bar care_tol (1 + ||Q||_F),
+    after max_newton_iter steps, or after 3 steps in a row without a new
+    smallest residual. The iterate with the smallest residual is judged
+    against 1e-8 (1 + ||Q||_F) and returned; above it, CertificateError.
+
     Parameters
     ----------
     sys : LinearSystem
@@ -277,13 +286,16 @@ def solve_care(sys, Q, R, config=None):
     K = _hamiltonian_gain(A, B, Q, R)
     if K is None or not is_hurwitz(A + B @ K, config.hurwitz_margin):
         K = stabilizing_gain(A, B, config)
-    P = None
-    res_norm = np.inf
-    for _ in range(config.max_newton_iter):
+    best_P, best_res, stalled = None, np.inf, 0
+    for steps in range(1, config.max_newton_iter + 1):
         Acl = A + B @ K
         P = solve_lyapunov(Acl, Q + K.T @ R @ K)
         res_norm = np.linalg.norm(riccati_residual(A, B, Q, R, P), ord="fro")
-        if res_norm <= config.care_tol * qscale:
+        if res_norm < best_res:
+            best_P, best_res, stalled = P, res_norm, 0
+        else:
+            stalled += 1
+        if best_res <= config.care_tol * qscale or stalled == _NEWTON_STALL:
             break
         K_next = -np.linalg.solve(R, B.T @ P)
         # exact iterates never leave the stabilizing set, but rounding can
@@ -296,12 +308,13 @@ def solve_care(sys, Q, R, config=None):
         if t <= 1e-10:
             break
         K = K + t * (K_next - K)
-    if res_norm > 1e-8 * qscale:
+    if best_res > 1e-8 * qscale:
         raise CertificateError(
-            f"Newton iteration did not converge: residual {res_norm:.3e} "
-            f"after {config.max_newton_iter} iterations")
+            f"Newton iteration did not converge: residual {best_res:.3e} "
+            f"after {steps} iterations")
+    P = best_P
     K = -np.linalg.solve(R, B.T @ P)
-    return RiccatiCertificate(P, res_norm, spectral_abscissa(A + B @ K))
+    return RiccatiCertificate(P, best_res, spectral_abscissa(A + B @ K))
 
 
 def lqr_gain(cert, sys, R):

@@ -6,10 +6,11 @@ target value p0), and two out-of-plane inclination coordinates. Thrust
 enters through radial, transverse and normal channels. The target
 equilibrium is (0, 0, 0, p0, 0, 0).
 
-The design is built from the inside out: a quadratic Lyapunov function for
-the in-plane subsystem (restricted to orbit scale p0), extended additively
-by the squared scale offset, run through the inverse-optimal machinery in
-four states, and finally extended by the two out-of-plane squares. The
+The design is built from the inside out: a quadratic Lyapunov function
+x'P0x for the in-plane subsystem (restricted to orbit scale p0), then the
+block-diagonal form z' diag(P0, rho1) z with the scale offset, run through
+the inverse-optimal machinery in four states, and finally
+z' diag(P0, rho1, rho2, rho2) z with the two out-of-plane offsets. The
 resulting six-state running cost is only positive semidefinite: the
 out-of-plane pair contributes a weak term and convergence there follows
 from an invariance argument, which the simulation-level diagnostics
@@ -29,7 +30,6 @@ from .inverse_opt import InverseOptimalCost, base_level_ladder, build_inverse_co
 from .linear_core import LinearSystem, solve_care
 from .sampling import Box, sample_box
 from .sim import Trajectory, rk4_path
-from .structured import additive_forward_clf
 
 
 @dataclass
@@ -147,7 +147,6 @@ class OrbitalLinearization:
     A: np.ndarray
     B: np.ndarray
     A0: np.ndarray
-    A1: np.ndarray
     A2: np.ndarray
     B0: np.ndarray
     B2: np.ndarray
@@ -183,7 +182,7 @@ def orbital_linearization(params):
     B[4, 2] = 0.5 * nu
     return OrbitalLinearization(
         A=A, B=B,
-        A0=A[:3, :3].copy(), A1=A[4:, 4:].copy(), A2=A[:3, 3:4].copy(),
+        A0=A[:3, :3].copy(), A2=A[:3, 3:4].copy(),
         B0=B[:3, 0:1].copy(), B2=B[4:, 2:3].copy())
 
 
@@ -302,23 +301,23 @@ class OrbitalCostConfig:
 
 
 def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
-                             k_max=8, seed=0, box3=None, box4=None, V0=None):
+                             k_max=8, seed=0):
     """Layered design: (Lyapunov function, reconstructed cost, feedback).
 
-    The in-plane quadratic candidate is validated by the sampled Lyapunov
-    test on box3 before anything is built on top of it. The four-state
-    extension gets a blend radius and level-scaling ladder on box4, and the
-    final six-state cost adds the out-of-plane channel. The returned law is
-    the optimal feedback of the reconstructed cost; its metadata carries
-    the radii, the ladder and the four-state cost ("cost4") that the
-    six-state cost extends.
+    The in-plane quadratic candidate x'P0x is validated by the sampled
+    Lyapunov test on the box of half-width 0.5 before anything is built on
+    top of it. The four-state candidate z' diag(P0, rho1) z gets a blend
+    radius and level-scaling ladder on the box of half-widths
+    (0.5, 0.5, 0.5, 0.5 p0), and the final six-state candidate
+    z' diag(P0, rho1, rho2, rho2) z and cost add the out-of-plane channel.
+    The returned law is the optimal feedback of the reconstructed cost; its
+    metadata carries the radii, the ladder and the four-state cost
+    ("cost4") that the six-state cost extends.
     """
     lin = orbital_linearization(params)
-    if V0 is None:
-        V0 = local_quadratic_clf(cfg.P0)
+    V0 = local_quadratic_clf(cfg.P0)
     sys3 = orbital_inplane_system(params)
-    if box3 is None:
-        box3 = Box.centered([0.5, 0.5, 0.5])
+    box3 = Box.centered([0.5, 0.5, 0.5])
     report = check_artstein_sampled(
         lie_sweep(V0, sys3, sample_box(box3, n_samples, seed=seed)))
     if report.violations:
@@ -326,12 +325,11 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
             f"in-plane candidate fails the sampled Lyapunov test at "
             f"{len(report.violations)} state(s)", report.violations)
 
-    V_t = additive_forward_clf(V0, cfg.rho1, label="orbit scale offset")
+    P_t = block_diag(cfg.P0, cfg.rho1)
+    V_t = local_quadratic_clf(P_t)
     sys4 = orbital_reduced_system(params)
-    P_t = 0.5 * V_t.hessian_origin
     R_t = np.diag([cfg.R_r, cfg.R_theta])
-    if box4 is None:
-        box4 = Box.centered([0.5, 0.5, 0.5, 0.5 * params.p0])
+    box4 = Box.centered([0.5, 0.5, 0.5, 0.5 * params.p0])
     if level_grid is None:
         # candidate values grow like rho1*(p0/2)^2 along the orbit-scale
         # axis, so the default grid follows that scale (factor 1 at p0 = 1)
@@ -347,8 +345,7 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     scaling = build_mu(r0, ladder)
     cost4 = build_inverse_cost(V_t, sys4, R_t, cfg.Q_tilde, scaling)
 
-    V5 = additive_forward_clf(V_t, cfg.rho2, label="out-of-plane offset 1")
-    V = additive_forward_clf(V5, cfg.rho2, label="out-of-plane offset 2")
+    V = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1, cfg.rho2, cfg.rho2))
     sys6 = orbital_system(params)
 
     def q6(z):

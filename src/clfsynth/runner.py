@@ -10,7 +10,7 @@ configured sampling seed.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .sampling import Box, sample_box
 from .serialize import matrix_from_json, matrix_to_json
 from .sim import integrate
 from .structured import FeedforwardSystem, StrictFeedbackSystem, \
-    backstepping_composite
+    backstepping_partition
 from .synthesis import blended_design, local_gain, seam_diagnostics, verify_decrease
 from .systems import load_system
 
@@ -45,7 +45,7 @@ class SynthesisRecord:
     decrease: object
     gain: np.ndarray
     gain_error: float
-    seam: dict = field(default_factory=dict)
+    seam: dict
 
     def to_dict(self):
         return {
@@ -61,12 +61,13 @@ class SynthesisRecord:
 
 
 def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0,
-                       lc_config=None, with_seam=True):
+                       lc_config=None):
     """Prescribe the linear-quadratic gain, then build the global blend.
 
-    Works for plain control-affine systems (quadratic candidate from the
-    Riccati solution) and strict-feedback cascades (composite candidate
-    anchored to the same Riccati solution).
+    The candidate is x'Px with P the Riccati solution, for every plant. A
+    strict-feedback cascade also gets the Schur split of P, checked against
+    its y-blocks (backstepping_partition): x'Px is exactly the backstepping
+    composite of that split with its linear inner law.
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -75,10 +76,9 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0,
     lin = LinearSystem(full.linearization.A, full.linearization.B)
     care = solve_care(lin, Q, R, lc_config)
     K_o = lqr_gain(care, lin, R)
-    if cascade:
-        V, part = backstepping_composite(system, K_o, P=care.P)
-    else:
-        V, part = local_quadratic_clf(care.P), None
+    part = backstepping_partition(care.P, blocks=(system.H1, system.H2)) \
+        if cascade else None
+    V = local_quadratic_clf(care.P)
     sweep = lie_sweep(V, full, sample_box(box, n_samples, seed=seed))
     artstein, law = blended_design(sweep, K_o, level_grid)
     if part is not None:
@@ -91,8 +91,7 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0,
     decrease = verify_decrease(sweep, law)
     gain = local_gain(law)
     gain_error = float(np.max(np.abs(gain - K_o)))
-    seam = seam_diagnostics(law, V, blend_profile(r0), box, n_pairs=100, seed=seed) \
-        if with_seam else {}
+    seam = seam_diagnostics(law, V, blend_profile(r0), box, n_pairs=100, seed=seed)
     return SynthesisRecord(system=system, full=full, care=care, K_o=K_o, V=V,
                            law=law, r0=r0, artstein=artstein, decrease=decrease,
                            gain=gain, gain_error=gain_error, seam=seam)

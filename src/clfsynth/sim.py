@@ -19,7 +19,7 @@ def rk4_step(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_path(f, x0, dt, n_steps, stop=None, on_step=None):
+def rk4_path(f, x0, dt, n_steps, stop=None):
     """States of n_steps RK4 steps from x0; stop(x) truncates after recording.
 
     Raises DivergenceError as soon as a state stops being finite.
@@ -35,8 +35,6 @@ def rk4_path(f, x0, dt, n_steps, stop=None, on_step=None):
                 f"state became non-finite at step {k + 1}",
                 last_state=states[-1], last_time=k * dt)
         states.append(x.copy())
-        if on_step is not None:
-            on_step(x)
         if stop is not None and stop(x):
             break
     return np.array(states)

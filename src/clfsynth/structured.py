@@ -1,21 +1,22 @@
-"""Structure-exploiting constructions: backstepping and additive forwarding.
+"""Structure-exploiting constructions for strict-feedback cascades.
 
 Strict-feedback cascades y' = h1(y) + h2(y) x, x' = f(y, x) + g(y, x) u
-(scalar actuated coordinate by design) get a composite Lyapunov function
+(scalar actuated coordinate by design) get the composite Lyapunov function
 V(y, x) = V_y(y) + P22 (x - alpha_y(y))^2 whose input derivative vanishes
 exactly on the manifold x = alpha_y(y). The partition helper extracts the
 reduced matrix P_y as a Schur complement so that the composite's origin
-Hessian reproduces the full quadratic prescription.
+Hessian reproduces the full quadratic prescription. With the partition's
+own linear inner law alpha_y(y) = -P12'y/P22 and V_y = y'P_y y, the
+composite is x'Px exactly, so the cascade design uses that quadratic form.
 
-Forwarding is covered in its additive form only: appending a coordinate
-whose drift vanishes at the equilibrium adds a weighted square to an inner
-Lyapunov function.
+Feedforward descriptions (an appended coordinate fed by an actuated inner
+system) convert to their control-affine form and are designed like any
+other plant.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import numdiff
 from .clf import Clf, ControlAffineSystem, lie_sweep, local_quadratic_clf
@@ -268,48 +269,26 @@ def backstepping_clf(V_y, alpha_y, P22, alpha_y_grad=None, expected_inner_gain=N
     return Clf(n_y + 1, value, gradient, hessian_origin=H)
 
 
-def backstepping_composite(sys, K_o, inner_clf_factory=None, P=None,
-                          lyapunov_weight=None):
-    """(composite Lyapunov function, partition) of a cascade for the gain K_o.
+def backstepping_synthesize(sys, K_o, P=None, box=None, level_grid=None,
+                            n_samples=2000, seed=0):
+    """Full cascade design: quadratic candidate x'Px plus blended law.
 
-    P defaults to the Lyapunov solution for the prescribed closed loop
-    (pass the Riccati solution instead to anchor the inverse-optimal
-    machinery). The default inner pair is the quadratic V_y with the
-    linear gain read off the partition; a custom factory(P_y, gain) may
-    return (V_y, alpha_y, alpha_y_grad).
+    P defaults to the Lyapunov solution for the prescribed closed loop with
+    weight I (pass the Riccati solution instead to anchor the
+    inverse-optimal machinery). P must split over the cascade's y-blocks
+    (backstepping_partition); x'Px is then the backstepping composite of
+    that split with its linear inner law. blended_design runs on one sweep
+    of the working box; the law's metadata keeps the radius and the
+    partition.
     """
     A, B = sys.assemble()
     K_o = np.asarray(K_o, dtype=float).reshape(1, sys.n)
     if not is_hurwitz(A + B @ K_o):
         raise ValueError("K_o does not stabilize the cascade linearization")
     if P is None:
-        W = np.eye(sys.n) if lyapunov_weight is None else np.asarray(lyapunov_weight, dtype=float)
-        P = solve_lyapunov(A + B @ K_o, W)
+        P = solve_lyapunov(A + B @ K_o, np.eye(sys.n))
     part = backstepping_partition(P, blocks=(sys.H1, sys.H2))
-    if inner_clf_factory is None:
-        gain = part.local_inner_gain
-
-        def alpha_y(y):
-            return float(gain @ y)
-
-        V_y = local_quadratic_clf(part.P_y)
-        grad = lambda y: gain
-    else:
-        V_y, alpha_y, grad = inner_clf_factory(part.P_y, part.local_inner_gain)
-    V = backstepping_clf(V_y, alpha_y, part.P22, alpha_y_grad=grad,
-                         expected_inner_gain=part.local_inner_gain)
-    return V, part
-
-
-def backstepping_synthesize(sys, K_o, inner_clf_factory=None, P=None,
-                            lyapunov_weight=None, box=None, level_grid=None,
-                            n_samples=2000, seed=0):
-    """Full cascade design: composite Lyapunov function plus blended law.
-
-    backstepping_composite, then blended_design on one sweep of the working
-    box; the law's metadata keeps the radius and the partition.
-    """
-    V, part = backstepping_composite(sys, K_o, inner_clf_factory, P, lyapunov_weight)
+    V = local_quadratic_clf(P)
     if level_grid is None:
         level_grid = np.geomspace(0.05, 2.0, 24)
     if box is None:
@@ -318,26 +297,3 @@ def backstepping_synthesize(sys, K_o, inner_clf_factory=None, P=None,
     law = blended_design(sweep, K_o, level_grid)[1]
     law.metadata["partition"] = part.to_dict()
     return V, law
-
-
-def additive_forward_clf(V_x, weight, label="appended coordinate"):
-    """V(chi) = V_x(chi[:-1]) + weight * chi[-1]^2 on one more coordinate.
-
-    The label documents what the appended coordinate measures (e.g. an
-    equilibrium offset); it is metadata only.
-    """
-    weight = float(weight)
-    if weight <= 0:
-        raise ValueError("weight must be positive")
-    n = V_x.n + 1
-
-    def value(chi):
-        return V_x.value(chi[:-1]) + weight * chi[-1] ** 2
-
-    def gradient(chi):
-        return np.append(V_x.gradient(chi[:-1]), 2.0 * weight * chi[-1])
-
-    H = block_diag(V_x.hessian_origin, 2.0 * weight)
-    V = Clf(n, value, gradient, hessian_origin=H)
-    V.label = label
-    return V

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from test_linear_core import well_posed_care_instance
 
@@ -35,8 +36,8 @@ from clfsynth.runner import DEFAULT_PROBLEMS, expand_level_grid, load_config, \
     reconstruct_cost, run, synthesize_problem
 from clfsynth.sampling import Box, sample_box
 from clfsynth.sim import integrate, rk4_path
-from clfsynth.structured import StrictFeedbackSystem, additive_forward_clf, \
-    backstepping_partition, backstepping_synthesize
+from clfsynth.structured import StrictFeedbackSystem, backstepping_partition, \
+    backstepping_synthesize
 from clfsynth.synthesis import FeedbackLaw, local_gain, verify_decrease
 from clfsynth.systems import load_system
 
@@ -312,7 +313,7 @@ def test_criterion_8_orbital_transfer_bundle():
 
     sys4 = orbital_reduced_system(par)
     box4 = Box.centered([0.4, 0.4, 0.4, 0.4 * par.p0])
-    V_t = additive_forward_clf(local_quadratic_clf(cfg.P0), cfg.rho1)
+    V_t = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1))
     R_t = np.diag([cfg.R_r, cfg.R_theta])
     cost4 = build_inverse_cost(V_t, sys4, R_t, cfg.Q_tilde, cost.scaling)
     hjb4 = max(abs(hjb_residual(V_t, cost4, sys4, x))

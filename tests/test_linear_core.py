@@ -297,15 +297,19 @@ class TestCare:
         assert np.allclose(cert.P, P_ref, atol=1e-6 * (1 + np.linalg.norm(P_ref)))
         assert cert.residual_norm <= 1e-8 * (1.0 + np.linalg.norm(Q, ord="fro"))
 
-    @pytest.mark.parametrize("n", [20, 24, 30])
-    def test_backstepping_chain_beyond_double_precision(self, n):
+    @pytest.mark.parametrize("n", [16, 20, 24, 30])
+    def test_backstepping_chain_beyond_double_precision(self, n, monkeypatch):
         # the exact P of these chains is so large that no double-precision
         # P meets the residual bar (scipy's residual is 1.05e11 at n = 20):
-        # the solver must say so with a typed error
+        # the solver must say so with a typed error, and stop once the
+        # residual stalls instead of running to the iteration cap
         A, B = chain_instance(n)
-        with pytest.warns(UserWarning, match="ill conditioned"), \
+        calls = count_lyapunov_solves(monkeypatch)
+        with pytest.warns(UserWarning, match="ill conditioned") as caught, \
                 pytest.raises(CertificateError, match="did not converge"):
             solve_care(LinearSystem(A, B), np.eye(n), np.eye(1))
+        assert calls[0] <= 10
+        assert len(caught) <= 10
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10.0))

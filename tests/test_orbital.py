@@ -16,7 +16,7 @@ eta = nu = 1):
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import block_diag, solve_continuous_are
 
 from test_sim_runner import record_calls
 
@@ -223,6 +223,13 @@ class TestLayeredDesign:
         assert {"r0", "r0_blend", "r0_base", "ladder"} <= set(meta)
         assert meta["r0"] == min(meta["r0_blend"], meta["r0_base"])
         assert all(l >= 1.0 for l in meta["ladder"])
+
+    def test_value_is_the_block_diagonal_form(self, unit_design):
+        _, cfg, V, _, _ = unit_design
+        quad = clf.local_quadratic_clf(block_diag(cfg.P0, cfg.rho1, cfg.rho2, cfg.rho2))
+        for z in sample_box(Box.centered([0.5] * 6), 200, seed=3):
+            assert V.value(z) == quad.value(z)
+            assert np.array_equal(V.gradient(z), quad.gradient(z))
 
     def test_six_state_hjb_identity(self, unit_design):
         par, _, V, cost, _ = unit_design

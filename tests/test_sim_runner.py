@@ -97,13 +97,6 @@ class TestRk4:
                           stop=lambda x: True)
         assert states.shape == (1, 1)
 
-    def test_on_step_sees_every_state(self):
-        seen = []
-        states = rk4_path(lambda x: -x, np.array([1.0]), 0.1, 7,
-                          on_step=lambda x: seen.append(x.copy()))
-        assert len(seen) == 7
-        assert np.array_equal(np.array(seen), states[1:])
-
 
 class TestTrajectory:
     def make(self):
@@ -349,6 +342,20 @@ class TestSynthesizeCascade:
     def test_artstein_sweep_runs_once(self, monkeypatch):
         rec = synthesize_with_one_sweep(monkeypatch, "strict_feedback_demo")
         assert rec.artstein.passed
+
+    @pytest.mark.parametrize("name", ["strict_feedback_demo", "orbital_reduced"])
+    def test_candidate_is_the_riccati_quadratic_form(self, name):
+        problem = runner.DEFAULT_PROBLEMS[name]
+        box = Box.from_dict(problem["box"])
+        rec = runner.synthesize_problem(load_system(name), np.eye(box.dim), np.eye(1), box,
+                                        expand_level_grid(problem["level_grid"]),
+                                        n_samples=200)
+        quad = local_quadratic_clf(rec.care.P)
+        for x in sample_box(box, 200, seed=0):
+            assert rec.V.value(x) == quad.value(x)
+            assert np.array_equal(rec.V.gradient(x), quad.gradient(x))
+        assert rec.law.metadata["partition"] == \
+            structured.backstepping_partition(rec.care.P).to_dict()
 
 
 class TestSynthesizePlain:

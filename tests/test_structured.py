@@ -1,5 +1,5 @@
 """Tests for backstepping partitions, composite Lyapunov functions, and
-the additive forwarding helper.
+the cascade and feedforward system descriptions.
 
 Hand-checked oracles:
 
@@ -13,6 +13,8 @@ Hand-checked oracles:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clfsynth import numdiff
 from clfsynth.clf import local_quadratic_clf
@@ -20,7 +22,6 @@ from clfsynth.errors import CertificateError
 from clfsynth.structured import (
     FeedforwardSystem,
     StrictFeedbackSystem,
-    additive_forward_clf,
     backstepping_clf,
     backstepping_partition,
     backstepping_synthesize,
@@ -183,6 +184,24 @@ class TestBacksteppingClf:
             backstepping_clf(V_y, lambda y: -float(y[0]), 1.0,
                              alpha_y_grad=lambda y: np.array([3.0]))
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 16))
+    def test_linear_inner_law_gives_the_quadratic_form(self, n, seed):
+        # the composite of P's Schur split with its own linear inner law is
+        # x'Px, which is why the cascade design can use x'Px directly
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n))
+        P = M @ M.T + np.eye(n)
+        part = backstepping_partition(P)
+        gain = part.local_inner_gain
+        V = backstepping_clf(local_quadratic_clf(part.P_y), lambda y: float(gain @ y),
+                             part.P22, alpha_y_grad=lambda y: gain)
+        quad = local_quadratic_clf(P)
+        for x in rng.standard_normal((10, n)):
+            assert abs(V.value(x) - quad.value(x)) <= 1e-12 * quad.value(x)
+            assert np.linalg.norm(V.gradient(x) - quad.gradient(x)) \
+                <= 1e-12 * np.linalg.norm(P, 2) * np.linalg.norm(x)
+
     def test_inner_gain_mismatch_refused(self):
         V_y = local_quadratic_clf(np.eye(1))
         with pytest.raises(CertificateError, match="inner gain mismatch"):
@@ -264,29 +283,3 @@ class TestFeedforward:
                               f=lambda x: np.array([-x[0]]),
                               g=lambda x: np.array([[1.0]]),
                               blocks=([2.0], [[-1.0]], [[1.0]]))
-
-
-class TestAdditiveForwardClf:
-    def test_values_and_gradient(self):
-        V = additive_forward_clf(local_quadratic_clf(np.eye(1)), 2.0)
-        chi = np.array([1.0, 3.0])
-        assert V.value(chi) == pytest.approx(1.0 + 18.0, rel=1e-12)
-        assert np.allclose(V.gradient(chi), [2.0, 12.0])
-
-    def test_hessian_is_block_diagonal(self):
-        V = additive_forward_clf(local_quadratic_clf(np.eye(2)), 0.5)
-        assert np.allclose(V.hessian_origin, np.diag([2.0, 2.0, 1.0]))
-
-    def test_label_and_validation(self):
-        V = additive_forward_clf(local_quadratic_clf(np.eye(1)), 1.0,
-                                 label="offset")
-        assert V.label == "offset"
-        with pytest.raises(ValueError, match="weight must be positive"):
-            additive_forward_clf(local_quadratic_clf(np.eye(1)), 0.0)
-
-    def test_stacks_to_expected_dimension(self):
-        V0 = local_quadratic_clf(np.eye(2))
-        V1 = additive_forward_clf(V0, 1.0)
-        V2 = additive_forward_clf(V1, 3.0)
-        assert V2.n == 4
-        assert np.allclose(V2.hessian_origin, np.diag([2.0, 2.0, 2.0, 6.0]))
