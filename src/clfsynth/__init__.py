@@ -7,7 +7,7 @@ reconstructs a meaningful cost that the combined law minimizes exactly.
 
 from .errors import ArtsteinViolationError, CertificateError, ConfigError, \
     DivergenceError
-from .linear_core import LinearCoreConfig, LinearSystem, RiccatiCertificate, \
+from .linear_core import LinearSystem, RiccatiCertificate, \
     is_hurwitz, lqr_gain, solve_care, solve_lyapunov, stabilizing_gain
 from .clf import ArtsteinReport, BlendProfile, Clf, ControlAffineSystem, LieSweep, \
     blend_profile, check_artstein_sampled, check_positivity_properness, \
@@ -16,7 +16,7 @@ from .synthesis import DecreaseReport, FeedbackLaw, blended_controller, \
     local_gain, seam_diagnostics, sontag_controller, verify_decrease
 from .inverse_opt import CostEstimate, InverseOptimalCost, LevelScaling, \
     base_level_ladder, build_inverse_cost, build_mu, estimate_level_constants, \
-    evaluate_cost, find_base_level, hjb_residual, optimal_feedback
+    evaluate_cost, find_base_level, hjb_residual, level_scaled_cost, optimal_feedback
 from .structured import BacksteppingPartition, FeedforwardSystem, \
     StrictFeedbackSystem, backstepping_clf, backstepping_partition, \
     backstepping_synthesize
@@ -35,8 +35,8 @@ __all__ = [
     "BlendProfile", "Box", "CertificateError", "Clf",
     "ConfigError", "ControlAffineSystem", "CostEstimate", "DecreaseReport",
     "DivergenceError", "FeedbackLaw", "FeedforwardSystem",
-    "InverseOptimalCost", "LevelScaling", "LieSweep", "LinearCoreConfig",
-    "LinearSystem", "OrbitalCostConfig", "OrbitalParams",
+    "InverseOptimalCost", "LevelScaling", "LieSweep", "LinearSystem",
+    "OrbitalCostConfig", "OrbitalParams",
     "RiccatiCertificate", "StrictFeedbackSystem", "Trajectory",
     "backstepping_clf", "backstepping_partition",
     "backstepping_synthesize", "base_level_ladder", "blend_profile",
@@ -45,10 +45,10 @@ __all__ = [
     "check_positivity_properness", "equilibrium",
     "estimate_level_constants", "evaluate_cost", "find_base_level",
     "find_r0", "hjb_residual", "integrate", "is_hurwitz",
-    "lie_derivatives", "lie_sweep", "load_config", "load_system", "local_gain",
-    "local_quadratic_clf", "lqr_gain", "optimal_feedback",
-    "orbital_linearization", "orbital_reduced_system", "orbital_system",
-    "quadratic_level_box", "reconstruct_cost", "rk4_path", "rk4_step",
+    "level_scaled_cost", "lie_derivatives", "lie_sweep", "load_config",
+    "load_system", "local_gain", "local_quadratic_clf", "lqr_gain",
+    "optimal_feedback", "orbital_linearization", "orbital_reduced_system",
+    "orbital_system", "quadratic_level_box", "reconstruct_cost", "rk4_path", "rk4_step",
     "run", "sample_box", "seam_diagnostics", "simulate_orbital",
     "solve_care", "solve_lyapunov", "sontag_controller",
     "stabilizing_gain", "synthesize_problem", "verify_decrease",

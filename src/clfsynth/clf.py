@@ -157,6 +157,11 @@ class LieSweep:
         """Rows where ||L_b V|| is at most the kernel threshold."""
         return np.linalg.norm(self.lb, axis=1) <= self.kernel_tol
 
+    def rows(self, mask):
+        """The sweep restricted to the rows where mask holds."""
+        return LieSweep(self.V, self.sys, self.points[mask], self.values[mask],
+                        self.la[mask], self.lb[mask], self.kernel_tol[mask])
+
 
 def lie_sweep(V, sys, points):
     """LieSweep at the rows of points; grad V is computed once per row.

@@ -1,11 +1,14 @@
 """Inverse optimality: reconstruct running costs that a given design solves.
 
 Given a Lyapunov function whose quadratic part solves the Riccati equation
-for (Q, R), the state weight is rebuilt as q = -L_aV + (1/4) L_bV r^-1
-L_bV' with r = R / mu(V), where mu >= 1 is a continuous level-dependent
-scaling equal to 1 near the origin. By construction the pair (q, r)
+for (Q, R), the input weight is r = R / mu(V), where mu >= 1 is a
+continuous level-dependent scaling equal to 1 near the origin, and the
+state weight is derived from it (InverseOptimalCost) as
+q = -L_aV + (1/4) L_bV r^-1 L_bV'. By construction the pair (q, r)
 satisfies the stationary Hamilton-Jacobi-Bellman identity with value
 function V, and u = -(1/2) r^-1 L_bV' is the optimal feedback.
+level_scaled_cost is the whole construction on a working box: sweeps,
+base level, annulus ladder, scaling and cost.
 """
 
 import warnings
@@ -13,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clf import _scan_levels, lie_derivatives, strict_margin
+from .clf import _scan_levels, lie_derivatives, lie_sweep, strict_margin
 from .errors import CertificateError, DivergenceError
 from .linear_core import riccati_residual, solve_lyapunov
+from .sampling import sample_box
 from .sim import rk4_path
 from .synthesis import FeedbackLaw, local_gain
 
@@ -30,13 +34,9 @@ def _excess_ratio(la, lb, R):
     return 4.0 * la / _input_form(lb, R)
 
 
-def _base_slack(la, lb, R, ell=1.0):
-    """L_aV - (1/4) ell L_bV R^-1 L_bV', the base inequality at scaling ell.
-
-    Negative where the input weight R / ell dominates the drift; its
-    negative is the reconstructed state weight at mu = ell.
-    """
-    return la - 0.25 * ell * _input_form(lb, R)
+def _state_weight(la, lb, r):
+    """-L_aV + (1/4) L_bV r^-1 L_bV', the state weight that input weight r implies."""
+    return 0.25 * _input_form(lb, r) - la
 
 
 def _input_forms(sweep, R):
@@ -44,9 +44,13 @@ def _input_forms(sweep, R):
     return np.array([_input_form(lb, R) for lb in sweep.lb])
 
 
-def _sweep_slack(sweep, R, ell=1.0):
-    """_base_slack at every row of a sweep."""
-    return sweep.la - 0.25 * ell * _input_forms(sweep, R)
+def _sweep_slack(sweep, R):
+    """L_aV - (1/4) L_bV R^-1 L_bV' at every row of a sweep.
+
+    The base inequality: negative where the input weight R dominates the
+    drift.
+    """
+    return sweep.la - 0.25 * _input_forms(sweep, R)
 
 
 def check_base_region(sweep, R, r0):
@@ -124,7 +128,7 @@ def estimate_level_constants(fit, check, R, r0, k_max=8):
         ell = 1.0 if sup <= 1.0 else SAFETY_FACTOR * sup
 
         for _ in range(MAX_DOUBLINGS + 1):
-            # _base_slack at ell on the annulus's check rows
+            # the base inequality at scaling ell on the annulus's check rows
             slack = check.la[fresh] - 0.25 * ell * check_forms[fresh]
             if not np.any(slack >= -check_margin[fresh]):
                 break
@@ -157,7 +161,9 @@ class LevelScaling:
     """Continuous scaling mu(s): 1 below r0/2, >= each annulus constant.
 
     Piecewise linear through the running maxima of the ladder; frozen at
-    its last value beyond the covered levels (warned once per instance).
+    its last value beyond the covered levels. The certified levels end at
+    the outer edge of the last annulus, certified_top; a query above it
+    warns once per instance.
     """
 
     def __init__(self, r0, ladder, knots_s, knots_v):
@@ -167,8 +173,12 @@ class LevelScaling:
         self.knots_v = np.asarray(knots_v, dtype=float)
         self._warned = False
 
+    @property
+    def certified_top(self):
+        return (len(self.ladder) + 1) * self.r0
+
     def mu(self, s):
-        if s > self.knots_s[-1] and not self._warned:
+        if s > self.certified_top and not self._warned:
             warnings.warn(
                 f"scaling queried at level {s:.4g} beyond the certified range "
                 f"(frozen at {self.knots_v[-1]:.4g})", stacklevel=2)
@@ -181,6 +191,7 @@ class LevelScaling:
         return {
             "r0": self.r0,
             "ladder": self.ladder,
+            "certified_top": self.certified_top,
             "knots_s": self.knots_s.tolist(),
             "knots_v": self.knots_v.tolist(),
         }
@@ -205,42 +216,48 @@ def build_mu(r0, ladder):
 
 
 class InverseOptimalCost:
-    """Running cost q(x) + u' r(x) u tied to a value function.
+    """Running cost q(x) + u' r(x) u that makes V the value function.
 
-    base_Q and base_R are the quadratic weights recovered at the origin;
-    scaling is the level envelope used to bend R into r away from it.
-    Construction requires q(0) = 0 and r(0) = base_R exactly.
+    The input weight is given as r(x, v), its value at a state x whose
+    level V(x) is v; the state weight is derived from it,
+    q = -L_aV + (1/4) L_bV r^-1 L_bV', so the stationary Hamilton-Jacobi-
+    Bellman identity holds by construction. base_Q and base_R are the
+    quadratic weights at the origin; scaling is the level envelope that
+    bends base_R into r away from it. Construction requires r(0) = base_R
+    exactly.
     """
 
-    def __init__(self, q, r, base_Q, base_R, scaling=None, V=None):
-        self._q = q
+    def __init__(self, V, sys, r, base_Q, base_R, scaling):
+        self.V = V
+        self.sys = sys
         self._r = r
         self.base_Q = np.asarray(base_Q, dtype=float)
         self.base_R = np.asarray(base_R, dtype=float)
         self.scaling = scaling
-        self.V = V
-        n = self.base_Q.shape[0]
-        q0 = self.q(np.zeros(n))
-        if abs(q0) > 1e-12:
-            raise ValueError(f"q(0) must be 0, got {q0:.3e}")
-        r0 = self.r(np.zeros(n))
-        if not np.array_equal(r0, self.base_R):
+        if not np.array_equal(self.r(np.zeros(sys.n)), self.base_R):
             raise ValueError("r(0) must equal the base input weight exactly")
 
     def q(self, x):
-        return float(self._q(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        la, lb = lie_derivatives(self.V, self.sys, x)
+        return _state_weight(la, lb, self.r(x))
 
     def r(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.r_at(x, self.V.value(x))
+
+    def r_at(self, x, v):
+        """r at a state x whose level V(x) is already known to be v."""
         p = self.base_R.shape[0]
-        return np.asarray(self._r(np.asarray(x, dtype=float)), dtype=float).reshape(p, p)
+        return np.asarray(self._r(x, v), dtype=float).reshape(p, p)
 
 
 def build_inverse_cost(V, sys, R, Q, scaling):
     """Cost pair (q, r) solved by V with optimal feedback -(1/2) r^-1 L_bV'.
 
-    Requires the quadratic part of V at the origin (half its Hessian) to
-    solve the Riccati equation for (Q, R) within 1e-6; this anchors
-    q's Hessian at 2Q and r(0) at R.
+    r = R / mu(V). Requires the quadratic part of V at the origin (half
+    its Hessian) to solve the Riccati equation for (Q, R) within 1e-6;
+    this anchors q's Hessian at 2Q and r(0) at R.
     """
     R = np.asarray(R, dtype=float).reshape(sys.p, sys.p)
     Q = np.asarray(Q, dtype=float)
@@ -251,16 +268,24 @@ def build_inverse_cost(V, sys, R, Q, scaling):
         raise CertificateError(
             f"half the Hessian of V at 0 does not solve the Riccati equation "
             f"for (Q, R): residual {res:.3e}")
+    return InverseOptimalCost(V, sys, lambda x, v: R / scaling.mu(v),
+                              base_Q=Q, base_R=R, scaling=scaling)
 
-    def q(x):
-        la, lb = lie_derivatives(V, sys, x)
-        mu = scaling.mu(V.value(x))
-        return -_base_slack(la, lb, R, mu)
 
-    def r(x):
-        return R / scaling.mu(V.value(x))
+def level_scaled_cost(V, sys, Q, R, box, level_grid, k_max=8, n_samples=2000, seed=0):
+    """Base level, annulus ladder, level scaling and cost pair of V on a box.
 
-    return InverseOptimalCost(q, r, base_Q=Q, base_R=R, scaling=scaling, V=V)
+    The box is swept at seed (fit) and at seed + 1 (check). The base level
+    is find_base_level's on fit, stepped down the grid where check rejects
+    it; check also revalidates the ladder (base_level_ladder). Returns
+    build_inverse_cost's cost; its scaling carries r0 and the ladder.
+    """
+    R = np.asarray(R, dtype=float).reshape(sys.p, sys.p)
+    fit = lie_sweep(V, sys, sample_box(box, n_samples, seed=seed))
+    check = lie_sweep(V, sys, sample_box(box, n_samples, seed=seed + 1))
+    r0, ladder = base_level_ladder(fit, check, R, find_base_level(fit, R, level_grid),
+                                   level_grid, k_max=k_max)
+    return build_inverse_cost(V, sys, R, Q, build_mu(r0, ladder))
 
 
 def hjb_residual(V, cost, sys, x):
@@ -271,19 +296,17 @@ def hjb_residual(V, cost, sys, x):
 
 
 def hjb_sweep(sweep, cost):
-    """(q, HJB residual) at every sweep row, for a cost of build_inverse_cost.
+    """(q, HJB residual) at every row of a sweep of cost's V and system.
 
-    Evaluates that cost's q = -(L_aV - (1/4) mu L_bV R^-1 L_bV') and
-    r = R / mu at mu = mu(V) from the sweep's Lie derivatives, so q is
-    computed once per row; the residual is hjb_residual's.
+    q is cost.q's, computed from the sweep's levels and Lie derivatives;
+    the residual is hjb_residual's.
     """
-    R, mu_at = cost.base_R, cost.scaling.mu
     q, residual = [], []
-    for v, la, lb in zip(sweep.values, sweep.la, sweep.lb):
-        mu = mu_at(v)
-        qi = -_base_slack(la, lb, R, mu)
+    for x, v, la, lb in zip(sweep.points, sweep.values, sweep.la, sweep.lb):
+        rx = cost.r_at(x, v)
+        qi = _state_weight(la, lb, rx)
         q.append(qi)
-        residual.append(qi + la - 0.25 * _input_form(lb, R / mu))
+        residual.append(qi + la - 0.25 * _input_form(lb, rx))
     return np.array(q), np.array(residual)
 
 
@@ -329,8 +352,6 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     """
     if V is None:
         V = cost.V
-    if V is None:
-        raise ValueError("a Lyapunov function is needed for the terminal set")
     x0 = np.asarray(x0, dtype=float)
     v0 = V.value(x0)
     if v0 <= 0.0:

@@ -10,37 +10,12 @@ factorization taken from outside numpy.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular
 
 from .errors import CertificateError
 
-
-@dataclass
-class LinearCoreConfig:
-    """Tolerances shared by the solvers in this module.
-
-    care_tol is relative to (1 + ||Q||_F); hurwitz_margin is the strict
-    stability margin required of "Hurwitz" spectra.
-    """
-
-    care_tol: float = 1e-10
-    max_newton_iter: int = 60
-    hurwitz_margin: float = 1e-9
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d or {})
-        known = {f for f in ("care_tol", "max_newton_iter", "hurwitz_margin")}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown linear_core options: {sorted(extra)}")
-        return cls(**d)
-
-
-DEFAULT_CONFIG = LinearCoreConfig()
 
 _RANK_RTOL = 1e-10
 # condition estimate above which solve_lyapunov warns
@@ -49,6 +24,11 @@ _COND_LIMIT = 1e12
 # solve_care stops: past that point rounding, not the iteration, sets the
 # residual
 _NEWTON_STALL = 3
+# residual bar at which solve_care stops, relative to (1 + ||Q||_F)
+_CARE_TOL = 1e-10
+_MAX_NEWTON_ITER = 60
+# strict stability margin required of "Hurwitz" spectra
+_HURWITZ_MARGIN = 1e-9
 
 
 def _as_matrix(M, name):
@@ -70,11 +50,9 @@ def _check_symmetric(M, name, rtol=1e-10):
     return 0.5 * (M + M.T)
 
 
-def is_hurwitz(A, margin=None):
-    """True iff every eigenvalue of A has real part below -margin."""
-    if margin is None:
-        margin = DEFAULT_CONFIG.hurwitz_margin
-    return spectral_abscissa(_as_matrix(A, "A")) < -margin
+def is_hurwitz(A):
+    """True iff every eigenvalue of A has real part below -1e-9."""
+    return spectral_abscissa(_as_matrix(A, "A")) < -_HURWITZ_MARGIN
 
 
 def spectral_abscissa(A):
@@ -146,7 +124,7 @@ def solve_lyapunov(A_cl, Q):
         raise ValueError("Q must match A_cl in size")
     T, Z = schur(A_cl, output="complex")
     abscissa = float(np.max(np.diag(T).real))
-    if not abscissa < -DEFAULT_CONFIG.hurwitz_margin:
+    if not abscissa < -_HURWITZ_MARGIN:
         raise CertificateError(
             "A_cl is not Hurwitz; the Lyapunov equation has no stabilizing solution "
             f"(spectral abscissa {abscissa:.3e})")
@@ -181,19 +159,17 @@ def _hamiltonian_gain(A, B, Q, R):
     return -np.linalg.solve(R, B.T @ P0)
 
 
-def stabilizing_gain(A, B, config=None):
+def stabilizing_gain(A, B):
     """Any gain K with A + B K Hurwitz, for a stabilizable pair.
 
     Zero when A is already Hurwitz, otherwise the LQ gain for Q = I, R = I.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
-    if config is None:
-        config = DEFAULT_CONFIG
-    if is_hurwitz(A, config.hurwitz_margin):
+    if is_hurwitz(A):
         return np.zeros((B.shape[1], A.shape[0]))
     K = _hamiltonian_gain(A, B, np.eye(A.shape[0]), np.eye(B.shape[1]))
-    if K is not None and is_hurwitz(A + B @ K, config.hurwitz_margin):
+    if K is not None and is_hurwitz(A + B @ K):
         return K
     raise CertificateError("failed to find a stabilizing initial gain")
 
@@ -242,11 +218,11 @@ def riccati_residual(A, B, Q, R, P):
     return A.T @ P + P @ A - P @ B @ RinvBtP + Q
 
 
-def solve_care(sys, Q, R, config=None):
+def solve_care(sys, Q, R):
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
-    The Newton iteration stops at the residual bar care_tol (1 + ||Q||_F),
-    after max_newton_iter steps, or after 3 steps in a row without a new
+    The Newton iteration stops at the residual bar 1e-10 (1 + ||Q||_F),
+    after 60 steps, or after 3 steps in a row without a new
     smallest residual. The iterate with the smallest residual is judged
     against 1e-8 (1 + ||Q||_F) and returned; above it, CertificateError.
 
@@ -256,7 +232,6 @@ def solve_care(sys, Q, R, config=None):
     Q : (n, n) array, symmetric positive semidefinite with (Q^1/2, A)
         detectable
     R : (p, p) array, symmetric positive definite
-    config : LinearCoreConfig, optional
 
     Returns
     -------
@@ -264,8 +239,6 @@ def solve_care(sys, Q, R, config=None):
         Holds P, the Frobenius residual, and the closed-loop spectral
         abscissa under the gain -R^-1 B' P.
     """
-    if config is None:
-        config = DEFAULT_CONFIG
     A, B = sys.A, sys.B
     Q = _check_symmetric(_as_matrix(Q, "Q"), "Q")
     R = _check_symmetric(_as_matrix(R, "R"), "R")
@@ -284,10 +257,10 @@ def solve_care(sys, Q, R, config=None):
 
     qscale = 1.0 + np.linalg.norm(Q, ord="fro")
     K = _hamiltonian_gain(A, B, Q, R)
-    if K is None or not is_hurwitz(A + B @ K, config.hurwitz_margin):
-        K = stabilizing_gain(A, B, config)
+    if K is None or not is_hurwitz(A + B @ K):
+        K = stabilizing_gain(A, B)
     best_P, best_res, stalled = None, np.inf, 0
-    for steps in range(1, config.max_newton_iter + 1):
+    for steps in range(1, _MAX_NEWTON_ITER + 1):
         Acl = A + B @ K
         P = solve_lyapunov(Acl, Q + K.T @ R @ K)
         res_norm = np.linalg.norm(riccati_residual(A, B, Q, R, P), ord="fro")
@@ -295,15 +268,14 @@ def solve_care(sys, Q, R, config=None):
             best_P, best_res, stalled = P, res_norm, 0
         else:
             stalled += 1
-        if best_res <= config.care_tol * qscale or stalled == _NEWTON_STALL:
+        if best_res <= _CARE_TOL * qscale or stalled == _NEWTON_STALL:
             break
         K_next = -np.linalg.solve(R, B.T @ P)
         # exact iterates never leave the stabilizing set, but rounding can
         # push the full step out on stiff instances; halve toward the last
         # stabilizing gain until the closed loop is Hurwitz again
         t = 1.0
-        while t > 1e-10 and not is_hurwitz(A + B @ (K + t * (K_next - K)),
-                                           config.hurwitz_margin):
+        while t > 1e-10 and not is_hurwitz(A + B @ (K + t * (K_next - K))):
             t *= 0.5
         if t <= 1e-10:
             break

@@ -8,13 +8,16 @@ equilibrium is (0, 0, 0, p0, 0, 0).
 
 The design is built from the inside out: a quadratic Lyapunov function
 x'P0x for the in-plane subsystem (restricted to orbit scale p0), then the
-block-diagonal form z' diag(P0, rho1) z with the scale offset, run through
-the inverse-optimal machinery in four states, and finally
-z' diag(P0, rho1, rho2, rho2) z with the two out-of-plane offsets. The
-resulting six-state running cost is only positive semidefinite: the
-out-of-plane pair contributes a weak term and convergence there follows
-from an invariance argument, which the simulation-level diagnostics
-reflect by checking V' <= 0 rather than strict decrease.
+block-diagonal form z' diag(P0, rho1) z with the scale offset, given its
+cost by the same level_scaled_cost step as every other plant, and finally
+z' diag(P0, rho1, rho2, rho2) z with the two out-of-plane offsets. Its
+input weight adds the fixed normal-channel weight R_h to the four-state
+one, and its state weight follows from that as for any
+InverseOptimalCost: q4 + (1/4) L_bV_h^2 / R_h. This six-state running
+cost is only positive semidefinite: the out-of-plane pair contributes a
+weak term and convergence there follows from an invariance argument,
+which the simulation-level diagnostics reflect by checking V' <= 0
+rather than strict decrease.
 """
 
 from dataclasses import dataclass
@@ -22,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .clf import ControlAffineSystem, check_artstein_sampled, find_r0, \
-    lie_derivatives, lie_sweep, local_quadratic_clf
+from .clf import ControlAffineSystem, check_artstein_sampled, lie_sweep, \
+    local_quadratic_clf
 from .errors import ArtsteinViolationError, CertificateError, DivergenceError
-from .inverse_opt import InverseOptimalCost, base_level_ladder, build_inverse_cost, \
-    build_mu, find_base_level, optimal_feedback
+from .inverse_opt import InverseOptimalCost, level_scaled_cost, optimal_feedback
 from .linear_core import LinearSystem, solve_care
 from .sampling import Box, sample_box
 from .sim import Trajectory, rk4_path
@@ -306,13 +308,15 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
 
     The in-plane quadratic candidate x'P0x is validated by the sampled
     Lyapunov test on the box of half-width 0.5 before anything is built on
-    top of it. The four-state candidate z' diag(P0, rho1) z gets a blend
-    radius and level-scaling ladder on the box of half-widths
-    (0.5, 0.5, 0.5, 0.5 p0), and the final six-state candidate
-    z' diag(P0, rho1, rho2, rho2) z and cost add the out-of-plane channel.
-    The returned law is the optimal feedback of the reconstructed cost; its
-    metadata carries the radii, the ladder and the four-state cost
-    ("cost4") that the six-state cost extends.
+    top of it. The four-state candidate V_t = z' diag(P0, rho1) z gets its
+    cost from level_scaled_cost on the box of half-widths
+    (0.5, 0.5, 0.5, 0.5 p0): base level, annulus ladder, scaling mu and
+    input weight diag(R_r, R_theta) / mu(V_t). The six-state candidate
+    z' diag(P0, rho1, rho2, rho2) z adds the normal channel at the fixed
+    weight R_h: r = diag(R_r / mu, R_theta / mu, R_h) with mu = mu(V_t(z4)),
+    and q is derived from r. The returned law is the optimal feedback of
+    that cost; its metadata carries the base level r0, the ladder and the
+    four-state cost ("cost4") that the six-state cost extends.
     """
     lin = orbital_linearization(params)
     V0 = local_quadratic_clf(cfg.P0)
@@ -325,47 +329,32 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
             f"in-plane candidate fails the sampled Lyapunov test at "
             f"{len(report.violations)} state(s)", report.violations)
 
-    P_t = block_diag(cfg.P0, cfg.rho1)
-    V_t = local_quadratic_clf(P_t)
-    sys4 = orbital_reduced_system(params)
-    R_t = np.diag([cfg.R_r, cfg.R_theta])
+    V_t = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1))
     box4 = Box.centered([0.5, 0.5, 0.5, 0.5 * params.p0])
     if level_grid is None:
         # candidate values grow like rho1*(p0/2)^2 along the orbit-scale
         # axis, so the default grid follows that scale (factor 1 at p0 = 1)
         scale = max(1.0, 2.0 * cfg.rho1 * (0.5 * params.p0) ** 2)
         level_grid = np.geomspace(0.01, 2.0, 40) * scale
-    K4 = -np.linalg.solve(R_t, lin.B_tilde.T @ P_t)
-    sweep4 = lie_sweep(V_t, sys4, sample_box(box4, n_samples, seed=seed))
-    r0_blend = find_r0(sweep4, K4, level_grid)
-    r0_base = find_base_level(sweep4, R_t, level_grid)
-    check4 = lie_sweep(V_t, sys4, sample_box(box4, n_samples, seed=seed + 1))
-    r0, ladder = base_level_ladder(sweep4, check4, R_t, min(r0_blend, r0_base),
-                                   level_grid, k_max=k_max)
-    scaling = build_mu(r0, ladder)
-    cost4 = build_inverse_cost(V_t, sys4, R_t, cfg.Q_tilde, scaling)
+    cost4 = level_scaled_cost(V_t, orbital_reduced_system(params), cfg.Q_tilde,
+                              np.diag([cfg.R_r, cfg.R_theta]), box4, level_grid,
+                              k_max=k_max, n_samples=n_samples, seed=seed)
+    scaling = cost4.scaling
+
+    def r6(z, _):
+        # the scaling follows the four-state level, not the six-state one
+        mu = scaling.mu(V_t.value(z[:4]))
+        return np.diag([cfg.R_r / mu, cfg.R_theta / mu, cfg.R_h])
 
     V = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1, cfg.rho2, cfg.rho2))
     sys6 = orbital_system(params)
-
-    def q6(z):
-        z = np.asarray(z, dtype=float).reshape(6)
-        _, lb = lie_derivatives(V, sys6, z)
-        return cost4.q(z[:4]) + 0.25 * lb[2] ** 2 / cfg.R_h
-
-    def r6(z):
-        z = np.asarray(z, dtype=float).reshape(6)
-        return block_diag(cost4.r(z[:4]), cfg.R_h)
-
     base_Q = block_diag(cfg.Q_tilde,
                         cfg.rho2 ** 2 * lin.B2 @ lin.B2.T / cfg.R_h)
-    cost = InverseOptimalCost(q6, r6, base_Q=base_Q,
-                              base_R=cfg.input_weight(), scaling=scaling, V=V)
+    cost = InverseOptimalCost(V, sys6, r6, base_Q=base_Q,
+                              base_R=cfg.input_weight(), scaling=scaling)
     law = optimal_feedback(V, cost, sys6)
-    law.metadata.update({
-        "r0": r0, "r0_blend": r0_blend, "r0_base": r0_base,
-        "ladder": list(ladder), "cost4": cost4,
-    })
+    law.metadata.update({"r0": scaling.r0, "ladder": list(scaling.ladder),
+                         "cost4": cost4})
     return V, cost, law
 
 

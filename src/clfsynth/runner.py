@@ -17,9 +17,8 @@ import numpy as np
 from .clf import blend_profile, check_positivity_properness, lie_sweep, \
     local_quadratic_clf
 from .errors import CertificateError, ConfigError
-from .inverse_opt import base_level_ladder, build_inverse_cost, build_mu, \
-    evaluate_cost, find_base_level, hjb_sweep, optimal_feedback
-from .linear_core import LinearCoreConfig, LinearSystem, lqr_gain, solve_care
+from .inverse_opt import evaluate_cost, hjb_sweep, level_scaled_cost, optimal_feedback
+from .linear_core import LinearSystem, lqr_gain, solve_care
 from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig, \
     OrbitalParams, build_orbital_controller, equilibrium, orbital_drift, \
     orbital_reduced_system, simulate_orbital
@@ -60,8 +59,7 @@ class SynthesisRecord:
         }
 
 
-def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0,
-                       lc_config=None):
+def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0):
     """Prescribe the linear-quadratic gain, then build the global blend.
 
     The candidate is x'Px with P the Riccati solution, for every plant. A
@@ -74,7 +72,7 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0,
     cascade = isinstance(system, StrictFeedbackSystem)
     full = system.to_control_affine() if cascade else system
     lin = LinearSystem(full.linearization.A, full.linearization.B)
-    care = solve_care(lin, Q, R, lc_config)
+    care = solve_care(lin, Q, R)
     K_o = lqr_gain(care, lin, R)
     part = backstepping_partition(care.P, blocks=(system.H1, system.H2)) \
         if cascade else None
@@ -120,33 +118,26 @@ class CostRecord:
 
 
 def reconstruct_cost(full, V, Q, R, box, level_grid, k_max=8, n_samples=2000, seed=0):
-    """Level ladder, scaling envelope, cost pair and optimal feedback.
+    """Level-scaled cost pair (level_scaled_cost) and its optimal feedback.
 
     The base level is rescanned here because the inequality it needs
-    (unscaled domination) is stricter than the blend radius condition, and
-    steps down the grid when a second sweep of the box (seed + 1) rejects
-    it; that sweep also revalidates the ladder (base_level_ladder).
-    Also samples the box for the largest HJB residual and, within the
-    certified levels, the smallest reconstructed state weight.
+    (unscaled domination) is stricter than the blend radius condition.
+    Also samples the box (seed + 17) for the largest HJB residual and the
+    smallest reconstructed state weight on the rows inside the certified
+    levels, the origin excepted.
     """
-    R = np.asarray(R, dtype=float)
-    fit = lie_sweep(V, full, sample_box(box, n_samples, seed=seed))
-    check = lie_sweep(V, full, sample_box(box, n_samples, seed=seed + 1))
-    r0, ladder = base_level_ladder(fit, check, R, find_base_level(fit, R, level_grid),
-                                   level_grid, k_max=k_max)
-    scaling = build_mu(r0, ladder)
-    cost = build_inverse_cost(V, full, R, np.asarray(Q, dtype=float), scaling)
+    cost = level_scaled_cost(V, full, Q, R, box, level_grid, k_max=k_max,
+                             n_samples=n_samples, seed=seed)
     law = optimal_feedback(V, cost, full)
     sweep = lie_sweep(V, full, sample_box(box, n_samples, seed=seed + 17))
-    q, residual = hjb_sweep(sweep, cost)
-    top = (k_max + 1) * r0
-    live = sweep.values > 1e-9 * top
-    hjb_max = np.max(np.abs(residual[live]), initial=0.0)
-    q_min = np.min(q[live & (sweep.values <= top)], initial=np.inf)
-    checked = int(np.sum(live))
-    return CostRecord(r0=r0, ladder=[float(l) for l in ladder], scaling=scaling,
-                      cost=cost, law=law, hjb_max=float(hjb_max),
-                      q_min=float(q_min), checked=checked)
+    scaling = cost.scaling
+    top = scaling.certified_top
+    inside = (sweep.values > 1e-9 * top) & (sweep.values <= top)
+    q, residual = hjb_sweep(sweep.rows(inside), cost)
+    return CostRecord(r0=scaling.r0, ladder=list(scaling.ladder), scaling=scaling,
+                      cost=cost, law=law,
+                      hjb_max=float(np.max(np.abs(residual), initial=0.0)),
+                      q_min=float(np.min(q, initial=np.inf)), checked=len(q))
 
 
 DEFAULT_PROBLEMS = {
@@ -175,9 +166,18 @@ DEFAULT_PROBLEMS = {
 
 def expand_level_grid(spec):
     if isinstance(spec, dict):
-        return list(np.geomspace(float(spec["start"]), float(spec["stop"]),
-                                 int(spec["num"])))
+        try:
+            start, stop, num = spec["start"], spec["stop"], spec["num"]
+        except KeyError as e:
+            raise ConfigError(f"level_grid needs 'start', 'stop' and 'num'; missing {e}") \
+                from None
+        return list(np.geomspace(float(start), float(stop), int(num)))
     return [float(v) for v in spec]
+
+
+CONFIG_KEYS = {"system", "prescription", "box", "level_grid", "initial_states", "sampling",
+               "integrator", "inverse_optimal", "orbital_params", "orbital_cost",
+               "target_tolerance"}
 
 
 def load_config(src):
@@ -191,6 +191,10 @@ def load_config(src):
         raise ConfigError("config must be a path or a dict")
     if "system" not in cfg:
         raise ConfigError("config needs a 'system' entry")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; known keys are "
+                          f"{sorted(CONFIG_KEYS)}")
     name = cfg["system"] if isinstance(cfg["system"], str) else None
     defaults = DEFAULT_PROBLEMS.get(name, {})
     for key in ("box", "level_grid", "initial_states"):
@@ -208,7 +212,6 @@ def load_config(src):
     if unknown:
         raise ConfigError(f"unknown inverse_optimal keys {unknown}; only 'k_max' is "
                           "settable")
-    cfg.setdefault("linear_core", {})
     env_seed = os.environ.get("CLFSYNTH_SEED")
     if env_seed is not None:
         try:
@@ -292,10 +295,9 @@ def run(config, out_dir=None):
     system, Q, R, box, grid = load_problem(cfg)
     seed = int(cfg["sampling"]["seed"])
     n_samples = int(cfg["sampling"]["n_samples"])
-    lc = LinearCoreConfig.from_dict(cfg["linear_core"])
 
     synth = synthesize_problem(system, Q, R, box, grid, n_samples=n_samples,
-                               seed=seed, lc_config=lc)
+                               seed=seed)
     costrec = reconstruct_cost(synth.full, synth.V, Q, R, box, grid,
                                k_max=int(cfg["inverse_optimal"]["k_max"]),
                                n_samples=n_samples, seed=seed)
@@ -370,23 +372,23 @@ def _run_orbital(cfg, out_dir=None):
     cost_cfg = OrbitalCostConfig.from_dict(params, cfg.get("orbital_cost") or {})
     seed = int(cfg["sampling"]["seed"])
     n_samples = int(cfg["sampling"]["n_samples"])
-    synth_opts = cfg.get("orbital_synthesis") or {}
-    grid = synth_opts.get("level_grid")
-    if grid is not None:
-        grid = expand_level_grid(grid)
+    grid = cfg["level_grid"]
     x0 = cfg.get("initial_states")
     law, traj, final_err = orbital_transfer(
         params, cost_cfg, dt=float(cfg["integrator"]["dt"]),
         T=float(cfg["integrator"]["horizon"]),
         s0=np.asarray(x0[0], dtype=float) if x0 else None, n_samples=n_samples,
-        seed=seed, level_grid=grid, k_max=int(synth_opts.get("k_max", 8)))
+        seed=seed, level_grid=None if grid is None else expand_level_grid(grid),
+        k_max=int(cfg["inverse_optimal"]["k_max"]))
     eq_res = float(np.linalg.norm(orbital_drift(params, equilibrium(params))))
 
     # spot-check the planar cost's stationarity identity on fresh samples
+    # inside its certified levels
     cost4 = law.metadata["cost4"]
     box4 = Box.centered([0.4, 0.4, 0.4, 0.4 * params.p0])
     sweep4 = lie_sweep(cost4.V, orbital_reduced_system(params),
                        sample_box(box4, min(n_samples, 1500), seed=seed + 3))
+    sweep4 = sweep4.rows(sweep4.values <= cost4.scaling.certified_top)
     hjb4 = float(np.max(np.abs(hjb_sweep(sweep4, cost4)[1])))
 
     vs = traj.annotations["V"]

@@ -7,6 +7,8 @@ a fixed seed, so identical inputs reproduce identical reports.
 import numpy as np
 from scipy.stats import qmc
 
+from .errors import ConfigError
+
 
 class Box:
     """Axis-aligned box given by per-coordinate lower and upper bounds."""
@@ -34,7 +36,11 @@ class Box:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["lows"], d["highs"])
+        try:
+            lows, highs = d["lows"], d["highs"]
+        except KeyError as e:
+            raise ConfigError(f"box needs 'lows' and 'highs'; missing {e}") from None
+        return cls(lows, highs)
 
 
 def halton_engine(dim, seed=0):

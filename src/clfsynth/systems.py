@@ -79,31 +79,34 @@ def system_from_polynomial(spec):
 
 def system_from_structured(spec):
     structure = spec.get("structure")
-    if structure == "strict_feedback":
-        n_y = int(spec["n_y"])
-        h1_fns = [_term_fn(row, n_y, f"h1[{i}]") for i, row in enumerate(spec["h1"])]
-        h2_fns = [_term_fn(row, n_y, f"h2[{i}]") for i, row in enumerate(spec["h2"])]
-        if len(h1_fns) != n_y or len(h2_fns) != n_y:
-            raise ConfigError("h1 and h2 need one row per y coordinate")
-        f_fn = _term_fn(spec["f"], n_y + 1, "f")
-        g_fn = _term_fn(spec["g"], n_y + 1, "g")
-        return StrictFeedbackSystem(
-            n_y,
-            h1=lambda y: np.array([f(y) for f in h1_fns]),
-            h2=lambda y: np.array([f(y) for f in h2_fns]),
-            f=lambda y, x: f_fn(np.append(y, x)),
-            g=lambda y, x: g_fn(np.append(y, x)))
-    if structure == "feedforward":
-        n_x, p = int(spec["n_x"]), int(spec["p"])
-        h_fn = _term_fn(spec["h"], n_x, "h")
-        f_fns = [_term_fn(row, n_x, f"f[{i}]") for i, row in enumerate(spec["f"])]
-        g_fns = [[_term_fn(cell, n_x, f"g[{i}][{j}]") for j, cell in enumerate(row)]
-                 for i, row in enumerate(spec["g"])]
-        return FeedforwardSystem(
-            n_x, p,
-            h=h_fn,
-            f=lambda x: np.array([f(x) for f in f_fns]),
-            g=lambda x: np.array([[f(x) for f in row] for row in g_fns]))
+    try:
+        if structure == "strict_feedback":
+            n_y = int(spec["n_y"])
+            h1_fns = [_term_fn(row, n_y, f"h1[{i}]") for i, row in enumerate(spec["h1"])]
+            h2_fns = [_term_fn(row, n_y, f"h2[{i}]") for i, row in enumerate(spec["h2"])]
+            if len(h1_fns) != n_y or len(h2_fns) != n_y:
+                raise ConfigError("h1 and h2 need one row per y coordinate")
+            f_fn = _term_fn(spec["f"], n_y + 1, "f")
+            g_fn = _term_fn(spec["g"], n_y + 1, "g")
+            return StrictFeedbackSystem(
+                n_y,
+                h1=lambda y: np.array([f(y) for f in h1_fns]),
+                h2=lambda y: np.array([f(y) for f in h2_fns]),
+                f=lambda y, x: f_fn(np.append(y, x)),
+                g=lambda y, x: g_fn(np.append(y, x)))
+        if structure == "feedforward":
+            n_x, p = int(spec["n_x"]), int(spec["p"])
+            h_fn = _term_fn(spec["h"], n_x, "h")
+            f_fns = [_term_fn(row, n_x, f"f[{i}]") for i, row in enumerate(spec["f"])]
+            g_fns = [[_term_fn(cell, n_x, f"g[{i}][{j}]") for j, cell in enumerate(row)]
+                     for i, row in enumerate(spec["g"])]
+            return FeedforwardSystem(
+                n_x, p,
+                h=h_fn,
+                f=lambda x: np.array([f(x) for f in f_fns]),
+                g=lambda x: np.array([[f(x) for f in row] for row in g_fns]))
+    except KeyError as e:
+        raise ConfigError(f"{structure} system: missing field {e}") from None
     raise ConfigError(f"unknown structure tag {structure!r}")
 
 

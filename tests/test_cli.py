@@ -110,6 +110,22 @@ class TestSynth:
         assert code == 2
         assert "unknown system" in err
 
+    def test_box_without_highs_exits_2(self, tmp_path, capsys):
+        box = write_json(tmp_path / "box.json", {"lows": [-1]})
+        code, _, err = run_cli(capsys, "synth", "scalar_cubic", "--box", box)
+        assert code == 2
+        assert err.startswith("error:") and "'highs'" in err
+
+    def test_structured_spec_without_n_y_exits_2(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "sf.json", {
+            "structure": "strict_feedback",
+            "h1": [[{"coeff": 1.0, "exponents": [1]}]],
+            "h2": [[{"coeff": 1.0, "exponents": [0]}]],
+            "f": [], "g": [{"coeff": 1.0, "exponents": [0, 0]}]})
+        code, _, err = run_cli(capsys, "synth", spec, "--levels", "0.1,0.5")
+        assert code == 2
+        assert err.startswith("error:") and "'n_y'" in err
+
 
 class TestInvopt:
     def test_build_scalar_cubic(self, capsys):
@@ -249,6 +265,13 @@ class TestRun:
                                str(tmp_path / "out"))
         assert code == 3
         assert out == "status: fail\n"
+
+    def test_level_grid_without_num_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "system": "scalar_linear", "level_grid": {"start": 0.05, "stop": 4.0}})
+        code, _, err = run_cli(capsys, "run", cfg)
+        assert code == 2
+        assert err.startswith("error:") and "'num'" in err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

@@ -234,6 +234,15 @@ class TestBuildMu:
         assert sc.mu(0.6) == pytest.approx(1.5, rel=1e-12)
         assert sc.mu(1.2) == pytest.approx(3.5, rel=1e-12)
 
+    def test_no_warning_on_the_last_annulus(self):
+        # three annuli above r0 = 0.8 reach up to 3.2; mu is only frozen
+        # past the last knot at 2.4, still inside the certified levels
+        sc = build_mu(0.8, [2.0, 5.0, 3.0])
+        assert sc.certified_top == pytest.approx(3.2, rel=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sc.mu(3.0) == 5.0
+
     def test_frozen_tail_warns_once(self):
         sc = build_mu(0.8, [2.0, 5.0, 3.0])
         with pytest.warns(UserWarning, match="beyond the certified range"):
@@ -267,9 +276,10 @@ class TestBuildMu:
     def test_to_dict_round_trip_values(self):
         sc = build_mu(1.0, [2.0, 4.0])
         d = sc.to_dict()
-        assert sorted(d) == ["knots_s", "knots_v", "ladder", "r0"]
+        assert sorted(d) == ["certified_top", "knots_s", "knots_v", "ladder", "r0"]
         assert d["r0"] == 1.0
         assert d["ladder"] == [2.0, 4.0]
+        assert d["certified_top"] == 3.0
 
 
 class TestInverseCost:
@@ -314,15 +324,10 @@ class TestInverseCost:
             build_inverse_cost(local_quadratic_clf(np.array([[2.0]])), self.sys,
                                np.eye(1), np.eye(1), self.scaling)
 
-    def test_offset_state_weight_rejected(self):
-        with pytest.raises(ValueError, match=r"q\(0\) must be 0"):
-            InverseOptimalCost(lambda x: 1.0 + x[0] ** 2, lambda x: np.eye(1),
-                               np.eye(1), np.eye(1))
-
     def test_scaled_input_weight_at_origin_rejected(self):
         with pytest.raises(ValueError, match="must equal the base input weight"):
-            InverseOptimalCost(lambda x: float(x[0] ** 2),
-                               lambda x: 0.5 * np.eye(1), np.eye(1), np.eye(1))
+            InverseOptimalCost(self.V, self.sys, lambda x, v: 0.5 * np.eye(1),
+                               np.eye(1), np.eye(1), self.scaling)
 
 
 class TestEvaluateCost:
@@ -362,14 +367,6 @@ class TestEvaluateCost:
                               horizon=1.0, dt=0.01)
         assert exc.value.last_state[0] == pytest.approx(np.e, rel=1e-8)
         assert exc.value.last_time == pytest.approx(1.0)
-
-    def test_missing_lyapunov_raises(self):
-        bare = InverseOptimalCost(lambda x: float(x[0] ** 2),
-                                  lambda x: np.eye(1), np.eye(1), np.eye(1))
-        law = FeedbackLaw("static", lambda x: np.array([-3.0 * x[0]]), 1, 1)
-        with pytest.raises(ValueError, match="Lyapunov"):
-            evaluate_cost(self.sys, bare, law, np.array([1.0]),
-                          horizon=1.0, dt=0.01)
 
     def test_estimate_to_dict(self):
         law = optimal_feedback(self.V, self.cost, self.sys)

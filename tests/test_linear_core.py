@@ -9,8 +9,7 @@ from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 from clfsynth import linear_core
 from clfsynth.errors import CertificateError
 from clfsynth.linear_core import (
-    DEFAULT_CONFIG, LinearCoreConfig, LinearSystem, RiccatiCertificate, is_hurwitz,
-    lqr_gain, riccati_residual, solve_care,
+    LinearSystem, RiccatiCertificate, is_hurwitz, lqr_gain, riccati_residual, solve_care,
     solve_lyapunov, spectral_abscissa, stabilizing_gain, undetectable_modes,
     unstabilizable_modes)
 
@@ -248,8 +247,6 @@ class TestCare:
             solve_care(sys_, np.eye(1), np.zeros((1, 1)))
 
     def test_iteration_cap_raises(self, monkeypatch):
-        cfg = LinearCoreConfig(care_tol=1e-10, max_newton_iter=1,
-                               hurwitz_margin=1e-9)
         rng = np.random.default_rng(5)
         A, B = random_stabilizable(rng, 6, 2)
         Q = random_detectable_weight(rng, A, 6)
@@ -258,15 +255,17 @@ class TestCare:
         seed = linear_core._hamiltonian_gain
         monkeypatch.setattr(linear_core, "_hamiltonian_gain",
                             lambda A, B, Q, R: seed(A, B, 100.0 * Q, R))
-        with pytest.raises(CertificateError, match="did not converge") as err:
-            solve_care(LinearSystem(A, B), Q, np.eye(2), cfg)
+        with monkeypatch.context() as capped:
+            capped.setattr(linear_core, "_MAX_NEWTON_ITER", 1)
+            with pytest.raises(CertificateError, match="did not converge") as err:
+                solve_care(LinearSystem(A, B), Q, np.eye(2))
         residual = float(re.search(r"residual (\S+)", str(err.value)).group(1))
         assert residual == pytest.approx(3.26e2, rel=1e-2)
         # the default cap reaches the bar from the same seed
         calls = count_lyapunov_solves(monkeypatch)
         cert = solve_care(LinearSystem(A, B), Q, np.eye(2))
         assert cert.residual_norm <= 1e-10 * (1.0 + np.linalg.norm(Q, ord="fro"))
-        assert 1 < calls[0] < DEFAULT_CONFIG.max_newton_iter
+        assert 1 < calls[0] < linear_core._MAX_NEWTON_ITER
 
     def test_seed_failing_hurwitz_test_falls_back(self, monkeypatch):
         # a zero seed leaves the double integrator unstable: the gain comes

@@ -206,23 +206,44 @@ class TestSharedSweeps:
         par = OrbitalParams()
         cfg = OrbitalCostConfig.build(par)
         sweeps = record_calls(monkeypatch, clf, "lie_sweep")
-        scans = [record_calls(monkeypatch, clf, "find_r0"),
-                 record_calls(monkeypatch, inverse_opt, "find_base_level")]
+        blend_scans = record_calls(monkeypatch, clf, "find_r0")
+        base_scans = record_calls(monkeypatch, inverse_opt, "find_base_level")
         build_orbital_controller(par, cfg, n_samples=400, k_max=4)
-        box4_points = sample_box(Box.centered([0.5, 0.5, 0.5, 0.5]), 400, seed=0)
-        on_box4 = [out for _, out in sweeps if np.array_equal(out.points, box4_points)]
-        assert len(on_box4) == 1
-        for calls in scans:
-            assert len(calls) == 1 and calls[0][0][0] is on_box4[0]
+        on_box4 = []
+        for seed in (0, 1):
+            points = sample_box(Box.centered([0.5, 0.5, 0.5, 0.5]), 400, seed=seed)
+            on_box4 += [out for _, out in sweeps if np.array_equal(out.points, points)]
+        assert len(on_box4) == 2
+        assert not blend_scans
+        assert len(base_scans) == 1 and base_scans[0][0][0] is on_box4[0]
 
 
 class TestLayeredDesign:
     def test_metadata_and_radii(self, unit_design):
-        _, _, _, _, law = unit_design
+        par, cfg, _, _, law = unit_design
         meta = law.metadata
-        assert {"r0", "r0_blend", "r0_base", "ladder"} <= set(meta)
-        assert meta["r0"] == min(meta["r0_blend"], meta["r0_base"])
+        V_t = clf.local_quadratic_clf(block_diag(cfg.P0, cfg.rho1))
+        cost4 = inverse_opt.level_scaled_cost(
+            V_t, orbital_reduced_system(par), cfg.Q_tilde, np.diag([cfg.R_r, cfg.R_theta]),
+            Box.centered([0.5] * 4), np.geomspace(0.01, 2.0, 40), k_max=4, n_samples=400)
+        assert meta["r0"] == cost4.scaling.r0
+        assert meta["ladder"] == cost4.scaling.ladder
         assert all(l >= 1.0 for l in meta["ladder"])
+
+    def test_six_state_weight_adds_the_normal_channel(self, unit_design):
+        par, cfg, V, cost, law = unit_design
+        cost4 = law.metadata["cost4"]
+        sys6 = orbital_system(par)
+        for z in sample_box(Box.centered([0.3] * 6), 200, seed=7):
+            _, lb = clf.lie_derivatives(V, sys6, z)
+            oracle = cost4.q(z[:4]) + 0.25 * lb[2] ** 2 / cfg.R_h
+            assert abs(cost.q(z) - oracle) <= 1e-12 * abs(oracle)
+
+    def test_six_state_input_weight_is_block_diagonal(self, unit_design):
+        _, cfg, _, cost, law = unit_design
+        cost4 = law.metadata["cost4"]
+        for z in sample_box(Box.centered([0.3] * 6), 200, seed=7):
+            assert np.array_equal(cost.r(z), block_diag(cost4.r(z[:4]), cfg.R_h))
 
     def test_value_is_the_block_diagonal_form(self, unit_design):
         _, cfg, V, _, _ = unit_design

@@ -202,6 +202,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             load_config({"system": "scalar_linear"})
 
+    @pytest.mark.parametrize("key", ["linear_core", "level_grids"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
+            load_config({"system": "orbital", key: {}})
+
     def test_unknown_inverse_optimal_key_rejected(self):
         with pytest.raises(ConfigError, match="safety_factor"):
             load_config({"system": "scalar_linear",
@@ -443,3 +448,10 @@ class TestRunOrbital:
         header = open(os.path.join(str(tmp_path),
                                    "orbital_trace.csv")).readline().strip()
         assert header == "t,chi1,chi2,chi3,chi4,chi5,chi6,u_r,u_theta,u_h,V,Vdot"
+
+    def test_reads_level_grid_and_k_max(self):
+        levels = [0.02, 0.05, 0.1, 0.2]
+        rep = quiet_run(dict(QUICK_ORBITAL, level_grid=levels, inverse_optimal={"k_max": 3},
+                             integrator={"dt": 0.02, "horizon": 0.2}))
+        assert rep["design"]["r0"] in levels
+        assert len(rep["design"]["ladder"]) == 3
