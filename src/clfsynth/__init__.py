@@ -21,7 +21,7 @@ from .structured import BacksteppingPartition, FeedforwardSystem, \
     StrictFeedbackSystem, backstepping_clf, backstepping_partition, \
     backstepping_synthesize
 from .orbital import OrbitalCostConfig, OrbitalParams, build_orbital_controller, \
-    equilibrium, orbital_linearization, orbital_reduced_system, orbital_system, \
+    equilibrium, orbital_linearization, orbital_restriction, orbital_system, \
     simulate_orbital
 from .sampling import Box, quadratic_level_box, sample_box
 from .sim import Trajectory, integrate, rk4_path, rk4_step
@@ -47,7 +47,7 @@ __all__ = [
     "find_r0", "hjb_residual", "integrate", "is_hurwitz",
     "level_scaled_cost", "lie_derivatives", "lie_sweep", "load_config",
     "load_system", "local_gain", "local_quadratic_clf", "lqr_gain",
-    "optimal_feedback", "orbital_linearization", "orbital_reduced_system",
+    "optimal_feedback", "orbital_linearization", "orbital_restriction",
     "orbital_system", "quadratic_level_box", "reconstruct_cost", "rk4_path", "rk4_step",
     "run", "sample_box", "seam_diagnostics", "simulate_orbital",
     "solve_care", "solve_lyapunov", "sontag_controller",

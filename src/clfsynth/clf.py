@@ -44,7 +44,7 @@ class ControlAffineSystem:
                 else (np.asarray(linearization[0], dtype=float),
                       np.asarray(linearization[1], dtype=float).reshape(self.n, self.p))
             if np.linalg.norm(A - A_fd) > 1e-5 * (1.0 + np.linalg.norm(A)):
-                raise ValueError("supplied A disagrees with the finite-difference Jacobian")
+                raise ValueError("supplied A disagrees with finite differences of a at 0")
             if np.linalg.norm(B - B_fd) > 1e-5 * (1.0 + np.linalg.norm(B)):
                 raise ValueError("supplied B disagrees with b(0)")
         with warnings.catch_warnings():

@@ -211,7 +211,9 @@ def build_parser():
     _add_problem(p)
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="stationarity residual tolerance for verify-hjb")
+                   help="stationarity residual tolerance for verify-hjb; q is "
+                        "derived from r, so the residual is rounding error, far "
+                        "below the default")
     p.add_argument("--x0", default=None, help="comma-separated initial state "
                                               "for the cost action")
     p.add_argument("--dt", type=float, default=0.005)

@@ -98,8 +98,9 @@ def estimate_level_constants(fit, check, R, r0, k_max=8):
     ratio. It is then revalidated on the check rows of the annulus and
     doubled on failure, up to MAX_DOUBLINGS times; a final failure means the
     decrease condition genuinely fails there (e.g. the input map vanishes
-    where the drift grows) and raises. An annulus that neither sweep
-    reaches warns and gets the constant 1.
+    where the drift grows) and raises. The ladder ends before the first
+    annulus that neither sweep reaches, so the certified levels stop where
+    the samples do.
     """
     R = np.asarray(R, dtype=float).reshape(fit.sys.p, fit.sys.p)
     if k_max < 1:
@@ -113,11 +114,7 @@ def estimate_level_constants(fit, check, R, r0, k_max=8):
         mine = (fit.values >= k * r0) & (fit.values <= (k + 1) * r0)
         fresh = (check.values >= k * r0) & (check.values <= (k + 1) * r0)
         if not (np.any(mine) or np.any(fresh)):
-            warnings.warn(
-                f"annulus {k} has no samples inside the working box; "
-                "its constant defaults to 1", stacklevel=2)
-            ladder.append(1.0)
-            continue
+            break
         if np.any(mine & kernel & (fit.la >= 0.0)):
             raise CertificateError(
                 f"decrease condition fails on annulus {k}: the input map "
@@ -289,7 +286,13 @@ def level_scaled_cost(V, sys, Q, R, box, level_grid, k_max=8, n_samples=2000, se
 
 
 def hjb_residual(V, cost, sys, x):
-    """q + L_aV - (1/4) L_bV r^-1 L_bV' at x; zero for a consistent triple."""
+    """q + L_aV - (1/4) L_bV r^-1 L_bV' at x; zero for a consistent triple.
+
+    InverseOptimalCost derives q from r with the arithmetic this undoes,
+    so for such a cost the residual is the rounding error of an identity
+    and cannot fail a tolerance above rounding level; it checks
+    consistency, not optimality.
+    """
     la, lb = lie_derivatives(V, sys, x)
     rx = cost.r(x)
     return cost.q(x) + la - 0.25 * _input_form(lb, rx)
@@ -299,7 +302,7 @@ def hjb_sweep(sweep, cost):
     """(q, HJB residual) at every row of a sweep of cost's V and system.
 
     q is cost.q's, computed from the sweep's levels and Lie derivatives;
-    the residual is hjb_residual's.
+    the residual is hjb_residual's, so it is rounding error only.
     """
     q, residual = [], []
     for x, v, la, lb in zip(sweep.points, sweep.values, sweep.la, sweep.lb):
@@ -348,7 +351,8 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     tail is V at the final state (exact under the HJB identity); otherwise
     a linear-quadratic tail
     estimate is used and labeled as such. Raises DivergenceError when the
-    horizon ends before the terminal set is reached.
+    horizon ends before the terminal set is reached, or when the run fails
+    (rk4_path); its last_state is a plant state.
     """
     if V is None:
         V = cost.V
@@ -367,7 +371,11 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
 
     n_steps = int(np.ceil(horizon / dt - 1e-12))
     z0 = np.append(x0, 0.0)
-    path = rk4_path(f, z0, dt, n_steps, stop=lambda z: V.value(z[:-1]) <= level)
+    try:
+        path = rk4_path(f, z0, dt, n_steps, stop=lambda z: V.value(z[:-1]) <= level)
+    except DivergenceError as e:
+        e.last_state = e.last_state[:-1]  # the plant state, without the cost
+        raise
     zT = path[-1]
     xT, integral = zT[:-1], float(zT[-1])
     if V.value(xT) > level:

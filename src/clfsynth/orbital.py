@@ -4,7 +4,9 @@ The model tracks six orbit coordinates: an angular rate offset, two
 in-plane shape coordinates, the orbit scale (semilatus-rectum-like, with
 target value p0), and two out-of-plane inclination coordinates. Thrust
 enters through radial, transverse and normal channels. The target
-equilibrium is (0, 0, 0, p0, 0, 0).
+equilibrium is (0, 0, 0, p0, 0, 0). The field and its exact origin pair
+(A, B) are written once; the in-plane and four-state reductions are their
+slices (orbital_restriction), and transfers run through sim.integrate.
 
 The design is built from the inside out: a quadratic Lyapunov function
 x'P0x for the in-plane subsystem (restricted to orbit scale p0), then the
@@ -31,7 +33,7 @@ from .errors import ArtsteinViolationError, CertificateError, DivergenceError
 from .inverse_opt import InverseOptimalCost, level_scaled_cost, optimal_feedback
 from .linear_core import LinearSystem, solve_care
 from .sampling import Box, sample_box
-from .sim import Trajectory, rk4_path
+from .sim import Trajectory, integrate
 
 
 @dataclass
@@ -113,62 +115,16 @@ def orbital_input_matrix(params, s):
     return B
 
 
-def orbital_vector_field(params, s, u):
-    """Full forced field chi' = drift + input_matrix u."""
-    u = np.asarray(u, dtype=float).reshape(3)
-    return orbital_drift(params, s) + orbital_input_matrix(params, s) @ u
-
-
-def orbital_reduced_vector_field(params, s3, u_r):
-    """In-plane three-state restriction: orbit scale pinned at p0.
-
-    Obtained by freezing chi4 = p0, chi5 = chi6 = 0 and keeping only the
-    radial channel; matches the full field rows termwise there.
-    """
-    c1, c2, c3 = np.asarray(s3, dtype=float).reshape(3)
-    if 1.0 + c2 <= 0:
-        raise ValueError("1 + chi2 must stay positive")
-    eta, etab, nu, p0 = params.eta, params.eta_bar, params.nu, params.p0
-    return np.array([
-        etab * np.sqrt(p0) * (1.0 + c2) ** 2 - eta,
-        -eta * (1.0 + c2) ** 2 * c3,
-        eta * (1.0 + c2) ** 2 * c2 + nu * float(u_r),
-    ])
-
-
-@dataclass
-class OrbitalLinearization:
-    """Jacobian pair at the equilibrium with its block structure.
-
-    The state splits into (in-plane triple, orbit scale) and the
-    out-of-plane pair; A is block diagonal across the split and the scale
-    row is zero. Entries follow the exact Jacobian of the field, e.g.
-    d(chi2')/d(chi3) = -eta and d(chi1')/d(chi4) = eta / (2 p0).
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    A0: np.ndarray
-    A2: np.ndarray
-    B0: np.ndarray
-    B2: np.ndarray
-
-    @property
-    def A_tilde(self):
-        out = np.zeros((4, 4))
-        out[:3, :3] = self.A0
-        out[:3, 3] = self.A2.ravel()
-        return out
-
-    @property
-    def B_tilde(self):
-        out = np.zeros((4, 2))
-        out[:3, 0] = self.B0.ravel()
-        out[3, 1] = self.B[3, 1]
-        return out
-
-
 def orbital_linearization(params):
+    """Exact Jacobian pair (A, B) of the field at the equilibrium.
+
+    A is block diagonal across (in-plane triple, orbit scale) and the
+    out-of-plane pair, and its scale row is zero. Entries follow the exact
+    Jacobian of the field, e.g. d(chi2')/d(chi3) = -eta and
+    d(chi1')/d(chi4) = eta / (2 p0). The reductions are its leading
+    blocks: A[:3, :3], B[:3, :1] in plane, A[:4, :4], B[:4, :2] with the
+    scale.
+    """
     eta, nu, p0 = params.eta, params.nu, params.p0
     A = np.zeros((6, 6))
     A[0, 1] = 2.0 * eta
@@ -182,51 +138,40 @@ def orbital_linearization(params):
     B[2, 0] = nu
     B[3, 1] = 2.0 * nu * p0
     B[4, 2] = 0.5 * nu
-    return OrbitalLinearization(
-        A=A, B=B,
-        A0=A[:3, :3].copy(), A2=A[:3, 3:4].copy(),
-        B0=B[:3, 0:1].copy(), B2=B[4:, 2:3].copy())
+    return A, B
 
 
 def orbital_system(params):
     """Six-state control-affine system in offset coordinates z = chi - eq."""
     star = equilibrium(params)
-    lin = orbital_linearization(params)
     return ControlAffineSystem(
         6, 3,
         a=lambda z: orbital_drift(params, star + z),
         b=lambda z: orbital_input_matrix(params, star + z),
-        linearization=(lin.A, lin.B))
+        linearization=orbital_linearization(params))
 
 
-def orbital_reduced_system(params):
-    """Four-state (in-plane + scale) subsystem with radial and transverse inputs."""
-    star4 = np.array([0.0, 0.0, 0.0, params.p0])
-    lin = orbital_linearization(params)
+def orbital_restriction(params, n, p):
+    """First n offset coordinates driven by the first p thrust channels.
 
-    def a(z):
-        s = np.append(star4 + z, [0.0, 0.0])
-        return orbital_drift(params, s)[:4]
+    The remaining coordinates are pinned at the target, and the field and
+    its linearization are the matching slices of the six-state ones:
+    n, p = 3, 1 is the in-plane triple under radial thrust, 4, 2 adds the
+    orbit scale and the transverse channel.
+    """
+    star = equilibrium(params)
+    A, B = orbital_linearization(params)
 
-    def b(z):
-        s = np.append(star4 + z, [0.0, 0.0])
-        return orbital_input_matrix(params, s)[:4, :2]
+    def pinned(z):
+        s = star.copy()
+        s[:n] += z
+        return s
 
-    return ControlAffineSystem(4, 2, a, b, linearization=(lin.A_tilde, lin.B_tilde))
-
-
-def orbital_inplane_system(params):
-    """Three-state restriction with the radial channel only."""
-    nu = params.nu
-
-    def a(z):
-        return orbital_reduced_vector_field(params, z, 0.0)
-
-    def b(z):
-        return np.array([[0.0], [0.0], [nu]])
-
-    lin = orbital_linearization(params)
-    return ControlAffineSystem(3, 1, a, b, linearization=(lin.A0, lin.B0))
+    return ControlAffineSystem(
+        n, p,
+        a=lambda z: orbital_drift(params, pinned(z))[:n],
+        b=lambda z: orbital_input_matrix(params, pinned(z))[:n, :p],
+        linearization=(A[:n, :n], B[:n, :p]))
 
 
 @dataclass
@@ -260,13 +205,12 @@ class OrbitalCostConfig:
         if min(R_r, R_theta, R_h, rho1, rho2) <= 0:
             raise ValueError("all weights must be positive")
         Q0 = np.eye(3) if Q0 is None else np.asarray(Q0, dtype=float)
-        lin = orbital_linearization(params)
-        sys0 = LinearSystem(lin.A0, lin.B0)
-        cert = solve_care(sys0, Q0, np.array([[R_r]]))
+        A, B = orbital_linearization(params)
+        cert = solve_care(LinearSystem(A[:3, :3], B[:3, :1]), Q0, np.array([[R_r]]))
         P0 = cert.P
         eta = params.eta
         corner = 4.0 * rho1 ** 2 / (eta ** 2 * R_theta)
-        coupling = -(P0 @ lin.A2).ravel()
+        coupling = -(P0 @ A[:3, 3:4]).ravel()
         Qt = np.zeros((4, 4))
         Qt[:3, :3] = Q0
         Qt[:3, 3] = coupling
@@ -318,9 +262,8 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     that cost; its metadata carries the base level r0, the ladder and the
     four-state cost ("cost4") that the six-state cost extends.
     """
-    lin = orbital_linearization(params)
     V0 = local_quadratic_clf(cfg.P0)
-    sys3 = orbital_inplane_system(params)
+    sys3 = orbital_restriction(params, 3, 1)
     box3 = Box.centered([0.5, 0.5, 0.5])
     report = check_artstein_sampled(
         lie_sweep(V0, sys3, sample_box(box3, n_samples, seed=seed)))
@@ -336,7 +279,7 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
         # axis, so the default grid follows that scale (factor 1 at p0 = 1)
         scale = max(1.0, 2.0 * cfg.rho1 * (0.5 * params.p0) ** 2)
         level_grid = np.geomspace(0.01, 2.0, 40) * scale
-    cost4 = level_scaled_cost(V_t, orbital_reduced_system(params), cfg.Q_tilde,
+    cost4 = level_scaled_cost(V_t, orbital_restriction(params, 4, 2), cfg.Q_tilde,
                               np.diag([cfg.R_r, cfg.R_theta]), box4, level_grid,
                               k_max=k_max, n_samples=n_samples, seed=seed)
     scaling = cost4.scaling
@@ -348,8 +291,8 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
 
     V = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1, cfg.rho2, cfg.rho2))
     sys6 = orbital_system(params)
-    base_Q = block_diag(cfg.Q_tilde,
-                        cfg.rho2 ** 2 * lin.B2 @ lin.B2.T / cfg.R_h)
+    B2 = sys6.linearization.B[4:, 2:3]
+    base_Q = block_diag(cfg.Q_tilde, cfg.rho2 ** 2 * B2 @ B2.T / cfg.R_h)
     cost = InverseOptimalCost(V, sys6, r6, base_Q=base_Q,
                               base_R=cfg.input_weight(), scaling=scaling)
     law = optimal_feedback(V, cost, sys6)
@@ -361,34 +304,30 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
 def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
     """Closed-loop run in the original coordinates from state s0.
 
-    The law acts on offset coordinates. Domain breaches (orbit collapse,
-    radius sign loss) abort with DivergenceError. When V is supplied the
-    trajectory is annotated with V and its analytic derivative along the
-    closed loop.
+    sim.integrate runs orbital_system from the offset s0 - eq, and the
+    recorded states are shifted back by eq; stop, when given, sees
+    original coordinates. A domain breach (orbit collapse, radius sign
+    loss) ends the run with integrate's DivergenceError, its last_state
+    given in original coordinates. When V is supplied the trajectory is
+    annotated with V and its analytic derivative along the closed loop,
+    both read from one lie_sweep of the recorded states.
     """
     star = equilibrium(params)
     s0 = np.asarray(s0, dtype=float).reshape(6)
     _check_domain(s0)
-
-    def f(s):
-        try:
-            u = law.map(s - star)
-            return orbital_vector_field(params, s, u)
-        except ValueError as e:
-            raise DivergenceError(f"trajectory left the admissible domain: {e}",
-                                  last_state=s) from None
-
-    n_steps = int(np.ceil(T / dt - 1e-12))
-    states = rk4_path(f, s0, dt, n_steps,
-                      stop=(lambda s: stop(s)) if stop is not None else None)
-    times = dt * np.arange(states.shape[0])
-    inputs = np.array([law.map(s - star) for s in states])
+    sys6 = orbital_system(params)
+    try:
+        traj = integrate(sys6, law, s0 - star, dt, T,
+                         stop=None if stop is None else (lambda z: stop(star + z)))
+    except DivergenceError as e:
+        e.last_state = star + e.last_state
+        raise
     ann = {}
     if V is not None:
-        sweep = lie_sweep(V, orbital_system(params), states - star)
+        sweep = lie_sweep(V, sys6, traj.states)
         ann = {"V": sweep.values,
-               "Vdot": [la + float(lb @ u) for la, lb, u in zip(sweep.la, sweep.lb, inputs)]}
-    return Trajectory(times, states, inputs, ann)
+               "Vdot": [la + float(lb @ u) for la, lb, u in zip(sweep.la, sweep.lb, traj.inputs)]}
+    return Trajectory(traj.times, traj.states + star, traj.inputs, ann)
 
 
 ORBITAL_STATE_NAMES = ["chi1", "chi2", "chi3", "chi4", "chi5", "chi6"]

@@ -21,7 +21,7 @@ from .inverse_opt import evaluate_cost, hjb_sweep, level_scaled_cost, optimal_fe
 from .linear_core import LinearSystem, lqr_gain, solve_care
 from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig, \
     OrbitalParams, build_orbital_controller, equilibrium, orbital_drift, \
-    orbital_reduced_system, simulate_orbital
+    orbital_restriction, simulate_orbital
 from .sampling import Box, sample_box
 from .serialize import matrix_from_json, matrix_to_json
 from .sim import integrate
@@ -386,7 +386,7 @@ def _run_orbital(cfg, out_dir=None):
     # inside its certified levels
     cost4 = law.metadata["cost4"]
     box4 = Box.centered([0.4, 0.4, 0.4, 0.4 * params.p0])
-    sweep4 = lie_sweep(cost4.V, orbital_reduced_system(params),
+    sweep4 = lie_sweep(cost4.V, orbital_restriction(params, 4, 2),
                        sample_box(box4, min(n_samples, 1500), seed=seed + 3))
     sweep4 = sweep4.rows(sweep4.values <= cost4.scaling.certified_top)
     hjb4 = float(np.max(np.abs(hjb_sweep(sweep4, cost4)[1])))

@@ -3,7 +3,7 @@
 One deliberate integrator: the blended feedback is only piecewise smooth
 across its seams, so a fixed-step classical Runge-Kutta scheme with a small
 step is preferred over adaptive error control, and every consumer (cost
-evaluation included) shares this single code path.
+evaluation and orbital transfers included) shares this single code path.
 """
 
 import numpy as np
@@ -22,14 +22,22 @@ def rk4_step(f, x, dt):
 def rk4_path(f, x0, dt, n_steps, stop=None):
     """States of n_steps RK4 steps from x0; stop(x) truncates after recording.
 
-    Raises DivergenceError as soon as a state stops being finite.
+    The one place where a failed state ends a run: a step whose result is
+    not finite, or whose stages meet a state where f raises ValueError
+    (outside the field's domain), raises DivergenceError with the last
+    recorded state and its time.
     """
     x = np.asarray(x0, dtype=float).copy()
     states = [x.copy()]
     if stop is not None and stop(x):
         return np.array(states)
     for k in range(n_steps):
-        x = rk4_step(f, x, dt)
+        try:
+            x = rk4_step(f, x, dt)
+        except ValueError as e:
+            raise DivergenceError(
+                f"field undefined during step {k + 1}: {e}",
+                last_state=states[-1], last_time=k * dt) from None
         if not np.all(np.isfinite(x)):
             raise DivergenceError(
                 f"state became non-finite at step {k + 1}",
@@ -85,7 +93,8 @@ def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
 
     stop is an optional state predicate ending the run after the state
     that triggered it; annotate maps column names to state functions
-    evaluated along the recorded path.
+    evaluated along the recorded path. A run that leaves the finite range
+    or the field's domain raises rk4_path's DivergenceError.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("dt and T must be positive")

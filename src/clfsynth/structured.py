@@ -11,7 +11,9 @@ composite is x'Px exactly, so the cascade design uses that quadratic form.
 
 Feedforward descriptions (an appended coordinate fed by an actuated inner
 system) convert to their control-affine form and are designed like any
-other plant.
+other plant. Both descriptions build that ControlAffineSystem once, and
+their origin blocks are slices of its linearization, the one place an
+origin linearization is derived or validated.
 """
 
 from dataclasses import dataclass
@@ -31,133 +33,85 @@ class StrictFeedbackSystem:
 
     h1, h2 map y to (n_y,) arrays; f, g map (y, x) to scalars with g
     nonvanishing (checked at the origin; sample elsewhere as needed). The
-    origin blocks H1, H2, F1, F2, G are finite-difference defaults,
-    validated within 1e-5 when supplied.
+    control-affine form is built once; supplied origin blocks
+    (H1, H2, F1, F2, G) are assembled into its linearization, which
+    validates them, and without blocks its finite-difference Jacobian is
+    used. The blocks are read back as slices of that linearization.
     """
 
     p = 1
 
     def __init__(self, n_y, h1, h2, f, g, blocks=None):
-        self.n_y = int(n_y)
-        self.n = self.n_y + 1
-        self._h1, self._h2, self._f, self._g = h1, h2, f, g
-        z = np.zeros(self.n_y)
-        if np.linalg.norm(self.h1(z)) > 1e-12:
-            raise ValueError("h1(0) must vanish")
-        if abs(self.f(z, 0.0)) > 1e-12:
-            raise ValueError("f(0, 0) must vanish")
-        G0 = self.g(z, 0.0)
-        if abs(G0) < 1e-12:
+        self.n_y = n_y = int(n_y)
+        self.n = n = n_y + 1
+        if abs(float(g(np.zeros(n_y), 0.0))) < 1e-12:
             raise ValueError("g must not vanish at the origin")
-        H1_fd = numdiff.jacobian(self.h1, z)
-        H2_fd = self.h2(z)
-        F1_fd = numdiff.gradient(lambda y: self.f(y, 0.0), z)
-        F2_fd = float(numdiff.gradient(lambda x: self.f(z, x[0]), np.zeros(1))[0])
-        fd = (H1_fd, H2_fd, F1_fd, F2_fd, G0)
-        if blocks is None:
-            self.H1, self.H2, self.F1, self.F2, self.G = fd
-        else:
-            names = ("H1", "H2", "F1", "F2", "G")
-            vals = []
-            for name, given, ref in zip(names, blocks, fd):
-                given = np.asarray(given, dtype=float)
-                if np.linalg.norm(given - ref) > 1e-5 * (1.0 + np.linalg.norm(given)):
-                    raise ValueError(f"supplied block {name} disagrees with finite differences")
-                vals.append(given)
-            self.H1, self.H2, self.F1, self.F2, self.G = \
-                vals[0], vals[1], vals[2], float(vals[3]), float(vals[4])
+        linearization = None
+        if blocks is not None:
+            H1, H2, F1, F2, G = blocks
+            A, B = np.zeros((n, n)), np.zeros((n, 1))
+            A[:n_y, :n_y], A[:n_y, n_y] = H1, np.ravel(H2)
+            A[n_y, :n_y], A[n_y, n_y], B[n_y, 0] = np.ravel(F1), F2, G
+            linearization = (A, B)
 
-    def h1(self, y):
-        return np.asarray(self._h1(np.asarray(y, dtype=float)), dtype=float).reshape(self.n_y)
+        def a(chi):
+            y, x = chi[:n_y], chi[n_y]
+            return np.append(np.asarray(h1(y), dtype=float).reshape(n_y)
+                             + np.asarray(h2(y), dtype=float).reshape(n_y) * x,
+                             float(f(y, float(x))))
 
-    def h2(self, y):
-        return np.asarray(self._h2(np.asarray(y, dtype=float)), dtype=float).reshape(self.n_y)
+        def b(chi):
+            col = np.zeros((n, 1))
+            col[n_y, 0] = float(g(chi[:n_y], float(chi[n_y])))
+            return col
 
-    def f(self, y, x):
-        return float(self._f(np.asarray(y, dtype=float), float(x)))
-
-    def g(self, y, x):
-        return float(self._g(np.asarray(y, dtype=float), float(x)))
+        self._full = ControlAffineSystem(n, 1, a, b, linearization=linearization)
+        A, B = self.assemble()
+        self.H1, self.H2 = A[:n_y, :n_y], A[:n_y, n_y]
+        self.F1, self.F2, self.G = A[n_y, :n_y], float(A[n_y, n_y]), float(B[n_y, 0])
 
     def assemble(self):
         """Origin linearization (A, B) of the cascade."""
-        A = np.zeros((self.n, self.n))
-        A[:self.n_y, :self.n_y] = self.H1
-        A[:self.n_y, self.n_y] = self.H2
-        A[self.n_y, :self.n_y] = self.F1
-        A[self.n_y, self.n_y] = self.F2
-        B = np.zeros((self.n, 1))
-        B[self.n_y, 0] = self.G
-        return A, B
+        lin = self._full.linearization
+        return lin.A, lin.B
 
     def to_control_affine(self):
-        def a(chi):
-            y, x = chi[:self.n_y], chi[self.n_y]
-            return np.append(self.h1(y) + self.h2(y) * x, self.f(y, x))
-
-        def b(chi):
-            y, x = chi[:self.n_y], chi[self.n_y]
-            col = np.zeros(self.n)
-            col[self.n_y] = self.g(y, x)
-            return col.reshape(self.n, 1)
-
-        return ControlAffineSystem(self.n, 1, a, b, linearization=self.assemble())
+        return self._full
 
 
 class FeedforwardSystem:
     """Scalar coordinate fed by an actuated inner system: y' = h(x),
     x' = f(x) + g(x) u, with the appended coordinate listed first.
+
+    The control-affine form is built once; supplied origin blocks
+    (H, F, G) are assembled into its linearization, which validates them.
+    The blocks are read back as slices of that linearization.
     """
 
     def __init__(self, n_x, p, h, f, g, blocks=None):
-        self.n_x = int(n_x)
-        self.p = int(p)
-        self.n = self.n_x + 1
-        self._h, self._f, self._g = h, f, g
-        z = np.zeros(self.n_x)
-        if abs(self.h(z)) > 1e-12:
-            raise ValueError("h(0) must vanish")
-        if np.linalg.norm(self.f(z)) > 1e-12:
-            raise ValueError("f(0) must vanish")
-        H_fd = numdiff.gradient(self.h, z)
-        F_fd = numdiff.jacobian(self.f, z)
-        G_fd = self.g(z)
-        fd = (H_fd, F_fd, G_fd)
-        if blocks is None:
-            self.H, self.F, self.G = fd
-        else:
-            names = ("H", "F", "G")
-            vals = []
-            for name, given, ref in zip(names, blocks, fd):
-                given = np.asarray(given, dtype=float)
-                if np.linalg.norm(given - ref) > 1e-5 * (1.0 + np.linalg.norm(given)):
-                    raise ValueError(f"supplied block {name} disagrees with finite differences")
-                vals.append(given)
-            self.H, self.F, self.G = vals
+        self.n_x = n_x = int(n_x)
+        self.p = p = int(p)
+        self.n = n = n_x + 1
+        linearization = None
+        if blocks is not None:
+            H, F, G = blocks
+            A = np.zeros((n, n))
+            A[0, 1:], A[1:, 1:] = np.ravel(H), F
+            linearization = (A, np.vstack([np.zeros((1, p)), G]))
 
-    def h(self, x):
-        return float(self._h(np.asarray(x, dtype=float)))
-
-    def f(self, x):
-        return np.asarray(self._f(np.asarray(x, dtype=float)), dtype=float).reshape(self.n_x)
-
-    def g(self, x):
-        return np.asarray(self._g(np.asarray(x, dtype=float)), dtype=float).reshape(self.n_x, self.p)
-
-    def to_control_affine(self):
         def a(chi):
             x = chi[1:]
-            return np.append(self.h(x), self.f(x))
+            return np.append(float(h(x)), np.asarray(f(x), dtype=float).reshape(n_x))
 
         def b(chi):
-            x = chi[1:]
-            return np.vstack([np.zeros((1, self.p)), self.g(x)])
+            return np.vstack([np.zeros((1, p)), np.asarray(g(chi[1:]), dtype=float).reshape(n_x, p)])
 
-        A = np.zeros((self.n, self.n))
-        A[0, 1:] = self.H
-        A[1:, 1:] = self.F
-        B = np.vstack([np.zeros((1, self.p)), self.G])
-        return ControlAffineSystem(self.n, self.p, a, b, linearization=(A, B))
+        self._full = ControlAffineSystem(n, p, a, b, linearization=linearization)
+        lin = self._full.linearization
+        self.H, self.F, self.G = lin.A[0, 1:], lin.A[1:, 1:], lin.B[1:, :]
+
+    def to_control_affine(self):
+        return self._full
 
 
 @dataclass

@@ -29,9 +29,8 @@ from clfsynth.inverse_opt import build_inverse_cost, evaluate_cost, hjb_residual
 from clfsynth.linear_core import LinearSystem, is_hurwitz, lqr_gain, \
     riccati_residual, solve_care
 from clfsynth.orbital import OrbitalCostConfig, OrbitalParams, \
-    build_orbital_controller, equilibrium, orbital_drift, \
-    orbital_reduced_system, orbital_reduced_vector_field, \
-    orbital_vector_field, simulate_orbital
+    build_orbital_controller, equilibrium, orbital_drift, orbital_input_matrix, \
+    orbital_restriction, simulate_orbital
 from clfsynth.runner import DEFAULT_PROBLEMS, expand_level_grid, load_config, \
     reconstruct_cost, run, synthesize_problem
 from clfsynth.sampling import Box, sample_box
@@ -47,7 +46,6 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore:scaling queried"),
-    pytest.mark.filterwarnings("ignore:annulus"),
 ]
 
 
@@ -280,15 +278,21 @@ def test_criterion_8_orbital_transfer_bundle():
     if eq > 1e-14:
         problems.append(f"equilibrium residual {eq:.3e}")
 
+    sys3 = orbital_restriction(par, 3, 1)
     rng = np.random.default_rng(0)
     for _ in range(5):
         s3 = rng.uniform(-0.3, 0.3, size=3)
         ur = float(rng.uniform(-1.0, 1.0))
         s6 = np.append(s3, [par.p0, 0.0, 0.0])
-        full = orbital_vector_field(par, s6, np.array([ur, 0.0, 0.0]))
-        # identical term by term; only (1 + c2) - 1 vs c2 rounding differs
-        if not np.allclose(full[:3], orbital_reduced_vector_field(par, s3, ur),
-                           rtol=0.0, atol=1e-14):
+        full = orbital_drift(par, s6) + orbital_input_matrix(par, s6) @ [ur, 0.0, 0.0]
+        # the in-plane equations at chi4 = p0, written out by hand; only
+        # (1 + c2) - 1 vs c2 rounding differs
+        c2, c3 = s3[1], s3[2]
+        oracle = [par.eta_bar * np.sqrt(par.p0) * (1.0 + c2) ** 2 - par.eta,
+                  -par.eta * (1.0 + c2) ** 2 * c3,
+                  par.eta * (1.0 + c2) ** 2 * c2 + par.nu * ur]
+        if not (np.allclose(full[:3], oracle, rtol=0.0, atol=1e-14)
+                and np.array_equal(sys3.a(s3) + sys3.b(s3) @ [ur], full[:3])):
             problems.append("in-plane restriction is not termwise")
         if np.max(np.abs(full[3:])) != 0.0:
             problems.append("restricted slice is not invariant")
@@ -311,7 +315,7 @@ def test_criterion_8_orbital_transfer_bundle():
     if np.any(np.diff(vs) > 1e-9 * np.maximum(vs[:-1], 1e-300)):
         problems.append("V is not monotone along the transfer")
 
-    sys4 = orbital_reduced_system(par)
+    sys4 = orbital_restriction(par, 4, 2)
     box4 = Box.centered([0.4, 0.4, 0.4, 0.4 * par.p0])
     V_t = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1))
     R_t = np.diag([cfg.R_r, cfg.R_theta])

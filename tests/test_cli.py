@@ -21,7 +21,6 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore:scaling queried"),
-    pytest.mark.filterwarnings("ignore:annulus"),
 ]
 
 

@@ -184,14 +184,17 @@ class TestEstimateLevelConstants:
         with pytest.raises(CertificateError, match="input map vanishes"):
             estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=1)
 
-    def test_empty_annulus_warns_and_defaults(self):
+    def test_empty_annulus_ends_ladder(self):
+        # V = x^2 <= 0.09 on the box: annulus 1 of r0 = 0.05 is reached,
+        # annulus 2 ([0.1, 0.15]) is not, so the ladder stops after one rung
         sys_ = ControlAffineSystem(1, 1, lambda x: np.array([-x[0]]),
                                    lambda x: np.array([[1.0]]))
         box = Box(np.array([-0.3]), np.array([0.3]))
         fit, check = (lie_sweep(unit_v(), sys_, sample_box(box, 400, seed=s)) for s in (0, 1))
-        with pytest.warns(UserWarning, match="defaults to 1"):
-            ladder = estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=1)
-        assert ladder == [1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_level_constants(fit, check, np.eye(1), 0.05, k_max=4) == [1.0]
+            assert estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=4) == []
 
     def test_k_max_validation(self):
         fit, check = ladder_sweeps(unit_v(), cubic_system(), 0.4)

@@ -29,13 +29,10 @@ from clfsynth.orbital import (
     build_orbital_controller,
     equilibrium,
     orbital_drift,
-    orbital_inplane_system,
     orbital_input_matrix,
     orbital_linearization,
-    orbital_reduced_system,
-    orbital_reduced_vector_field,
+    orbital_restriction,
     orbital_system,
-    orbital_vector_field,
     simulate_orbital,
 )
 from clfsynth.sampling import Box, sample_box
@@ -106,23 +103,29 @@ class TestVectorField:
 class TestReductions:
     def test_inplane_restriction_is_termwise(self):
         par = OrbitalParams(p0=2.0, mu=1.5)
+        eta, nu = par.eta, par.nu
+        sys3 = orbital_restriction(par, 3, 1)
         rng = np.random.default_rng(0)
         for _ in range(5):
             s3 = rng.uniform(-0.3, 0.3, size=3)
             ur = float(rng.uniform(-1.0, 1.0))
             s6 = np.append(s3, [par.p0, 0.0, 0.0])
-            full = orbital_vector_field(par, s6, np.array([ur, 0.0, 0.0]))
-            # identical term by term; only (1 + c2) - 1 vs c2 rounding differs
-            assert np.allclose(full[:3],
-                               orbital_reduced_vector_field(par, s3, ur),
-                               rtol=0.0, atol=1e-14)
+            full = orbital_drift(par, s6) + orbital_input_matrix(par, s6) @ [ur, 0.0, 0.0]
+            c1, c2, c3 = s3
+            # the in-plane equations with chi4 = p0 written out by hand; only
+            # (1 + c2) - 1 vs c2 rounding differs
+            oracle = [par.eta_bar * np.sqrt(par.p0) * (1.0 + c2) ** 2 - eta,
+                      -eta * (1.0 + c2) ** 2 * c3,
+                      eta * (1.0 + c2) ** 2 * c2 + nu * ur]
+            assert np.allclose(full[:3], oracle, rtol=0.0, atol=1e-14)
+            assert np.array_equal(sys3.a(s3) + sys3.b(s3) @ [ur], full[:3])
             # the restricted slice is invariant: remaining rows vanish
             assert np.max(np.abs(full[3:])) == 0.0
 
     def test_four_state_rows_match_full(self):
         par = OrbitalParams()
         star = equilibrium(par)
-        r4 = orbital_reduced_system(par)
+        r4 = orbital_restriction(par, 4, 2)
         z4 = np.array([0.1, -0.05, 0.08, 0.2])
         s6 = star + np.append(z4, [0.0, 0.0])
         assert np.array_equal(r4.a(z4), orbital_drift(par, s6)[:4])
@@ -131,7 +134,7 @@ class TestReductions:
 
     def test_inplane_input_column(self):
         par = OrbitalParams()
-        sys3 = orbital_inplane_system(par)
+        sys3 = orbital_restriction(par, 3, 1)
         assert np.allclose(sys3.b(np.array([0.1, 0.2, -0.1])),
                            [[0.0], [0.0], [par.nu]])
 
@@ -140,26 +143,32 @@ class TestLinearization:
     def test_jacobian_matches_finite_differences(self):
         par = OrbitalParams(p0=1.5, mu=0.8)
         star = equilibrium(par)
-        lin = orbital_linearization(par)
+        A, B = orbital_linearization(par)
         A_fd = numdiff.jacobian(lambda z: orbital_drift(par, star + z),
                                 np.zeros(6))
-        assert np.max(np.abs(lin.A - A_fd)) <= 1e-8
-        assert np.array_equal(lin.B, orbital_input_matrix(par, star))
+        assert np.max(np.abs(A - A_fd)) <= 1e-8
+        assert np.array_equal(B, orbital_input_matrix(par, star))
 
     def test_block_structure(self):
-        lin = orbital_linearization(OrbitalParams())
-        assert np.max(np.abs(lin.A[3, :])) == 0.0
-        assert np.max(np.abs(lin.A[:4, 4:])) == 0.0
-        assert np.max(np.abs(lin.A[4:, :4])) == 0.0
+        A, _ = orbital_linearization(OrbitalParams())
+        assert np.max(np.abs(A[3, :])) == 0.0
+        assert np.max(np.abs(A[:4, 4:])) == 0.0
+        assert np.max(np.abs(A[4:, :4])) == 0.0
 
     def test_reduced_assembly(self):
-        lin = orbital_linearization(OrbitalParams())
-        assert np.allclose(lin.A_tilde, [[0.0, 2.0, 0.0, 0.5],
-                                         [0.0, 0.0, -1.0, 0.0],
-                                         [0.0, 1.0, 0.0, 1.0],
-                                         [0.0, 0.0, 0.0, 0.0]])
-        assert np.allclose(lin.B_tilde, [[0.0, 0.0], [0.0, 0.0],
-                                         [1.0, 0.0], [0.0, 2.0]])
+        par = OrbitalParams()
+        A, B = orbital_linearization(par)
+        assert np.allclose(A[:4, :4], [[0.0, 2.0, 0.0, 0.5],
+                                       [0.0, 0.0, -1.0, 0.0],
+                                       [0.0, 1.0, 0.0, 1.0],
+                                       [0.0, 0.0, 0.0, 0.0]])
+        assert np.allclose(B[:4, :2], [[0.0, 0.0], [0.0, 0.0],
+                                       [1.0, 0.0], [0.0, 2.0]])
+        # each restriction carries exactly the matching slice of (A, B)
+        for n, p in ((3, 1), (4, 2)):
+            lin = orbital_restriction(par, n, p).linearization
+            assert np.array_equal(lin.A, A[:n, :n])
+            assert np.array_equal(lin.B, B[:n, :p])
 
 
 class TestCostConfig:
@@ -171,8 +180,8 @@ class TestCostConfig:
     def test_inplane_riccati_independent_solver(self):
         par = OrbitalParams(p0=1.8, mu=1.2)
         cfg = OrbitalCostConfig.build(par, R_r=0.5)
-        lin = orbital_linearization(par)
-        P_ref = solve_continuous_are(lin.A0, lin.B0, np.eye(3),
+        A, B = orbital_linearization(par)
+        P_ref = solve_continuous_are(A[:3, :3], B[:3, :1], np.eye(3),
                                      np.array([[0.5]]))
         assert np.allclose(cfg.P0, P_ref, atol=1e-8 * (1 + np.linalg.norm(P_ref)))
 
@@ -224,7 +233,7 @@ class TestLayeredDesign:
         meta = law.metadata
         V_t = clf.local_quadratic_clf(block_diag(cfg.P0, cfg.rho1))
         cost4 = inverse_opt.level_scaled_cost(
-            V_t, orbital_reduced_system(par), cfg.Q_tilde, np.diag([cfg.R_r, cfg.R_theta]),
+            V_t, orbital_restriction(par, 4, 2), cfg.Q_tilde, np.diag([cfg.R_r, cfg.R_theta]),
             Box.centered([0.5] * 4), np.geomspace(0.01, 2.0, 40), k_max=4, n_samples=400)
         assert meta["r0"] == cost4.scaling.r0
         assert meta["ladder"] == cost4.scaling.ladder
@@ -311,6 +320,16 @@ class TestSimulate:
         with pytest.raises(DivergenceError, match="admissible domain") as exc:
             simulate_orbital(par, law, s0, 5.0, 50.0)
         assert exc.value.last_state is not None
+
+    def test_domain_error_state_in_original_coordinates(self, unit_design):
+        # the first step already leaves the domain, so the last recorded
+        # state is s0 itself, not its offset from the target
+        par, _, _, _, law = unit_design
+        s0 = equilibrium(par) + np.array([0.1, 0.05, -0.05, 0.1, 0.05, -0.05])
+        with pytest.raises(DivergenceError, match="admissible domain") as exc:
+            simulate_orbital(par, law, s0, 5.0, 50.0)
+        assert np.allclose(exc.value.last_state, s0, rtol=0.0, atol=1e-15)
+        assert exc.value.last_time == 0.0
 
     def test_stop_callback_truncates(self, unit_design):
         par, _, V, _, law = unit_design

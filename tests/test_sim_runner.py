@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_clf import MONOMIAL, poly_cell
+from test_clf import COEFF, MONOMIAL, poly_cell
 
 from clfsynth import clf, inverse_opt, orbital, runner, structured, synthesis
 from clfsynth.clf import lie_sweep, local_quadratic_clf, strict_margin
@@ -43,15 +43,13 @@ QUICK_ORBITAL = {
 
 
 def quiet_run(cfg, out_dir=None):
-    """run() with the two expected sampling notices silenced.
+    """run() with the expected sampling notice silenced.
 
     The cost scan queries the scaling beyond its top knot on any box that
-    outgrows the certified levels, and coarse boxes can leave a top annulus
-    unsampled; both are informational here.
+    outgrows the certified levels; that is informational here.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*beyond the certified range.*")
-        warnings.filterwarnings("ignore", message=".*defaults to 1.*")
         return run(cfg, out_dir=out_dir)
 
 
@@ -96,6 +94,48 @@ class TestRk4:
         states = rk4_path(lambda x: -x, np.array([0.0]), 0.1, 100,
                           stop=lambda x: True)
         assert states.shape == (1, 1)
+
+
+def fenced_plant():
+    """x' = x + u, a field defined only on |x| <= 1."""
+    def a(x):
+        if abs(x[0]) > 1.0:
+            raise ValueError("state outside the fence")
+        return np.array([x[0]])
+
+    return clf.ControlAffineSystem(1, 1, a, lambda x: np.array([[1.0]]),
+                                   linearization=([[1.0]], [[1.0]]))
+
+
+class TestDomainBreach:
+    """A field raising ValueError ends a run like a non-finite state does.
+
+    The outward law u = x gives x' = 2x, which leaves |x| <= 1 from 0.5 at
+    t = ln(2) / 2 ~ 0.35.
+    """
+
+    def outward(self):
+        return FeedbackLaw("outward", lambda x: np.array([x[0]]), 1, 1)
+
+    def test_integrate_raises_divergence(self):
+        with pytest.raises(DivergenceError, match="fence") as exc:
+            integrate(fenced_plant(), self.outward(), np.array([0.5]), 0.01, 5.0)
+        assert abs(exc.value.last_state[0]) <= 1.0
+        assert 0.3 < exc.value.last_time < 0.36
+
+    def test_evaluate_cost_raises_divergence(self):
+        sys_ = fenced_plant()
+        # 1 + sqrt(2) solves 2P - P^2 + 1 = 0, the Riccati equation of (1, 1, 1, 1)
+        V = local_quadratic_clf(np.array([[1.0 + np.sqrt(2.0)]]))
+        cost = inverse_opt.build_inverse_cost(V, sys_, np.eye(1), np.eye(1),
+                                              inverse_opt.build_mu(10.0, []))
+        with pytest.raises(DivergenceError, match="fence") as exc:
+            inverse_opt.evaluate_cost(sys_, cost, self.outward(), np.array([0.5]),
+                                      horizon=5.0, dt=0.01)
+        # the plant state, without the running-cost coordinate
+        assert exc.value.last_state.shape == (1,)
+        assert abs(exc.value.last_state[0]) <= 1.0
+        assert 0.3 < exc.value.last_time < 0.36
 
 
 class TestTrajectory:
@@ -431,6 +471,38 @@ class TestReconstructCost:
                 continue
             ell = 1.0 if k == 0 else rec.ladder[k - 1]
             assert la - 0.25 * ell * lb[0] ** 2 < -strict_margin(la)
+
+
+# x' = c1 x + c2 x^2 + c3 x^3 + g u, with |g| >= 0.25 so the plant stays
+# stabilizable at the origin
+SCALAR_PLANTS = st.tuples(st.lists(COEFF, min_size=3, max_size=3), st.floats(0.25, 2.0),
+                          st.booleans()).map(lambda d: {
+    "n": 1, "p": 1,
+    "drift": [[{"coeff": c, "exponents": [k]} for k, c in enumerate(d[0], start=1)]],
+    "input": [[[{"coeff": -d[1] if d[2] else d[1], "exponents": [0]}]]]})
+
+
+class TestRandomPlants:
+    # 15 draws per family, 30 in all
+    @pytest.mark.parametrize("plants", [SCALAR_PLANTS, CONTROLLABLE_PLANTS],
+                             ids=["scalar", "planar"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 16))
+    def test_design_and_cost_fail_only_with_typed_errors(self, plants, data, seed):
+        """The whole pipeline returns, or refuses with a typed error."""
+        spec = data.draw(plants)
+        n = spec["n"]
+        box = Box.centered([1.0] * n)
+        grid = expand_level_grid({"start": 0.01, "stop": 1.0, "num": 16})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                synth = runner.synthesize_problem(load_system(spec), np.eye(n), np.eye(1),
+                                                  box, grid, n_samples=300, seed=seed)
+                runner.reconstruct_cost(synth.full, synth.V, np.eye(n), np.eye(1), box,
+                                        grid, k_max=3, n_samples=300, seed=seed)
+            except (ConfigError, CertificateError, DivergenceError):
+                pass
 
 
 class TestRunOrbital:

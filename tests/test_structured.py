@@ -85,11 +85,11 @@ class TestStrictFeedbackSystem:
                 blocks=([[0.0]], [2.0], [0.0], 0.0, 1.0))
 
     def test_offset_drift_rejected(self):
-        with pytest.raises(ValueError, match=r"h1\(0\) must vanish"):
+        with pytest.raises(ValueError, match=r"a\(0\) must vanish"):
             StrictFeedbackSystem(1, h1=lambda y: np.array([1.0]),
                                  h2=lambda y: np.array([1.0]),
                                  f=lambda y, x: 0.0, g=lambda y, x: 1.0)
-        with pytest.raises(ValueError, match=r"f\(0, 0\) must vanish"):
+        with pytest.raises(ValueError, match=r"a\(0\) must vanish"):
             StrictFeedbackSystem(1, h1=lambda y: np.array([0.0]),
                                  h2=lambda y: np.array([1.0]),
                                  f=lambda y, x: 1.0, g=lambda y, x: 1.0)
@@ -270,11 +270,11 @@ class TestFeedforward:
         assert np.allclose(sys_.b(chi), [[0.0], [0.0], [1.0]])
 
     def test_validation(self):
-        with pytest.raises(ValueError, match=r"h\(0\) must vanish"):
+        with pytest.raises(ValueError, match=r"a\(0\) must vanish"):
             FeedforwardSystem(1, 1, h=lambda x: 1.0,
                               f=lambda x: np.array([-x[0]]),
                               g=lambda x: np.array([[1.0]]))
-        with pytest.raises(ValueError, match=r"f\(0\) must vanish"):
+        with pytest.raises(ValueError, match=r"a\(0\) must vanish"):
             FeedforwardSystem(1, 1, h=lambda x: float(x[0]),
                               f=lambda x: np.array([1.0]),
                               g=lambda x: np.array([[1.0]]))

@@ -1,8 +1,10 @@
-"""Print the sha256 of every report.json and trace CSV of six reference runs.
+"""Print the sha256 of every report.json and trace CSV of eight reference runs.
 
-Runs the four shipped run configs and the two registry problems
-strict_feedback_demo and orbital_reduced into a temporary directory and
-prints one "<sha256>  <run>/<file>" line per output file. Two checkouts
+Runs the four shipped run configs, the two registry problems
+strict_feedback_demo and orbital_reduced, and two inline structured specs
+without origin blocks (so their linearization comes from finite
+differences) into a temporary directory and prints one
+"<sha256>  <run>/<file>" line per output file. Two checkouts
 produce identical reports exactly when their outputs are identical:
 
     python tools/report_digest.py > after.txt
@@ -28,6 +30,23 @@ RUNS = [
     ("run_orbital_geo", "configs/run_orbital_geo.json"),
     ("strict_feedback_demo", {"system": "strict_feedback_demo"}),
     ("orbital_reduced", {"system": "orbital_reduced"}),
+    # y' = x, x' = x^2 + u
+    ("feedforward_inline", {
+        "system": {"structure": "feedforward", "n_x": 1, "p": 1,
+                   "h": [{"coeff": 1.0, "exponents": [1]}],
+                   "f": [[{"coeff": 1.0, "exponents": [2]}]],
+                   "g": [[[{"coeff": 1.0, "exponents": [0]}]]]},
+        "box": {"lows": [-1.0, -1.0], "highs": [1.0, 1.0]},
+        "level_grid": {"start": 0.02, "stop": 1.5, "num": 28}}),
+    # y' = -y^3 + x, x' = x y^2 + u
+    ("strict_feedback_inline", {
+        "system": {"structure": "strict_feedback", "n_y": 1,
+                   "h1": [[{"coeff": -1.0, "exponents": [3]}]],
+                   "h2": [[{"coeff": 1.0, "exponents": [0]}]],
+                   "f": [{"coeff": 1.0, "exponents": [2, 1]}],
+                   "g": [{"coeff": 1.0, "exponents": [0, 0]}]},
+        "box": {"lows": [-1.5, -1.5], "highs": [1.5, 1.5]},
+        "level_grid": {"start": 0.02, "stop": 1.5, "num": 28}}),
 ]
 
 
