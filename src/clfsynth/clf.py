@@ -13,7 +13,7 @@ import numpy as np
 from . import numdiff
 from .errors import CertificateError
 from .linear_core import LinearSystem, is_hurwitz
-from .sampling import halton_engine, sample_box
+from .sampling import sample_box
 
 ORIGIN_TOL = 1e-12
 
@@ -127,8 +127,11 @@ def lie_derivatives(V, sys, x):
 
 
 def kernel_tol(grad):
-    """Kernel threshold for ||L_b V||: 1e-7 scaled by the gradient size."""
-    return 1e-7 * (1.0 + np.linalg.norm(grad))
+    """Kernel threshold for ||L_b V||: 1e-7 scaled by the gradient size.
+
+    grad is one gradient or one per row; the norm is over the last axis.
+    """
+    return 1e-7 * (1.0 + np.linalg.norm(grad, axis=-1))
 
 
 def strict_margin(la):
@@ -176,7 +179,7 @@ def lie_sweep(V, sys, points):
         values=np.array([V.value(x) for x in points]),
         la=np.array([t[1] for t in terms]),
         lb=np.array([t[2] for t in terms]).reshape(len(points), sys.p),
-        kernel_tol=np.array([kernel_tol(t[0]) for t in terms]))
+        kernel_tol=kernel_tol(np.array([t[0] for t in terms]).reshape(len(points), sys.n)))
 
 
 @dataclass
@@ -258,7 +261,7 @@ def find_r0(sweep, K_o, level_grid):
     B = sys.linearization.B
     if not is_hurwitz(A + B @ K_o):
         raise ValueError("K_o does not stabilize the linearization")
-    slack = [la + lb @ (K_o @ x) for x, la, lb in zip(sweep.points, sweep.la, sweep.lb)]
+    slack = sweep.la + np.einsum("ij,ij->i", sweep.lb, sweep.points @ K_o.T)
     return _scan_levels(
         sweep, level_grid, slack,
         "no grid level passed the local decrease test; refine the grid "
@@ -321,15 +324,13 @@ def check_positivity_properness(V, box, n_samples=512, seed=0):
     exceed the largest value on the central quarter-scale box. Both facts
     hold only for the sampled box, nothing larger.
     """
-    engine = halton_engine(box.dim, seed)
-    pts = sample_box(box, n_samples, engine=engine)
+    pts, faces = np.split(sample_box(box, 2 * n_samples, seed=seed), 2)
     vals = np.array([V.value(x) for x in pts])
     scale = max(float(np.max(vals)), ORIGIN_TOL)
     interior = [(x, v) for x, v in zip(pts, vals) if v > 1e-9 * scale or np.linalg.norm(x) > 1e-6]
     negative = [x for x, v in interior if v <= 0.0]
     # push samples onto the boundary, one face per point, round robin
     boundary_vals = []
-    faces = sample_box(box, n_samples, engine=engine)
     for i, x in enumerate(faces):
         y = np.array(x)
         j = i % box.dim

@@ -8,7 +8,9 @@ q = -L_aV + (1/4) L_bV r^-1 L_bV'. By construction the pair (q, r)
 satisfies the stationary Hamilton-Jacobi-Bellman identity with value
 function V, and u = -(1/2) r^-1 L_bV' is the optimal feedback.
 level_scaled_cost is the whole construction on a working box: sweeps,
-base level, annulus ladder, scaling and cost.
+base level, annulus ladder, scaling and cost. Every certificate reads the
+input form L_bV r^-1 L_bV' as a column of one sweep (_input_forms, one
+solve per sweep); the per-state q and residual call it on a single row.
 """
 
 import warnings
@@ -24,24 +26,14 @@ from .sim import rk4_path
 from .synthesis import FeedbackLaw, local_gain
 
 
-def _input_form(lb, R):
-    """L_bV R^-1 L_bV', the R^-1-weighted square of the input derivative."""
-    return float(lb @ np.linalg.solve(R, lb))
+def _input_forms(lb, r):
+    """L_bV r^-1 L_bV' at every row of lb (N, p), with one solve.
 
-
-def _excess_ratio(la, lb, R):
-    """4 L_aV / (L_bV R^-1 L_bV'), the scaling needed to dominate the drift."""
-    return 4.0 * la / _input_form(lb, R)
-
-
-def _state_weight(la, lb, r):
-    """-L_aV + (1/4) L_bV r^-1 L_bV', the state weight that input weight r implies."""
-    return 0.25 * _input_form(lb, r) - la
-
-
-def _input_forms(sweep, R):
-    """_input_form at every row of a sweep."""
-    return np.array([_input_form(lb, R) for lb in sweep.lb])
+    r is one (p, p) weight for every row or one weight per row (N, p, p).
+    A single row lb of shape (p,) gives a 0-d array.
+    """
+    lb = np.asarray(lb, dtype=float)
+    return np.einsum("...i,...i->...", lb, np.linalg.solve(r, lb[..., None])[..., 0])
 
 
 def _sweep_slack(sweep, R):
@@ -50,7 +42,7 @@ def _sweep_slack(sweep, R):
     The base inequality: negative where the input weight R dominates the
     drift.
     """
-    return sweep.la - 0.25 * _input_forms(sweep, R)
+    return sweep.la - 0.25 * _input_forms(sweep.lb, R)
 
 
 def check_base_region(sweep, R, r0):
@@ -107,7 +99,10 @@ def estimate_level_constants(fit, check, R, r0, k_max=8):
         raise ValueError("k_max must be at least 1")
     check_base_region(check, R, r0)
     kernel = fit.in_kernel
-    check_forms, check_margin = _input_forms(check, R), strict_margin(check.la)
+    # 4 L_aV / (L_bV R^-1 L_bV'), the scaling that dominates the drift
+    ratio = np.zeros(len(fit.la))
+    ratio[~kernel] = 4.0 * fit.la[~kernel] / _input_forms(fit.lb[~kernel], R)
+    check_forms, check_margin = _input_forms(check.lb, R), strict_margin(check.la)
 
     ladder = []
     for k in range(1, k_max + 1):
@@ -119,9 +114,7 @@ def estimate_level_constants(fit, check, R, r0, k_max=8):
             raise CertificateError(
                 f"decrease condition fails on annulus {k}: the input map "
                 "vanishes at a state where the drift does not decrease")
-        rows = mine & ~kernel
-        sup = max((_excess_ratio(la, lb, R) for la, lb in zip(fit.la[rows], fit.lb[rows])),
-                  default=1.0)
+        sup = np.max(ratio[mine & ~kernel], initial=1.0)
         ell = 1.0 if sup <= 1.0 else SAFETY_FACTOR * sup
 
         for _ in range(MAX_DOUBLINGS + 1):
@@ -237,7 +230,7 @@ class InverseOptimalCost:
     def q(self, x):
         x = np.asarray(x, dtype=float)
         la, lb = lie_derivatives(self.V, self.sys, x)
-        return _state_weight(la, lb, self.r(x))
+        return 0.25 * float(_input_forms(lb, self.r(x))) - la
 
     def r(self, x):
         x = np.asarray(x, dtype=float)
@@ -294,8 +287,7 @@ def hjb_residual(V, cost, sys, x):
     consistency, not optimality.
     """
     la, lb = lie_derivatives(V, sys, x)
-    rx = cost.r(x)
-    return cost.q(x) + la - 0.25 * _input_form(lb, rx)
+    return cost.q(x) + la - 0.25 * float(_input_forms(lb, cost.r(x)))
 
 
 def hjb_sweep(sweep, cost):
@@ -304,13 +296,11 @@ def hjb_sweep(sweep, cost):
     q is cost.q's, computed from the sweep's levels and Lie derivatives;
     the residual is hjb_residual's, so it is rounding error only.
     """
-    q, residual = [], []
-    for x, v, la, lb in zip(sweep.points, sweep.values, sweep.la, sweep.lb):
-        rx = cost.r_at(x, v)
-        qi = _state_weight(la, lb, rx)
-        q.append(qi)
-        residual.append(qi + la - 0.25 * _input_form(lb, rx))
-    return np.array(q), np.array(residual)
+    p = sweep.sys.p
+    r = np.array([cost.r_at(x, v) for x, v in zip(sweep.points, sweep.values)])
+    forms = _input_forms(sweep.lb, r.reshape(-1, p, p))
+    q = 0.25 * forms - sweep.la
+    return q, q + sweep.la - 0.25 * forms
 
 
 def optimal_feedback(V, cost, sys):

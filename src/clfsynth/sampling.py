@@ -27,10 +27,6 @@ class Box:
         h = np.atleast_1d(np.asarray(half_widths, dtype=float))
         return cls(-h, h)
 
-    def contains(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(np.all(x >= self.lows) and np.all(x <= self.highs))
-
     def to_dict(self):
         return {"lows": self.lows.tolist(), "highs": self.highs.tolist()}
 
@@ -43,26 +39,21 @@ class Box:
         return cls(lows, highs)
 
 
-def halton_engine(dim, seed=0):
-    return qmc.Halton(d=dim, scramble=True, seed=seed)
-
-
-def sample_box(box, n, seed=0, engine=None):
-    """n Halton points inside the box, shape (n, dim)."""
-    if engine is None:
-        engine = halton_engine(box.dim, seed)
-    u = engine.random(n)
+def sample_box(box, n, seed=0):
+    """The first n scrambled Halton points of a seed inside the box, shape (n, dim)."""
+    u = qmc.Halton(d=box.dim, scramble=True, seed=seed).random(n)
     return box.lows + u * (box.highs - box.lows)
 
 
-def quadratic_level_box(P, level, slack=1.1):
-    """Bounding box of the ellipsoid {x' P x <= level}.
+def quadratic_level_box(P, level):
+    """Bounding box of the ellipsoid {x' P x <= level}, widened by 1.25.
 
-    Half-width along coordinate i is sqrt(level * (P^-1)_ii); the slack
-    factor widens it to keep rejection sampling honest for functions that
-    are only approximately quadratic.
+    The exact half-width along coordinate i is sqrt(level * (P^-1)_ii), and
+    the ellipsoid touches that box only at its extreme points. Widened by a
+    quarter, a sweep of the box also holds states above the level in every
+    direction, so scans up to the level see rows on both sides of it.
     """
     P = np.asarray(P, dtype=float)
     Pinv = np.linalg.inv(P)
-    hw = slack * np.sqrt(np.maximum(level * np.diag(Pinv), 0.0))
+    hw = 1.25 * np.sqrt(np.maximum(level * np.diag(Pinv), 0.0))
     return Box.centered(hw)

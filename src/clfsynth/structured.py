@@ -246,7 +246,7 @@ def backstepping_synthesize(sys, K_o, P=None, box=None, level_grid=None,
     if level_grid is None:
         level_grid = np.geomspace(0.05, 2.0, 24)
     if box is None:
-        box = quadratic_level_box(0.5 * V.hessian_origin, max(level_grid), slack=1.25)
+        box = quadratic_level_box(0.5 * V.hessian_origin, max(level_grid))
     sweep = lie_sweep(V, sys.to_control_affine(), sample_box(box, n_samples, seed=seed))
     law = blended_design(sweep, K_o, level_grid)[1]
     law.metadata["partition"] = part.to_dict()

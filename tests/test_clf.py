@@ -29,7 +29,7 @@ def box_sweep(V, sys_, box, n_samples=2000):
 
 def level_sweep(V, sys_, grid):
     """Sweep of the top grid level's ellipsoid box, widened by 1.25."""
-    box = quadratic_level_box(0.5 * V.hessian_origin, max(grid), slack=1.25)
+    box = quadratic_level_box(0.5 * V.hessian_origin, max(grid))
     return box_sweep(V, sys_, box)
 
 

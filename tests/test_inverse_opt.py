@@ -21,12 +21,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clfsynth.clf import ControlAffineSystem, LieSweep, lie_sweep, local_quadratic_clf
 from clfsynth.errors import CertificateError, DivergenceError
 from clfsynth.inverse_opt import (
     InverseOptimalCost,
-    _excess_ratio,
+    _input_forms,
     base_level_ladder,
     build_inverse_cost,
     build_mu,
@@ -49,7 +51,7 @@ def unit_v():
 
 def level_sweep(V, sys_, level, n_samples=2000):
     """Sweep of the level's ellipsoid box, widened by 1.25."""
-    box = quadratic_level_box(0.5 * V.hessian_origin, level, slack=1.25)
+    box = quadratic_level_box(0.5 * V.hessian_origin, level)
     return lie_sweep(V, sys_, sample_box(box, n_samples))
 
 
@@ -78,16 +80,50 @@ def scalar_linear():
         linearization=(np.array([[1.0]]), np.array([[1.0]])))
 
 
+def excess_ratio(la, lb, R):
+    """4 L_aV / (L_bV R^-1 L_bV'), the ladder's fit ratio, at one row."""
+    return 4.0 * la / _input_forms(np.array([lb]), R)[0]
+
+
 class TestExcessRatio:
     def test_cubic_at_sqrt2(self):
         x = SQRT2
-        ratio = _excess_ratio(2.0 * x ** 4, np.array([2.0 * x]), np.eye(1))
+        ratio = excess_ratio(2.0 * x ** 4, [2.0 * x], np.eye(1))
         assert ratio == pytest.approx(4.0, rel=1e-12)
 
     def test_input_weight_scales_ratio(self):
         x = SQRT2
-        ratio = _excess_ratio(2.0 * x ** 4, np.array([2.0 * x]), 4.0 * np.eye(1))
+        ratio = excess_ratio(2.0 * x ** 4, [2.0 * x], 4.0 * np.eye(1))
         assert ratio == pytest.approx(16.0, rel=1e-12)
+
+
+@st.composite
+def input_form_rows(draw):
+    """(lb, r): rows L_bV (N, p) and an SPD weight, shared or one per row."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    entry = st.floats(-3.0, 3.0, allow_nan=False)
+    lb = np.array(draw(st.lists(st.lists(entry, min_size=p, max_size=p),
+                                min_size=n, max_size=n)))
+
+    def spd():
+        M = np.array(draw(st.lists(entry, min_size=p * p, max_size=p * p))).reshape(p, p)
+        return M @ M.T + draw(st.floats(0.1, 2.0)) * np.eye(p)
+
+    r = np.stack([spd() for _ in range(n)]) if draw(st.booleans()) else spd()
+    return lb, r
+
+
+class TestInputForms:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=input_form_rows())
+    def test_rows_match_one_solve_per_row(self, rows):
+        lb, r = rows
+        forms = _input_forms(lb, r)
+        weights = r if r.ndim == 3 else [r] * len(lb)
+        expected = [row @ np.linalg.solve(w, row) for row, w in zip(lb, weights)]
+        assert forms.shape == (len(lb),)
+        np.testing.assert_allclose(forms, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckBaseRegion:
@@ -123,7 +159,7 @@ class TestFindBaseLevel:
 
 def ladder_sweeps(V, sys_, top, n_samples=400):
     """(fit, check): sweeps of the top level's ellipsoid box at seeds 0 and 1."""
-    box = quadratic_level_box(0.5 * V.hessian_origin, top, slack=1.25)
+    box = quadratic_level_box(0.5 * V.hessian_origin, top)
     return tuple(lie_sweep(V, sys_, sample_box(box, n_samples, seed=s)) for s in (0, 1))
 
 

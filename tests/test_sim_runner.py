@@ -444,6 +444,21 @@ class TestReconstructCost:
         assert counts["a"] <= 3 * 500 + 10
         assert counts["value"] <= 3 * 500 + 10
 
+    def test_hjb_sweep_q_column_is_cost_q_row_by_row(self):
+        problem = runner.DEFAULT_PROBLEMS["strict_feedback_demo"]
+        box = Box.from_dict(problem["box"])
+        grid = expand_level_grid(problem["level_grid"])
+        synth = runner.synthesize_problem(load_system("strict_feedback_demo"), np.eye(2),
+                                          np.eye(1), box, grid, n_samples=500, seed=0)
+        rec = runner.reconstruct_cost(synth.full, synth.V, np.eye(2), np.eye(1), box, grid,
+                                      k_max=4, n_samples=500, seed=0)
+        sweep = lie_sweep(synth.V, synth.full, sample_box(box, 200, seed=5))
+        sweep = sweep.rows(sweep.values <= rec.scaling.certified_top)
+        q, residual = inverse_opt.hjb_sweep(sweep, rec.cost)
+        assert len(q) > 100
+        assert np.array_equal(q, [rec.cost.q(x) for x in sweep.points])
+        assert np.max(np.abs(residual)) <= 1e-12
+
     @settings(max_examples=20, deadline=None)
     @given(spec=CONTROLLABLE_PLANTS, seed=st.integers(0, 2 ** 16))
     def test_returned_ladder_holds_on_every_check_row(self, spec, seed):

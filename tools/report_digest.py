@@ -1,9 +1,9 @@
-"""Print the sha256 of every report.json and trace CSV of eight reference runs.
+"""Print the sha256 of every report.json and trace CSV of nine reference runs.
 
 Runs the four shipped run configs, the two registry problems
-strict_feedback_demo and orbital_reduced, and two inline structured specs
-without origin blocks (so their linearization comes from finite
-differences) into a temporary directory and prints one
+strict_feedback_demo and orbital_reduced, two inline structured specs and
+one inline polynomial spec (their origin linearizations are read from the
+term lists) into a temporary directory and prints one
 "<sha256>  <run>/<file>" line per output file. Two checkouts
 produce identical reports exactly when their outputs are identical:
 
@@ -46,6 +46,15 @@ RUNS = [
                    "f": [{"coeff": 1.0, "exponents": [2, 1]}],
                    "g": [{"coeff": 1.0, "exponents": [0, 0]}]},
         "box": {"lows": [-1.5, -1.5], "highs": [1.5, 1.5]},
+        "level_grid": {"start": 0.02, "stop": 1.5, "num": 28}}),
+    # x1' = x2, x2' = x1 - x1^3/2 + u
+    ("duffing_inline", {
+        "system": {"n": 2, "p": 1,
+                   "drift": [[{"coeff": 1.0, "exponents": [0, 1]}],
+                             [{"coeff": 1.0, "exponents": [1, 0]},
+                              {"coeff": -0.5, "exponents": [3, 0]}]],
+                   "input": [[[]], [[{"coeff": 1.0, "exponents": [0, 0]}]]]},
+        "box": {"lows": [-1.0, -1.0], "highs": [1.0, 1.0]},
         "level_grid": {"start": 0.02, "stop": 1.5, "num": 28}}),
 ]
 
