@@ -104,14 +104,21 @@ class Clf:
 
 
 def local_quadratic_clf(P):
-    """V(x) = x' P x for symmetric positive definite P; exact derivatives."""
+    """V(x) = x' P x for symmetric positive definite P; exact derivatives.
+
+    Value and gradient avoid BLAS, whose sums depend on the memory layout
+    of x: a row view, its copy and a Fortran-ordered row give the same
+    bits. The gradient sums the rows of (2P) * x, which is 2 (P x)
+    exactly, since doubling is exact.
+    """
     P = np.asarray(P, dtype=float)
     P = 0.5 * (P + P.T)
     np.linalg.cholesky(P)
+    H = 2.0 * P
     return Clf(P.shape[0],
-               value=lambda x: float(x @ P @ x),
-               gradient=lambda x: 2.0 * (P @ x),
-               hessian_origin=2.0 * P)
+               value=lambda x: float(np.einsum("i,ij,j->", x, P, x)),
+               gradient=lambda x: (H * x).sum(axis=1),
+               hessian_origin=H)
 
 
 def _lie_terms(V, sys, x):

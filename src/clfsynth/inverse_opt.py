@@ -14,6 +14,7 @@ solve per sweep); the per-state q and residual call it on a single row.
 """
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,17 @@ def _input_forms(lb, r):
     """
     lb = np.asarray(lb, dtype=float)
     return np.einsum("...i,...i->...", lb, np.linalg.solve(r, lb[..., None])[..., 0])
+
+
+def _solve(r, lb):
+    """r^-1 lb for one weight r (p, p) and one row lb (p,).
+
+    A 1 x 1 weight divides: LAPACK's 1 x 1 solve is that division, so the
+    result has the same bits without np.linalg.solve's call overhead.
+    """
+    if r.shape == (1, 1):
+        return lb / r[0, 0]
+    return np.linalg.solve(r, lb)
 
 
 def _sweep_slack(sweep, R):
@@ -161,6 +173,7 @@ class LevelScaling:
         self.ladder = [float(l) for l in ladder]
         self.knots_s = np.asarray(knots_s, dtype=float)
         self.knots_v = np.asarray(knots_v, dtype=float)
+        self._knots = (self.knots_s.tolist(), self.knots_v.tolist())
         self._warned = False
 
     @property
@@ -173,7 +186,16 @@ class LevelScaling:
                 f"scaling queried at level {s:.4g} beyond the certified range "
                 f"(frozen at {self.knots_v[-1]:.4g})", stacklevel=2)
             self._warned = True
-        return float(np.interp(s, self.knots_s, self.knots_v))
+        # np.interp's arithmetic for one level, without its array set-up
+        ks, kv = self._knots
+        j = bisect_right(ks, s) - 1
+        if j < 0:
+            return kv[0]
+        if j >= len(ks) - 1:
+            return kv[-1]
+        if ks[j] == s:
+            return kv[j]
+        return (kv[j + 1] - kv[j]) / (ks[j + 1] - ks[j]) * (s - ks[j]) + kv[j]
 
     __call__ = mu
 
@@ -304,13 +326,21 @@ def hjb_sweep(sweep, cost):
 
 
 def optimal_feedback(V, cost, sys):
-    """u = -(1/2) r(x)^-1 L_bV(x)'; minimizes the reconstructed cost."""
+    """u = -(1/2) r(x)^-1 L_bV(x)'; minimizes the reconstructed cost.
+
+    V and sys must be the cost's own. Only L_bV = grad V(x) b(x) enters
+    u, so the drift is not evaluated. The law's metadata records the
+    cost it minimizes ("cost"), which is how evaluate_cost recognises it.
+    """
+    if V is not cost.V or sys is not cost.sys:
+        raise ValueError("optimal_feedback needs the cost's own V and system")
+
     def u(x):
-        _, lb = lie_derivatives(V, sys, x)
-        return -0.5 * np.linalg.solve(cost.r(x), lb)
+        lb = V.gradient(x) @ sys.b(x)
+        return -0.5 * _solve(cost.r(x), lb)
 
     return FeedbackLaw("optimal_feedback", u, sys.n, sys.p,
-                       metadata={"hjb_optimal": True})
+                       metadata={"hjb_optimal": True, "cost": cost})
 
 
 @dataclass
@@ -337,27 +367,43 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     """Integral of q + u' r u along the closed loop, plus a tail estimate.
 
     The running cost is integrated as an extra RK4 state on the same grid.
-    Integration stops inside {V <= 1e-8 V(x0)}. For optimal feedback the
-    tail is V at the final state (exact under the HJB identity); otherwise
-    a linear-quadratic tail
-    estimate is used and labeled as such. Raises DivergenceError when the
-    horizon ends before the terminal set is reached, or when the run fails
-    (rk4_path); its last_state is a plant state.
+    Each stage evaluates grad V, a, b, V, r and one solve w = r^-1 L_bV'
+    once; dx = a + b u and the rate is (1/4) L_bV w - L_aV + u' r u, which
+    is q + u' r u. When law is this cost's own optimal feedback
+    (optimal_feedback records the cost), u = -(1/2) w and law is not
+    called; any other law is called once per stage. Integration stops
+    inside {V <= 1e-8 V(x0)}. For the optimal feedback the tail is V at
+    the final state (exact under the HJB identity); otherwise a
+    linear-quadratic tail estimate is used and labeled as such. sys must
+    be cost.sys, and V, when given, cost.V (ValueError otherwise). Raises
+    DivergenceError when the horizon ends before the terminal set is
+    reached, or when the run fails (rk4_path); its last_state is a plant
+    state.
     """
-    if V is None:
-        V = cost.V
+    if V is not None and V is not cost.V:
+        raise ValueError("V must be the cost's own value function cost.V")
+    if sys is not cost.sys:
+        raise ValueError("sys must be the cost's own system cost.sys")
+    V = cost.V
     x0 = np.asarray(x0, dtype=float)
     v0 = V.value(x0)
     if v0 <= 0.0:
         return CostEstimate(0.0, 0.0, 0.0, "origin", 0.0, x0.copy())
     level = 1e-8 * v0
+    own = law.metadata.get("cost") is cost
 
     def f(z):
         x = z[:-1]
-        u = law.map(x)
-        dx = sys.a(x) + sys.b(x) @ u
-        dj = cost.q(x) + float(u @ cost.r(x) @ u)
-        return np.append(dx, dj)
+        g = V.gradient(x)
+        a, b = sys.a(x), sys.b(x)
+        la, lb = float(g @ a), g @ b
+        r = cost.r_at(x, V.value(x))
+        w = _solve(r, lb)
+        u = -0.5 * w if own else law.map(x)
+        dz = np.empty(z.size)
+        dz[:-1] = a + b @ u
+        dz[-1] = 0.25 * float(lb @ w) - la + float(u @ r @ u)
+        return dz
 
     n_steps = int(np.ceil(horizon / dt - 1e-12))
     z0 = np.append(x0, 0.0)
@@ -372,7 +418,7 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
         raise DivergenceError(
             f"horizon exhausted before the terminal set: V = {V.value(xT):.3e} "
             f"vs target {level:.3e}", last_state=xT, last_time=dt * (len(path) - 1))
-    if law.metadata.get("hjb_optimal"):
+    if own:
         tail = V.value(xT)
         tail_kind = "value_tail"
     else:

@@ -6,7 +6,7 @@ target value p0), and two out-of-plane inclination coordinates. Thrust
 enters through radial, transverse and normal channels. The target
 equilibrium is (0, 0, 0, p0, 0, 0). The field and its exact origin pair
 (A, B) are written once; the in-plane and four-state reductions are their
-slices (orbital_restriction), and transfers run through sim.integrate.
+slices (orbital_restriction), and transfers run through sim.closed_loop_path.
 
 The design is built from the inside out: a quadratic Lyapunov function
 x'P0x for the in-plane subsystem (restricted to orbit scale p0), then the
@@ -33,7 +33,7 @@ from .errors import ArtsteinViolationError, CertificateError, DivergenceError
 from .inverse_opt import InverseOptimalCost, level_scaled_cost, optimal_feedback
 from .linear_core import LinearSystem, solve_care
 from .sampling import Box, sample_box
-from .sim import Trajectory, integrate
+from .sim import Trajectory, closed_loop_path
 
 
 @dataclass
@@ -304,30 +304,32 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
 def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
     """Closed-loop run in the original coordinates from state s0.
 
-    sim.integrate runs orbital_system from the offset s0 - eq, and the
-    recorded states are shifted back by eq; stop, when given, sees
+    sim.closed_loop_path runs orbital_system from the offset s0 - eq, and
+    the recorded states are shifted back by eq; stop, when given, sees
     original coordinates. A domain breach (orbit collapse, radius sign
-    loss) ends the run with integrate's DivergenceError, its last_state
-    given in original coordinates. When V is supplied the trajectory is
-    annotated with V and its analytic derivative along the closed loop,
-    both read from one lie_sweep of the recorded states.
+    loss) ends the run with its DivergenceError, its last_state given in
+    original coordinates. When V is supplied the trajectory is annotated
+    with V and its analytic derivative along the closed loop,
+    grad V (a + b u), read from the (a, b, u) the run's own first stages
+    computed and one gradient per recorded state.
     """
     star = equilibrium(params)
     s0 = np.asarray(s0, dtype=float).reshape(6)
     _check_domain(s0)
-    sys6 = orbital_system(params)
     try:
-        traj = integrate(sys6, law, s0 - star, dt, T,
-                         stop=None if stop is None else (lambda z: stop(star + z)))
+        states, a, b, inputs = closed_loop_path(
+            orbital_system(params), law, s0 - star, dt, T,
+            stop=None if stop is None else (lambda z: stop(star + z)))
     except DivergenceError as e:
         e.last_state = star + e.last_state
         raise
     ann = {}
     if V is not None:
-        sweep = lie_sweep(V, sys6, traj.states)
-        ann = {"V": sweep.values,
-               "Vdot": [la + float(lb @ u) for la, lb, u in zip(sweep.la, sweep.lb, traj.inputs)]}
-    return Trajectory(traj.times, traj.states + star, traj.inputs, ann)
+        grads = [V.gradient(z) for z in states]
+        ann = {"V": [V.value(z) for z in states],
+               "Vdot": [float(g @ ai) + float((g @ bi) @ u)
+                        for g, ai, bi, u in zip(grads, a, b, inputs)]}
+    return Trajectory(dt * np.arange(len(states)), states + star, inputs, ann)
 
 
 ORBITAL_STATE_NAMES = ["chi1", "chi2", "chi3", "chi4", "chi5", "chi6"]

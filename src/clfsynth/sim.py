@@ -88,25 +88,54 @@ class Trajectory:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def closed_loop_path(sys, law, x0, dt, T, stop=None):
+    """RK4 states of x' = a(x) + b(x) law(x) from x0, with a, b and u at each.
+
+    Returns (states, a, b, u), one row per recorded state. The first stage
+    of every step is the field at the state the step starts from, so its
+    (a, b, u) is kept for that state instead of being evaluated again;
+    only the final state, which no step leaves, is evaluated once more.
+    rk4_step evaluates its four stages in order, so every fourth field
+    call is a first stage. stop ends the run after the state that
+    triggered it; a run that leaves the finite range or the field's
+    domain raises rk4_path's DivergenceError.
+    """
+    if dt <= 0 or T <= 0:
+        raise ValueError("dt and T must be positive")
+    n_steps = int(np.ceil(T / dt - 1e-12))
+    a = np.empty((n_steps + 1, sys.n))
+    b = np.empty((n_steps + 1, sys.n, sys.p))
+    u = np.empty((n_steps + 1, sys.p))
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        ax, bx, ux = sys.a(x), sys.b(x), law.map(x)
+        if calls % 4 == 0:
+            k = calls // 4
+            a[k], b[k], u[k] = ax, bx, ux
+        calls += 1
+        return ax + bx @ ux
+
+    states = rk4_path(f, np.asarray(x0, dtype=float), dt, n_steps, stop=stop)
+    m = len(states)
+    xT = states[-1]
+    a[m - 1], b[m - 1], u[m - 1] = sys.a(xT), sys.b(xT), law.map(xT)
+    return states, a[:m], b[:m], u[:m]
+
+
 def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
     """Closed-loop RK4 run of x' = a(x) + b(x) law(x) from x0.
 
     stop is an optional state predicate ending the run after the state
     that triggered it; annotate maps column names to state functions
-    evaluated along the recorded path. A run that leaves the finite range
-    or the field's domain raises rk4_path's DivergenceError.
+    evaluated along the recorded path. The inputs are the ones the run's
+    own first stages computed (closed_loop_path), so law is evaluated
+    4 times per step plus once at the final state. A run that leaves the
+    finite range or the field's domain raises rk4_path's DivergenceError.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
-
-    def f(x):
-        return sys.a(x) + sys.b(x) @ law.map(x)
-
-    n_steps = int(np.ceil(T / dt - 1e-12))
-    states = rk4_path(f, np.asarray(x0, dtype=float), dt, n_steps, stop=stop)
+    states, _, _, inputs = closed_loop_path(sys, law, x0, dt, T, stop=stop)
     times = dt * np.arange(states.shape[0])
-    inputs = np.array([law.map(x) for x in states])
-    ann = {}
-    for name, fn in (annotate or {}).items():
-        ann[name] = np.array([float(fn(x)) for x in states])
+    ann = {name: np.array([float(fn(x)) for x in states])
+           for name, fn in (annotate or {}).items()}
     return Trajectory(times, states, inputs, ann)

@@ -56,9 +56,11 @@ class StrictFeedbackSystem:
 
         def a(chi):
             y, x = chi[:n_y], chi[n_y]
-            return np.append(np.asarray(h1(y), dtype=float).reshape(n_y)
-                             + np.asarray(h2(y), dtype=float).reshape(n_y) * x,
-                             float(f(y, float(x))))
+            out = np.empty(n)
+            out[:n_y] = np.asarray(h1(y), dtype=float).reshape(n_y) \
+                + np.asarray(h2(y), dtype=float).reshape(n_y) * x
+            out[n_y] = float(f(y, float(x)))
+            return out
 
         def b(chi):
             col = np.zeros((n, 1))

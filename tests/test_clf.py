@@ -98,6 +98,33 @@ class TestClf:
         with pytest.raises(np.linalg.LinAlgError):
             local_quadratic_clf(np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_quadratic_is_bit_reproducible_across_memory_layouts(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        V = local_quadratic_clf(M @ M.T + n * np.eye(n))
+        pts = sample_box(Box.centered([1.0] * n), 200, seed=0)
+        copies = [x.copy() for x in pts]
+        layouts = {"row views": list(pts),
+                   "C-ordered rows": list(np.ascontiguousarray(pts)),
+                   "Fortran-ordered rows": list(np.asfortranarray(pts))}
+        for offset in (8, 24):
+            layouts[f"rows {offset} bytes past a 64-byte boundary"] = \
+                list(misaligned_copy(pts, offset))
+        for name, rows in layouts.items():
+            for x, c in zip(rows, copies):
+                assert V.value(x) == V.value(c), name
+                assert np.array_equal(V.gradient(x), V.gradient(c)), name
+
+
+def misaligned_copy(a, offset):
+    """Copy of a float array whose data starts offset bytes past a 64-byte boundary."""
+    buf = np.zeros(a.nbytes + 64 + offset, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start:start + a.nbytes].view(np.float64).reshape(a.shape)
+    out[...] = a
+    return out
+
 
 class TestLieDerivatives:
     def test_scalar_linear_at_one(self):

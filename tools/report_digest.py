@@ -7,18 +7,19 @@ term lists) into a temporary directory and prints one
 "<sha256>  <run>/<file>" line per output file. Two checkouts
 produce identical reports exactly when their outputs are identical:
 
-    python tools/report_digest.py > after.txt
-    python tools/report_digest.py --root ../parent-checkout > before.txt
-    diff before.txt after.txt
+    python tools/report_digest.py --against ../parent-checkout
 
 --root picks the checkout whose src/ and configs/ are used (default: the
-one holding this script).
+one holding this script). --against ROOT computes the digests of --root
+and of ROOT, each in a fresh process, prints the files whose digests
+differ (or that only one checkout writes) and exits 1 if there are any.
 """
 
 import argparse
 import hashlib
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -59,11 +60,29 @@ RUNS = [
 ]
 
 
+def digests(root):
+    """{"<run>/<file>": sha256} of one checkout, computed in a fresh process."""
+    out = subprocess.run([sys.executable, __file__, "--root", str(root)],
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in out.splitlines())}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(pathlib.Path(__file__).resolve().parents[1]),
                         help="checkout to run (default: this script's checkout)")
-    root = pathlib.Path(parser.parse_args(argv).root).resolve()
+    parser.add_argument("--against", metavar="ROOT",
+                        help="compare with this checkout's digests instead of printing them")
+    args = parser.parse_args(argv)
+    root = pathlib.Path(args.root).resolve()
+    if args.against is not None:
+        mine, theirs = digests(root), digests(pathlib.Path(args.against).resolve())
+        differ = sorted(k for k in mine.keys() | theirs.keys() if mine.get(k) != theirs.get(k))
+        for name in differ:
+            print(f"differs  {name}")
+        print(f"{len(differ)} of {len(mine.keys() | theirs.keys())} files differ")
+        return 1 if differ else 0
     sys.path.insert(0, str(root / "src"))
     from clfsynth.runner import run
 
