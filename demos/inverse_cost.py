@@ -2,18 +2,19 @@
 
 Picking up the scalar cubic design, this script builds the level-set
 scaling mu and the input weight r = R / mu(V), from which the state
-weight q follows (level_scaled_cost), and then checks the
-two facts that make the pair meaningful: the stationarity identity holds
-pointwise, and the running cost of the associated feedback integrates to
-the candidate value V(x0) exactly. A deliberately detuned feedback pays
-more, which is what optimality means operationally.
+weight q follows (level_scaled_cost). The stationarity identity then holds
+by construction, so the script checks the two facts that can fail: q is
+positive away from the origin inside the certified levels, and the
+running cost of the associated feedback integrates to the candidate value
+V(x0). A deliberately detuned feedback pays more, which is what
+optimality means operationally.
 """
 
 import numpy as np
 
 from clfsynth import Box, FeedbackLaw, evaluate_cost, level_scaled_cost, lie_sweep, \
     load_system, optimal_feedback, sample_box
-from clfsynth.inverse_opt import hjb_sweep
+from clfsynth.inverse_opt import state_weights
 from clfsynth.runner import synthesize_problem
 
 np.set_printoptions(precision=6, suppress=True)
@@ -44,11 +45,12 @@ def main():
         print(f"q({x:.1f}) = {cost.q(np.array([x])):.6f}   "
               f"r({x:.1f}) = {cost.r(np.array([x])).ravel()}")
 
-    # stationarity identity, sampled inside the certified range
-    pts = [x for x in sample_box(box, 3000, seed=3)
-           if V.value(x) <= scaling.certified_top]
-    worst = np.max(np.abs(hjb_sweep(lie_sweep(V, plant, pts), cost)[1]))
-    print(f"\nstationarity residual over {len(pts)} states: {worst:.3e}")
+    # state weight, sampled inside the certified range, origin excepted
+    sweep = lie_sweep(V, plant, sample_box(box, 3000, seed=3))
+    inside = sweep.rows((sweep.values > 0.0) & (sweep.values <= scaling.certified_top))
+    q = state_weights(inside, cost)
+    print(f"\nsmallest q over {len(q)} states inside the certified levels: "
+          f"{np.min(q):.3e}")
 
     law = optimal_feedback(V, cost, plant)
     for x0 in (np.array([0.6]), np.array([-0.9])):

@@ -177,9 +177,13 @@ def lie_sweep(V, sys, points):
     """LieSweep at the rows of points; grad V is computed once per row.
 
     Each row uses the arithmetic of lie_derivatives, so the two agree
-    exactly.
+    exactly. The last axis of points must have sys.n entries (ValueError
+    otherwise).
     """
-    points = np.asarray(points, dtype=float).reshape(-1, sys.n)
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (sys.n,):
+        raise ValueError(f"sweep points need {sys.n} coordinates, got shape {points.shape}")
+    points = points.reshape(-1, sys.n)
     terms = [_lie_terms(V, sys, x) for x in points]
     return LieSweep(
         V, sys, points,
@@ -329,7 +333,9 @@ def check_positivity_properness(V, box, n_samples=512, seed=0):
 
     Properness is judged by a surrogate: the smallest boundary value must
     exceed the largest value on the central quarter-scale box. Both facts
-    hold only for the sampled box, nothing larger.
+    hold only for the sampled box, nothing larger. For x'Px the surrogate
+    fails on elongated boxes and is not needed: the Cholesky factor that
+    local_quadratic_clf takes proves both facts on all of R^n.
     """
     pts, faces = np.split(sample_box(box, 2 * n_samples, seed=seed), 2)
     vals = np.array([V.value(x) for x in pts])

@@ -104,15 +104,6 @@ def cmd_invopt(args):
     if args.invopt_action == "build":
         _emit(costrec.to_dict(), args.out)
         return 0
-    if args.invopt_action == "verify-hjb":
-        ok = costrec.hjb_max <= args.tol
-        _emit({"hjb_max_abs": costrec.hjb_max, "tolerance": args.tol,
-               "passed": ok, "checked": costrec.checked}, args.out)
-        if not ok:
-            raise CertificateError(
-                f"largest stationarity residual {costrec.hjb_max:.3e} exceeds "
-                f"{args.tol:.1e}")
-        return 0
     # cost: integrate the reconstructed running cost along the optimal law
     x0 = _parse_vector(args.x0, rec.full.n, "--x0")
     _emit(runner.cost_versus_value(rec, costrec, x0, args.T, args.dt), args.out)
@@ -207,13 +198,9 @@ def build_parser():
 
     p = sub.add_parser("invopt", help="reconstruct the cost the blended law "
                                       "minimizes")
-    p.add_argument("invopt_action", choices=["build", "verify-hjb", "cost"])
+    p.add_argument("invopt_action", choices=["build", "cost"])
     _add_problem(p)
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="stationarity residual tolerance for verify-hjb; q is "
-                        "derived from r, so the residual is rounding error, far "
-                        "below the default")
     p.add_argument("--x0", default=None, help="comma-separated initial state "
                                               "for the cost action")
     p.add_argument("--dt", type=float, default=0.005)

@@ -6,11 +6,12 @@ continuous level-dependent scaling equal to 1 near the origin, and the
 state weight is derived from it (InverseOptimalCost) as
 q = -L_aV + (1/4) L_bV r^-1 L_bV'. By construction the pair (q, r)
 satisfies the stationary Hamilton-Jacobi-Bellman identity with value
-function V, and u = -(1/2) r^-1 L_bV' is the optimal feedback.
+function V, and u = -(1/2) r^-1 L_bV' is the optimal feedback; what a
+design has to show is q > 0 (state_weights reads q on a sweep).
 level_scaled_cost is the whole construction on a working box: sweeps,
 base level, annulus ladder, scaling and cost. Every certificate reads the
 input form L_bV r^-1 L_bV' as a column of one sweep (_input_forms, one
-solve per sweep); the per-state q and residual call it on a single row.
+solve per sweep); the per-state q calls it on a single row.
 """
 
 import warnings
@@ -312,17 +313,15 @@ def hjb_residual(V, cost, sys, x):
     return cost.q(x) + la - 0.25 * float(_input_forms(lb, cost.r(x)))
 
 
-def hjb_sweep(sweep, cost):
-    """(q, HJB residual) at every row of a sweep of cost's V and system.
+def state_weights(sweep, cost):
+    """cost.q at every row of a sweep of cost's V and system.
 
-    q is cost.q's, computed from the sweep's levels and Lie derivatives;
-    the residual is hjb_residual's, so it is rounding error only.
+    Computed from the sweep's levels and Lie derivatives with cost.q's
+    arithmetic, so each entry equals cost.q at that row.
     """
     p = sweep.sys.p
     r = np.array([cost.r_at(x, v) for x, v in zip(sweep.points, sweep.values)])
-    forms = _input_forms(sweep.lb, r.reshape(-1, p, p))
-    q = 0.25 * forms - sweep.la
-    return q, q + sweep.la - 0.25 * forms
+    return 0.25 * _input_forms(sweep.lb, r.reshape(-1, p, p)) - sweep.la
 
 
 def optimal_feedback(V, cost, sys):
@@ -339,8 +338,7 @@ def optimal_feedback(V, cost, sys):
         lb = V.gradient(x) @ sys.b(x)
         return -0.5 * _solve(cost.r(x), lb)
 
-    return FeedbackLaw("optimal_feedback", u, sys.n, sys.p,
-                       metadata={"hjb_optimal": True, "cost": cost})
+    return FeedbackLaw("optimal_feedback", u, sys.n, sys.p, metadata={"cost": cost})
 
 
 @dataclass

@@ -179,6 +179,13 @@ class TestLieSweep:
             assert sweep.kernel_tol[i] == kernel_tol(V.gradient(x))
 
 
+    def test_rejects_points_of_another_width(self):
+        sys_ = scalar_system(lambda x: x, lambda x: 1.0)
+        # a (5, 2) array is not ten states of a one-state plant
+        with pytest.raises(ValueError, match="need 1 coordinates"):
+            lie_sweep(quadratic_v(), sys_, sample_box(Box.centered([1.0, 1.0]), 5))
+
+
 class TestArtstein:
     def test_controlled_scalar_passes(self):
         sys_ = scalar_system(lambda x: x, lambda x: 1.0)

@@ -115,6 +115,12 @@ class TestSynth:
         assert code == 2
         assert err.startswith("error:") and "'highs'" in err
 
+    def test_box_of_wrong_dimension_exits_2(self, tmp_path, capsys):
+        box = write_json(tmp_path / "box.json", {"lows": [-1, -1], "highs": [1, 1]})
+        code, _, err = run_cli(capsys, "synth", "scalar_cubic", "--box", box)
+        assert code == 2
+        assert err.startswith("error:") and "2 coordinates" in err
+
     def test_structured_spec_without_n_y_exits_2(self, tmp_path, capsys):
         spec = write_json(tmp_path / "sf.json", {
             "structure": "strict_feedback",
@@ -132,17 +138,22 @@ class TestInvopt:
                                "--samples", "400")
         assert code == 0
         res = json.loads(out)
-        assert res["hjb_max_abs"] <= 1e-10
+        assert set(res) == {"r0", "ladder", "scaling", "q_min_off_origin", "checked"}
         assert res["q_min_off_origin"] > 0
         assert all(l >= 1.0 for l in res["ladder"])
         assert res["scaling"]["r0"] == res["r0"]
 
-    def test_verify_hjb_impossible_tol_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "invopt", "verify-hjb", "scalar_cubic",
-                                 "--samples", "400", "--tol", "1e-20")
-        assert code == 3
-        assert "certificate failure" in err
-        assert json.loads(out)["passed"] is False
+    def test_verify_hjb_is_refused_exits_2(self, capsys):
+        # q is derived from r, so a stationarity residual can only measure
+        # rounding; the action and its --tol flag are gone
+        with pytest.raises(SystemExit) as exc:
+            main(["invopt", "verify-hjb", "scalar_cubic", "--samples", "400"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'verify-hjb'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["invopt", "build", "scalar_cubic", "--tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_cost_matches_value(self, capsys):
         code, out, _ = run_cli(capsys, "invopt", "cost", "scalar_linear",
@@ -271,6 +282,14 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", cfg)
         assert code == 2
         assert err.startswith("error:") and "'num'" in err
+
+    @pytest.mark.parametrize("entry", [{"sampling": [600]},
+                                       {"initial_states": [[1.0, 2.0]]}])
+    def test_invalid_config_entry_exits_2(self, tmp_path, capsys, entry):
+        cfg = write_json(tmp_path / "cfg.json", {"system": "scalar_linear", **entry})
+        code, _, err = run_cli(capsys, "run", cfg)
+        assert code == 2
+        assert err.startswith("error:") and next(iter(entry)) in err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

@@ -353,7 +353,7 @@ class TestInverseCost:
     def test_optimal_feedback_is_lq_gain(self):
         law = optimal_feedback(self.V, self.cost, self.sys)
         assert law.kind == "optimal_feedback"
-        assert law.metadata["hjb_optimal"] is True
+        assert law.metadata["cost"] is self.cost
         for xv in (1.0, -0.4, 2.0):
             u = law.map(np.array([xv]))
             assert u[0] == pytest.approx(-(1.0 + SQRT2) * xv, rel=1e-12)

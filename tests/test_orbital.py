@@ -248,13 +248,13 @@ class TestLayeredDesign:
             oracle = cost4.q(z[:4]) + 0.25 * lb[2] ** 2 / cfg.R_h
             assert abs(cost.q(z) - oracle) <= 1e-12 * abs(oracle)
 
-    def test_four_state_hjb_sweep_q_column_is_cost_q(self, unit_design):
+    def test_four_state_weights_are_cost_q(self, unit_design):
         par, _, _, _, law = unit_design
         cost4 = law.metadata["cost4"]
         sweep = clf.lie_sweep(cost4.V, orbital_restriction(par, 4, 2),
                               sample_box(Box.centered([0.3] * 4), 200, seed=9))
         sweep = sweep.rows(sweep.values <= cost4.scaling.certified_top)
-        q, _ = inverse_opt.hjb_sweep(sweep, cost4)
+        q = inverse_opt.state_weights(sweep, cost4)
         assert len(q) > 100
         np.testing.assert_allclose(q, [cost4.q(x) for x in sweep.points],
                                    rtol=1e-14, atol=1e-15)
