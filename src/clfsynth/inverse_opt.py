@@ -41,11 +41,20 @@ def _input_forms(lb, r):
 def _solve(r, lb):
     """r^-1 lb for one weight r (p, p) and one row lb (p,).
 
-    A 1 x 1 weight divides: LAPACK's 1 x 1 solve is that division, so the
-    result has the same bits without np.linalg.solve's call overhead.
+    A diagonal weight divides. LAPACK's LU of a diagonal matrix has no
+    fill, and its triangular solves subtract zero products from lb and
+    divide by the pivots, so dividing gives the same bits without
+    np.linalg.solve's call overhead; a 1 x 1 weight always divides. With
+    p > 1 a zero entry of lb can come back from LAPACK as a zero of the
+    other sign, so such rows, like every non-diagonal weight (and a
+    diagonal one with a zero pivot), go through np.linalg.solve.
     """
     if r.shape == (1, 1):
         return lb / r[0, 0]
+    d = r.diagonal()
+    p = d.size
+    if np.count_nonzero(r) == p and np.count_nonzero(d) == p and np.count_nonzero(lb) == p:
+        return lb / d
     return np.linalg.solve(r, lb)
 
 
@@ -232,18 +241,23 @@ class InverseOptimalCost:
     """Running cost q(x) + u' r(x) u that makes V the value function.
 
     The input weight is given as r(x, v), its value at a state x whose
-    level V(x) is v; the state weight is derived from it,
-    q = -L_aV + (1/4) L_bV r^-1 L_bV', so the stationary Hamilton-Jacobi-
-    Bellman identity holds by construction. base_Q and base_R are the
-    quadratic weights at the origin; scaling is the level envelope that
-    bends base_R into r away from it. Construction requires r(0) = base_R
-    exactly.
+    level is v. The level is V(x) unless level, a function of the state,
+    names the one r follows (the six-state orbital weight follows a
+    four-state level); r is then never handed a value it ignores. The
+    state weight is derived from r, q = -L_aV + (1/4) L_bV r^-1 L_bV', so
+    the stationary Hamilton-Jacobi-Bellman identity holds by construction.
+    base_Q and base_R are the quadratic weights at the origin; scaling is
+    the level envelope that bends base_R into r away from it.
+    Construction requires r(0) = base_R exactly.
     """
 
-    def __init__(self, V, sys, r, base_Q, base_R, scaling):
+    def __init__(self, V, sys, r, base_Q, base_R, scaling, level=None):
         self.V = V
         self.sys = sys
         self._r = r
+        self.level = level
+        # the level r follows at a state: V(x), or the cost's own level function
+        self.level_at = V.value if level is None else level
         self.base_Q = np.asarray(base_Q, dtype=float)
         self.base_R = np.asarray(base_R, dtype=float)
         self.scaling = scaling
@@ -257,12 +271,25 @@ class InverseOptimalCost:
 
     def r(self, x):
         x = np.asarray(x, dtype=float)
-        return self.r_at(x, self.V.value(x))
+        return self.r_at(x, self.level_at(x))
 
     def r_at(self, x, v):
-        """r at a state x whose level V(x) is already known to be v."""
+        """r at a state x whose level (level_at(x)) is already known to be v."""
         p = self.base_R.shape[0]
         return np.asarray(self._r(x, v), dtype=float).reshape(p, p)
+
+    def stage(self, x, g, b):
+        """(L_bV, r, w, u) at x from g = grad V(x) and b = b(x).
+
+        w = r^-1 L_bV' with one solve, and u = -(1/2) w is the optimal
+        feedback. The one owner of this arithmetic: optimal_feedback's
+        map, evaluate_cost's field and sim.closed_loop_path's stage for
+        the optimal feedback all call it, so they agree bit for bit.
+        """
+        lb = g @ b
+        r = self.r_at(x, self.level_at(x))
+        w = _solve(r, lb)
+        return lb, r, w, -0.5 * w
 
 
 def build_inverse_cost(V, sys, R, Q, scaling):
@@ -317,26 +344,29 @@ def state_weights(sweep, cost):
     """cost.q at every row of a sweep of cost's V and system.
 
     Computed from the sweep's levels and Lie derivatives with cost.q's
-    arithmetic, so each entry equals cost.q at that row.
+    arithmetic, so each entry equals cost.q at that row; a cost whose r
+    follows its own level reads that level at each row instead.
     """
     p = sweep.sys.p
-    r = np.array([cost.r_at(x, v) for x, v in zip(sweep.points, sweep.values)])
+    levels = sweep.values if cost.level is None else map(cost.level, sweep.points)
+    r = np.array([cost.r_at(x, v) for x, v in zip(sweep.points, levels)])
     return 0.25 * _input_forms(sweep.lb, r.reshape(-1, p, p)) - sweep.la
 
 
 def optimal_feedback(V, cost, sys):
     """u = -(1/2) r(x)^-1 L_bV(x)'; minimizes the reconstructed cost.
 
-    V and sys must be the cost's own. Only L_bV = grad V(x) b(x) enters
-    u, so the drift is not evaluated. The law's metadata records the
-    cost it minimizes ("cost"), which is how evaluate_cost recognises it.
+    V and sys must be the cost's own. u is cost.stage's at grad V(x) and
+    b(x); the drift is not evaluated. The law's metadata records the cost
+    it minimizes ("cost"): evaluate_cost and sim.closed_loop_path
+    recognise the law by it and call cost.stage themselves instead of the
+    law, with the b(x) their stage already holds.
     """
     if V is not cost.V or sys is not cost.sys:
         raise ValueError("optimal_feedback needs the cost's own V and system")
 
     def u(x):
-        lb = V.gradient(x) @ sys.b(x)
-        return -0.5 * _solve(cost.r(x), lb)
+        return cost.stage(x, V.gradient(x), sys.b(x))[3]
 
     return FeedbackLaw("optimal_feedback", u, sys.n, sys.p, metadata={"cost": cost})
 
@@ -365,18 +395,18 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     """Integral of q + u' r u along the closed loop, plus a tail estimate.
 
     The running cost is integrated as an extra RK4 state on the same grid.
-    Each stage evaluates grad V, a, b, V, r and one solve w = r^-1 L_bV'
-    once; dx = a + b u and the rate is (1/4) L_bV w - L_aV + u' r u, which
-    is q + u' r u. When law is this cost's own optimal feedback
-    (optimal_feedback records the cost), u = -(1/2) w and law is not
-    called; any other law is called once per stage. Integration stops
-    inside {V <= 1e-8 V(x0)}. For the optimal feedback the tail is V at
-    the final state (exact under the HJB identity); otherwise a
-    linear-quadratic tail estimate is used and labeled as such. sys must
-    be cost.sys, and V, when given, cost.V (ValueError otherwise). Raises
-    DivergenceError when the horizon ends before the terminal set is
-    reached, or when the run fails (rk4_path); its last_state is a plant
-    state.
+    Each stage evaluates grad V, a, b and cost.stage (the level r follows,
+    r and one solve w = r^-1 L_bV') once; dx = a + b u and the rate is
+    (1/4) L_bV w - L_aV + u' r u, which is q + u' r u. When law is this
+    cost's own optimal feedback (optimal_feedback records the cost),
+    u = -(1/2) w and law is not called; any other law is called once per
+    stage. Integration stops inside {V <= 1e-8 V(x0)}. For the optimal
+    feedback the tail is V at the final state (exact under the HJB
+    identity); otherwise a linear-quadratic tail estimate is used and
+    labeled as such. sys must be cost.sys, and V, when given, cost.V
+    (ValueError otherwise). Raises DivergenceError when the horizon ends
+    before the terminal set is reached, or when the run fails (rk4_path);
+    its last_state is a plant state.
     """
     if V is not None and V is not cost.V:
         raise ValueError("V must be the cost's own value function cost.V")
@@ -394,10 +424,10 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
         x = z[:-1]
         g = V.gradient(x)
         a, b = sys.a(x), sys.b(x)
-        la, lb = float(g @ a), g @ b
-        r = cost.r_at(x, V.value(x))
-        w = _solve(r, lb)
-        u = -0.5 * w if own else law.map(x)
+        la = float(g @ a)
+        lb, r, w, u = cost.stage(x, g, b)
+        if not own:
+            u = law.map(x)
         dz = np.empty(z.size)
         dz[:-1] = a + b @ u
         dz[-1] = 0.25 * float(lb @ w) - la + float(u @ r @ u)

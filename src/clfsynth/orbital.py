@@ -22,7 +22,9 @@ which the simulation-level diagnostics reflect by checking V' <= 0
 rather than strict decrease.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -36,9 +38,14 @@ from .sampling import Box, sample_box
 from .sim import Trajectory, closed_loop_path
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitalParams:
-    """Scale constants: target orbit scale p0 and gravitational parameter."""
+    """Scale constants: target orbit scale p0 and gravitational parameter.
+
+    Frozen, so the derived constants nu, eta, nu_bar and eta_bar are
+    computed once per parameter set, on first use, and orbital_system can
+    keep one plant per (p0, mu).
+    """
 
     p0: float = 1.0
     mu: float = 1.0
@@ -47,19 +54,19 @@ class OrbitalParams:
         if self.p0 <= 0 or self.mu <= 0:
             raise ValueError("p0 and mu must be positive")
 
-    @property
+    @cached_property
     def nu(self):
         return np.sqrt(self.p0 / self.mu)
 
-    @property
+    @cached_property
     def eta(self):
         return 1.0 / (self.p0 * self.nu)
 
-    @property
+    @cached_property
     def nu_bar(self):
         return self.nu * np.sqrt(self.p0)
 
-    @property
+    @cached_property
     def eta_bar(self):
         return self.eta / np.sqrt(self.p0)
 
@@ -83,16 +90,22 @@ def _check_domain(s):
 
 
 def orbital_drift(params, s):
-    """Unforced field; conserves chi5^2 + chi6^2 (pure rotation out of plane)."""
-    s = np.asarray(s, dtype=float).reshape(6)
+    """Unforced field; conserves chi5^2 + chi6^2 (pure rotation out of plane).
+
+    The coordinates are read as Python floats: the same IEEE arithmetic
+    (math.sqrt is correctly rounded, as np.sqrt is) without numpy's
+    per-scalar overhead.
+    """
+    s = np.asarray(s, dtype=float).reshape(6).tolist()
     _check_domain(s)
     c1, c2, c3, c4, c5, c6 = s
-    eta, etab = params.eta, params.eta_bar
-    w = etab * np.sqrt(c4) * (1.0 + c2) ** 2
+    eta = params.eta
+    e2 = (1.0 + c2) ** 2
+    w = params.eta_bar * math.sqrt(c4) * e2
     return np.array([
         w - eta,
-        -eta * (1.0 + c2) ** 2 * c3,
-        eta * (1.0 + c2) ** 2 * ((c4 / params.p0) * (1.0 + c2) - 1.0),
+        -eta * e2 * c3,
+        eta * e2 * ((c4 / params.p0) * (1.0 + c2) - 1.0),
         0.0,
         w * c6,
         -w * c5,
@@ -101,17 +114,19 @@ def orbital_drift(params, s):
 
 def orbital_input_matrix(params, s):
     """Thrust map: columns for the radial, transverse and normal channels."""
-    s = np.asarray(s, dtype=float).reshape(6)
+    s = np.asarray(s, dtype=float).reshape(6).tolist()
     _check_domain(s)
     c1, c2, c3, c4, c5, c6 = s
-    p0, nu, nub = params.p0, params.nu, params.nu_bar
-    root = np.sqrt(c4)
+    nu, nub = params.nu, params.nu_bar
+    k = nu / params.p0 ** 1.5
+    root = math.sqrt(c4)
+    e = 1.0 + c2
     B = np.zeros((6, 3))
     B[2, 0] = nu
-    B[3, 1] = 2.0 * (nu / p0 ** 1.5) * c4 ** 2 * root / (1.0 + c2)
-    B[0, 2] = -(nu / p0 ** 1.5) * c6 * c4 * root / (1.0 + c2)
-    B[4, 2] = nub * (1.0 + c5 ** 2 - c6 ** 2) / (2.0 * root * (1.0 + c2))
-    B[5, 2] = nub * c5 * c6 / (root * (1.0 + c2))
+    B[3, 1] = 2.0 * k * c4 ** 2 * root / e
+    B[0, 2] = -k * c6 * c4 * root / e
+    B[4, 2] = nub * (1.0 + c5 ** 2 - c6 ** 2) / (2.0 * root * e)
+    B[5, 2] = nub * c5 * c6 / (root * e)
     return B
 
 
@@ -141,8 +156,18 @@ def orbital_linearization(params):
     return A, B
 
 
+@lru_cache(maxsize=16)
 def orbital_system(params):
-    """Six-state control-affine system in offset coordinates z = chi - eq."""
+    """Six-state control-affine system in offset coordinates z = chi - eq.
+
+    One object per parameter set (p0, mu): build_orbital_controller's cost
+    and every simulate_orbital run share it, so the run recognises the
+    cost's optimal feedback and the finite-difference check of the origin
+    pair runs once. The plant holds no state a run changes. The cache is
+    bounded; a plant evicted from it only sends later runs of its cost's
+    law through law.map, with the same results. Every drift and input
+    evaluation still checks the domain.
+    """
     star = equilibrium(params)
     return ControlAffineSystem(
         6, 3,
@@ -258,9 +283,12 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     input weight diag(R_r, R_theta) / mu(V_t). The six-state candidate
     z' diag(P0, rho1, rho2, rho2) z adds the normal channel at the fixed
     weight R_h: r = diag(R_r / mu, R_theta / mu, R_h) with mu = mu(V_t(z4)),
-    and q is derived from r. The returned law is the optimal feedback of
-    that cost; its metadata carries the base level r0, the ladder and the
-    four-state cost ("cost4") that the six-state cost extends.
+    so the cost's level is V_t(z4) and the six-state V is not evaluated
+    for r; q is derived from r. The cost's plant is orbital_system(params),
+    the one object simulate_orbital runs. The returned law is the optimal
+    feedback of that cost; its metadata carries the base level r0, the
+    ladder and the four-state cost ("cost4") that the six-state cost
+    extends.
     """
     V0 = local_quadratic_clf(cfg.P0)
     sys3 = orbital_restriction(params, 3, 1)
@@ -284,17 +312,22 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
                               k_max=k_max, n_samples=n_samples, seed=seed)
     scaling = cost4.scaling
 
-    def r6(z, _):
+    def level4(z):
         # the scaling follows the four-state level, not the six-state one
-        mu = scaling.mu(V_t.value(z[:4]))
-        return np.diag([cfg.R_r / mu, cfg.R_theta / mu, cfg.R_h])
+        return V_t.value(z[:4])
+
+    def r6(z, v4):
+        mu = scaling.mu(v4)
+        r = np.zeros((3, 3))
+        r[0, 0], r[1, 1], r[2, 2] = cfg.R_r / mu, cfg.R_theta / mu, cfg.R_h
+        return r
 
     V = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1, cfg.rho2, cfg.rho2))
     sys6 = orbital_system(params)
     B2 = sys6.linearization.B[4:, 2:3]
     base_Q = block_diag(cfg.Q_tilde, cfg.rho2 ** 2 * B2 @ B2.T / cfg.R_h)
-    cost = InverseOptimalCost(V, sys6, r6, base_Q=base_Q,
-                              base_R=cfg.input_weight(), scaling=scaling)
+    cost = InverseOptimalCost(V, sys6, r6, base_Q=base_Q, base_R=cfg.input_weight(),
+                              scaling=scaling, level=level4)
     law = optimal_feedback(V, cost, sys6)
     law.metadata.update({"r0": scaling.r0, "ladder": list(scaling.ladder),
                          "cost4": cost4})
@@ -304,14 +337,19 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
 def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
     """Closed-loop run in the original coordinates from state s0.
 
-    sim.closed_loop_path runs orbital_system from the offset s0 - eq, and
-    the recorded states are shifted back by eq; stop, when given, sees
-    original coordinates. A domain breach (orbit collapse, radius sign
-    loss) ends the run with its DivergenceError, its last_state given in
-    original coordinates. When V is supplied the trajectory is annotated
-    with V and its analytic derivative along the closed loop,
-    grad V (a + b u), read from the (a, b, u) the run's own first stages
-    computed and one gradient per recorded state.
+    sim.closed_loop_path runs orbital_system(params) from the offset
+    s0 - eq, and the recorded states are shifted back by eq; stop, when
+    given, sees original coordinates. That plant is the one
+    build_orbital_controller gave its cost, so the cost's optimal
+    feedback runs on the fused stage: per RK4 stage one drift, one input
+    matrix, one grad V, one four-state level, one r and one diagonal
+    division, and no law.map call; any other law is mapped once per
+    stage. A domain breach (orbit collapse, radius sign loss) ends the
+    run with its DivergenceError, its last_state given in original
+    coordinates. When V is supplied the trajectory is annotated with V
+    and its analytic derivative along the closed loop, grad V (a + b u),
+    read from the (a, b, u) the run's own first stages computed and one
+    gradient per recorded state.
     """
     star = equilibrium(params)
     s0 = np.asarray(s0, dtype=float).reshape(6)

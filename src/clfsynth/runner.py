@@ -178,10 +178,17 @@ SECTIONS = ("prescription", "sampling", "integrator", "inverse_optimal", "orbita
 
 
 def load_config(src):
-    """Read, default-fill and validate a run config; env seed wins."""
+    """Read, default-fill and validate a run config; env seed wins.
+
+    An unreadable path, a section, box or level grid of the wrong JSON
+    type and an unknown key are ConfigErrors.
+    """
     if isinstance(src, (str, os.PathLike)):
-        with open(src) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(src) as fh:
+                cfg = json.load(fh)
+        except OSError as e:
+            raise ConfigError(f"cannot read config {os.fspath(src)!r}: {e.strerror}") from None
     elif isinstance(src, dict):
         cfg = json.loads(json.dumps(src))
     else:
@@ -203,6 +210,12 @@ def load_config(src):
     for key in SECTIONS:
         if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(f"'{key}' must be an object, got {json.dumps(cfg[key])}")
+    if cfg["box"] is not None and not isinstance(cfg["box"], dict):
+        raise ConfigError("'box' must be an object with 'lows' and 'highs', got "
+                          f"{json.dumps(cfg['box'])}")
+    if cfg["level_grid"] is not None and not isinstance(cfg["level_grid"], (list, dict)):
+        raise ConfigError("'level_grid' must be a list of levels or an object with "
+                          f"'start', 'stop' and 'num', got {json.dumps(cfg['level_grid'])}")
     cfg["sampling"].setdefault("seed", 0)
     cfg["sampling"].setdefault("n_samples", 2000)
     cfg["integrator"].setdefault("dt", 0.005)

@@ -91,14 +91,19 @@ class Trajectory:
 def closed_loop_path(sys, law, x0, dt, T, stop=None):
     """RK4 states of x' = a(x) + b(x) law(x) from x0, with a, b and u at each.
 
-    Returns (states, a, b, u), one row per recorded state. The first stage
-    of every step is the field at the state the step starts from, so its
-    (a, b, u) is kept for that state instead of being evaluated again;
-    only the final state, which no step leaves, is evaluated once more.
-    rk4_step evaluates its four stages in order, so every fourth field
-    call is a first stage. stop ends the run after the state that
-    triggered it; a run that leaves the finite range or the field's
-    domain raises rk4_path's DivergenceError.
+    Returns (states, a, b, u), one row per recorded state. Each stage
+    evaluates a and b once. When law is the optimal feedback of a cost on
+    this very plant (law.metadata["cost"], whose sys is sys, as
+    inverse_opt.optimal_feedback records it), u is that cost's stage at
+    the stage's own b(x): one grad V, one r and one solve, and law.map is
+    never called; u has the bits law.map would give. Any other law is
+    called once per stage. The first stage of every step is the field at
+    the state the step starts from, so its (a, b, u) is kept for that
+    state instead of being evaluated again; only the final state, which
+    no step leaves, is evaluated once more. rk4_step evaluates its four
+    stages in order, so every fourth field call is a first stage. stop
+    ends the run after the state that triggered it; a run that leaves the
+    finite range or the field's domain raises rk4_path's DivergenceError.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("dt and T must be positive")
@@ -107,10 +112,20 @@ def closed_loop_path(sys, law, x0, dt, T, stop=None):
     b = np.empty((n_steps + 1, sys.n, sys.p))
     u = np.empty((n_steps + 1, sys.p))
     calls = 0
+    cost = law.metadata.get("cost")
+    if cost is not None and cost.sys is sys:
+        stage, gradient = cost.stage, cost.V.gradient
+
+        def feedback(x, bx):
+            return stage(x, gradient(x), bx)[3]
+    else:
+        def feedback(x, bx):
+            return law.map(x)
 
     def f(x):
         nonlocal calls
-        ax, bx, ux = sys.a(x), sys.b(x), law.map(x)
+        ax, bx = sys.a(x), sys.b(x)
+        ux = feedback(x, bx)
         if calls % 4 == 0:
             k = calls // 4
             a[k], b[k], u[k] = ax, bx, ux
@@ -120,7 +135,8 @@ def closed_loop_path(sys, law, x0, dt, T, stop=None):
     states = rk4_path(f, np.asarray(x0, dtype=float), dt, n_steps, stop=stop)
     m = len(states)
     xT = states[-1]
-    a[m - 1], b[m - 1], u[m - 1] = sys.a(xT), sys.b(xT), law.map(xT)
+    aT, bT = sys.a(xT), sys.b(xT)
+    a[m - 1], b[m - 1], u[m - 1] = aT, bT, feedback(xT, bT)
     return states, a[:m], b[:m], u[:m]
 
 
@@ -130,8 +146,9 @@ def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
     stop is an optional state predicate ending the run after the state
     that triggered it; annotate maps column names to state functions
     evaluated along the recorded path. The inputs are the ones the run's
-    own first stages computed (closed_loop_path), so law is evaluated
-    4 times per step plus once at the final state. A run that leaves the
+    own first stages computed (closed_loop_path), so the feedback is
+    evaluated 4 times per step plus once at the final state (through its
+    cost's stage for a cost's own optimal feedback). A run that leaves the
     finite range or the field's domain raises rk4_path's DivergenceError.
     """
     states, _, _, inputs = closed_loop_path(sys, law, x0, dt, T, stop=stop)

@@ -291,6 +291,18 @@ class TestRun:
         assert code == 2
         assert err.startswith("error:") and next(iter(entry)) in err
 
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "run", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert err.startswith("error:") and "missing.json" in err
+
+    @pytest.mark.parametrize("entry", [{"box": [[-1.0], [1.0]]}, {"level_grid": 5}])
+    def test_config_entry_of_the_wrong_type_exits_2(self, tmp_path, capsys, entry):
+        cfg = write_json(tmp_path / "cfg.json", {"system": "scalar_linear", **entry})
+        code, _, err = run_cli(capsys, "run", cfg)
+        assert code == 2
+        assert err.startswith("error:") and f"'{next(iter(entry))}' must be" in err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{{{")

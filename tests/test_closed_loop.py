@@ -3,11 +3,12 @@
 evaluate_cost computes grad V, a, b, V, r and one solve per stage and
 takes both the state derivative and the running cost from them; integrate
 and simulate_orbital read the inputs and annotations of each recorded
-state from the first stage of the step that leaves it. These tests count
-the evaluations and check that the results are exactly those of the
-unfused arithmetic: the running cost q(x) + u' r(x) u integrated by
-rk4_path, the inputs law.map(x) at every recorded state, and V' from a
-lie_sweep of the path.
+state from the first stage of the step that leaves it, and compute a
+cost's own optimal feedback from the stage's b(x) without calling the
+law. These tests count the evaluations and check that the results are
+exactly those of the unfused arithmetic: the running cost q(x) + u' r(x) u
+integrated by rk4_path, the inputs law.map(x) at every recorded state,
+and V' from a lie_sweep of the path.
 """
 
 import warnings
@@ -17,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfsynth import clf, orbital, runner
+from clfsynth import clf, runner
 from clfsynth.inverse_opt import evaluate_cost, optimal_feedback
 from clfsynth.linear_core import solve_lyapunov
 from clfsynth.orbital import OrbitalCostConfig, OrbitalParams, build_orbital_controller, \
     equilibrium, orbital_system, simulate_orbital
 from clfsynth.runner import DEFAULT_PROBLEMS, expand_level_grid
 from clfsynth.sampling import Box
-from clfsynth.sim import integrate, rk4_path
+from clfsynth.sim import closed_loop_path, integrate, rk4_path
 from clfsynth.synthesis import FeedbackLaw, local_gain
 from clfsynth.systems import load_system
 
@@ -124,15 +125,51 @@ class TestEvaluationCounts:
         assert counts["map"] <= 4 * (len(traj) - 1) + 1
 
     def test_orbital_transfer_drift_four_times_per_step(self, orbital_design, monkeypatch):
+        # the controller's plant is the one the transfer runs: no plant is
+        # built, the optimal feedback's u comes from each stage's own b(x)
         params, V, law = orbital_design
-        # the plant is built before counting: its construction evaluates
-        # the drift to validate the linearization, once per transfer
-        sys6 = orbital_system(params)
-        monkeypatch.setattr(orbital, "orbital_system", lambda _: sys6)
         s0 = equilibrium(params) + np.array([0.1, 0.05, -0.05, 0.1, 0.05, -0.05])
         seen = count_calls(monkeypatch)
+        builds = []
+        real_init = clf.ControlAffineSystem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(clf.ControlAffineSystem, "__init__", counting_init)
         traj = simulate_orbital(params, law, s0, 0.04, 4.0, V=V)
-        assert seen["a"] <= 4 * (len(traj) - 1) + 1
+        steps = len(traj) - 1
+        assert steps == 100
+        assert seen["a"] <= 4 * steps + 1
+        assert seen["b"] <= 4 * steps + 1
+        assert seen["map"] == 0
+        assert not builds
+
+
+class TestGenericPath:
+    def test_law_without_a_cost_is_mapped_once_per_stage(self, orbital_design, monkeypatch):
+        params, V, law = orbital_design
+        star = equilibrium(params)
+        s0 = star + np.array([0.1, 0.05, -0.05, 0.1, 0.05, -0.05])
+        slower = perturbed(law, 0.9)
+        seen = count_calls(monkeypatch)
+        traj = simulate_orbital(params, slower, s0, 0.04, 4.0)
+        # each call of the perturbed map calls the optimal map once
+        assert seen["map"] == 2 * (4 * (len(traj) - 1) + 1)
+        ref = integrate(orbital_system(params), slower, s0 - star, 0.04, 4.0)
+        assert np.array_equal(traj.states, ref.states + star)
+        assert traj.inputs.tobytes() == ref.inputs.tobytes()
+
+    def test_cost_on_another_plant_object_is_mapped(self, designs, counts):
+        box, synth, costrec = designs["strict_feedback_demo"]
+        twin = clf.ControlAffineSystem(synth.full.n, synth.full.p, synth.full.a,
+                                       synth.full.b)
+        traj = integrate(twin, costrec.law, 0.6 * box.highs, 0.02, 2.0)
+        assert counts["map"] == 4 * (len(traj) - 1) + 1
+        fused = integrate(synth.full, costrec.law, 0.6 * box.highs, 0.02, 2.0)
+        assert traj.states.tobytes() == fused.states.tobytes()
+        assert traj.inputs.tobytes() == fused.inputs.tobytes()
 
 
 class TestAgreementWithUnfusedArithmetic:
@@ -157,6 +194,18 @@ class TestAgreementWithUnfusedArithmetic:
         for law in (synth.law, costrec.law):
             traj = integrate(synth.full, law, 0.7 * box.highs, 0.05, 5.0)
             assert np.array_equal(traj.inputs, [law.map(x) for x in traj.states])
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(offsets=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    def test_orbital_inputs_are_the_law_at_every_state(self, orbital_design, offsets):
+        params, _, law = orbital_design
+        star = equilibrium(params)
+        s0 = star + np.array(offsets) * np.array([0.1, 0.05, 0.05, 0.1, 0.05, 0.05])
+        traj = simulate_orbital(params, law, s0, 0.04, 4.0)
+        # the offset states the run went through, from the plant it runs
+        states = closed_loop_path(orbital_system(params), law, s0 - star, 0.04, 4.0)[0]
+        assert np.array_equal(traj.states, states + star)
+        assert traj.inputs.tobytes() == np.array([law.map(z) for z in states]).tobytes()
 
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(offsets=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))

@@ -29,6 +29,7 @@ from clfsynth.errors import CertificateError, DivergenceError
 from clfsynth.inverse_opt import (
     InverseOptimalCost,
     _input_forms,
+    _solve,
     base_level_ladder,
     build_inverse_cost,
     build_mu,
@@ -124,6 +125,31 @@ class TestInputForms:
         expected = [row @ np.linalg.solve(w, row) for row, w in zip(lb, weights)]
         assert forms.shape == (len(lb),)
         np.testing.assert_allclose(forms, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=st.integers(2, 3))
+    def test_diagonal_weight_has_lapack_bits(self, data, p):
+        d = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=p, max_size=p))
+        lb = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=p, max_size=p)))
+        r = np.diag(d)
+        assert _solve(r, lb).tobytes() == np.linalg.solve(r, lb).tobytes()
+
+    def test_only_a_diagonal_weight_skips_lapack(self, monkeypatch):
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda r, lb: calls.append(1) or real(r, lb))
+        lb = np.array([0.3, -1.2, 2.5])
+        _solve(np.diag([2.0, 0.5, 7.0]), lb)
+        assert not calls
+        full = np.array([[2.0, 0.1, 0.0], [0.1, 0.5, 0.0], [0.0, 0.0, 7.0]])
+        assert np.array_equal(_solve(full, lb), real(full, lb))
+        # a zero entry of lb may come back from LAPACK as -0.0
+        _solve(np.diag([2.0, 0.5, 7.0]), np.array([0.3, 0.0, 2.5]))
+        assert len(calls) == 2
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.diag([2.0, 0.0, 7.0]), lb)
 
 
 class TestCheckBaseRegion:

@@ -259,6 +259,23 @@ class TestLayeredDesign:
         np.testing.assert_allclose(q, [cost4.q(x) for x in sweep.points],
                                    rtol=1e-14, atol=1e-15)
 
+    def test_six_state_weights_are_cost_q(self, unit_design):
+        # the six-state r follows the four-state level, which state_weights
+        # reads row by row instead of the sweep's six-state values
+        par, _, V, cost, _ = unit_design
+        sweep = clf.lie_sweep(V, orbital_system(par),
+                              sample_box(Box.centered([0.15] * 6), 200, seed=9))
+        np.testing.assert_allclose(inverse_opt.state_weights(sweep, cost),
+                                   [cost.q(z) for z in sweep.points], rtol=1e-14, atol=1e-15)
+
+    def test_six_state_stage_reads_only_the_four_state_level(self, unit_design, monkeypatch):
+        par, _, V, cost, law = unit_design
+        z = np.array([0.1, 0.05, -0.05, 0.1, 0.05, -0.05])
+        g, b = V.gradient(z), orbital_system(par).b(z)
+        u = law.map(z)
+        monkeypatch.setattr(V, "value", lambda x: pytest.fail("six-state V evaluated"))
+        assert cost.stage(z, g, b)[3].tobytes() == u.tobytes()
+
     def test_six_state_input_weight_is_block_diagonal(self, unit_design):
         _, cfg, _, cost, law = unit_design
         cost4 = law.metadata["cost4"]

@@ -271,6 +271,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="initial_states must be a list of states"):
             run({"system": system, "initial_states": states})
 
+    def test_missing_config_path(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "missing.json")
+
+    def test_box_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="'box' must be an object"):
+            runner.load_problem(load_config({"system": "scalar_linear",
+                                             "box": [[-1.0], [1.0]]}))
+
+    @pytest.mark.parametrize("grid", [5, "0.1,0.5"])
+    def test_level_grid_must_be_a_list_or_an_object(self, grid):
+        with pytest.raises(ConfigError, match="'level_grid' must be a list"):
+            runner.load_problem(load_config({"system": "scalar_linear",
+                                             "level_grid": grid}))
+
     def test_box_must_have_the_plant_width(self):
         cfg = load_config({"system": "strict_feedback_demo",
                            "box": {"lows": [-1.0], "highs": [1.0]}})
