@@ -65,13 +65,12 @@ def main():
     print(f"Hessian of V at 0 vs 2P: max dev {np.max(np.abs(H - 2 * cert.P)):.2e}")
 
     box = Box.centered([1.5, 1.5])
-    full = cascade.to_control_affine()
-    report = verify_decrease(lie_sweep(V, full, sample_box(box, 2000)), law)
+    report = verify_decrease(lie_sweep(V, cascade, sample_box(box, 2000)), law)
     print(f"closed-loop decrease: {report.checked} states, "
           f"max V' = {report.max_vdot:.3e}, violations {len(report.violations)}")
 
     for x0 in ([0.8, -0.5], [-1.2, 1.0]):
-        traj = integrate(full, law, np.array(x0), dt=0.01, T=12.0,
+        traj = integrate(cascade, law, np.array(x0), dt=0.01, T=12.0,
                          annotate={"V": V.value})
         vs = traj.annotations["V"]
         print(f"x0 = {x0}: V {vs[0]:.4f} -> {vs[-1]:.2e}, "

@@ -52,7 +52,7 @@ def main():
     print(f"\nsmallest q over {len(q)} states inside the certified levels: "
           f"{np.min(q):.3e}")
 
-    law = optimal_feedback(V, cost, plant)
+    law = optimal_feedback(cost)
     for x0 in (np.array([0.6]), np.array([-0.9])):
         est = evaluate_cost(plant, cost, law, x0, horizon=40.0, dt=0.01, V=V)
         v0 = V.value(x0)

@@ -47,8 +47,8 @@ def main():
     cfg = OrbitalCostConfig.build(par)
     print(f"\nin-plane weight Q~ diag {np.diag(cfg.Q_tilde)}")
     V, cost, law = build_orbital_controller(par, cfg, n_samples=2000, seed=0)
-    print(f"base level          r0 = {law.metadata['r0']:.6g}")
-    print(f"annulus constants   {np.array(law.metadata['ladder'])}")
+    print(f"base level          r0 = {cost.scaling.r0:.6g}")
+    print(f"annulus constants   {np.array(cost.scaling.ladder)}")
 
     s0 = star + np.array([0.1, 0.05, -0.05, 0.1 * par.p0, 0.05, -0.05])
     traj = simulate_orbital(par, law, s0, dt=0.02, T=60.0, V=V)

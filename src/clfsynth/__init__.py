@@ -15,7 +15,7 @@ from .clf import ArtsteinReport, BlendProfile, Clf, ControlAffineSystem, LieSwee
 from .synthesis import DecreaseReport, FeedbackLaw, blended_controller, \
     local_gain, seam_diagnostics, sontag_controller, verify_decrease
 from .inverse_opt import CostEstimate, InverseOptimalCost, LevelScaling, \
-    base_level_ladder, build_inverse_cost, build_mu, estimate_level_constants, \
+    base_level_ladder, build_inverse_cost, estimate_level_constants, \
     evaluate_cost, find_base_level, hjb_residual, level_scaled_cost, optimal_feedback
 from .structured import BacksteppingPartition, FeedforwardSystem, \
     StrictFeedbackSystem, backstepping_clf, backstepping_partition, \
@@ -40,7 +40,7 @@ __all__ = [
     "RiccatiCertificate", "StrictFeedbackSystem", "Trajectory",
     "backstepping_clf", "backstepping_partition",
     "backstepping_synthesize", "base_level_ladder", "blend_profile",
-    "blended_controller", "build_inverse_cost", "build_mu",
+    "blended_controller", "build_inverse_cost",
     "build_orbital_controller", "check_artstein_sampled",
     "check_positivity_properness", "equilibrium",
     "estimate_level_constants", "evaluate_cost", "find_base_level",

@@ -97,15 +97,17 @@ def cmd_synth(args):
 
 
 def cmd_invopt(args):
+    if args.invopt_action == "cost" and args.x0 is None:
+        raise ConfigError("invopt cost needs the initial state --x0")
     rec, Q, R, box, grid = _synth_pipeline(args)
-    costrec = runner.reconstruct_cost(rec.full, rec.V, Q, R, box, grid,
+    costrec = runner.reconstruct_cost(rec.system, rec.V, Q, R, box, grid,
                                       k_max=args.k_max,
                                       n_samples=args.samples, seed=args.seed)
     if args.invopt_action == "build":
         _emit(costrec.to_dict(), args.out)
         return 0
     # cost: integrate the reconstructed running cost along the optimal law
-    x0 = _parse_vector(args.x0, rec.full.n, "--x0")
+    x0 = _parse_vector(args.x0, rec.system.n, "--x0")
     _emit(runner.cost_versus_value(rec, costrec, x0, args.T, args.dt), args.out)
     return 0
 
@@ -136,13 +138,14 @@ def cmd_orbital(args):
     law, traj, final_err = runner.orbital_transfer(
         params, cost_cfg, dt=args.dt, T=args.T, s0=s0, n_samples=args.samples,
         seed=args.seed)
+    scaling = law.metadata["cost"].scaling
     if args.trace:
         traj.to_csv(args.trace, state_names=ORBITAL_STATE_NAMES,
                     input_names=ORBITAL_INPUT_NAMES)
     _emit({
         "params": params.to_dict(),
-        "r0": law.metadata["r0"],
-        "ladder": law.metadata["ladder"],
+        "r0": scaling.r0,
+        "ladder": scaling.ladder,
         "final_error": final_err,
         "final_value": float(traj.annotations["V"][-1]),
         "steps": len(traj) - 1,
@@ -187,7 +190,7 @@ def build_parser():
     p.add_argument("--B", required=True, help="JSON file with the input matrix")
     p.add_argument("--Q", default=None, help="JSON file with the state weight")
     p.add_argument("--R", default=None, help="JSON file with the input weight")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="write the JSON result here")
     p.set_defaults(fn=cmd_care)
 
     p = sub.add_parser("synth", help="blend a universal-formula law with the "

@@ -17,6 +17,7 @@ solve per sweep); the per-state q calls it on a single row.
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .clf import _scan_levels, lie_derivatives, lie_sweep, strict_margin
 from .errors import CertificateError, DivergenceError
 from .linear_core import riccati_residual, solve_lyapunov
 from .sampling import sample_box
-from .sim import rk4_path
+from .sim import rk4_path, step_count
 from .synthesis import FeedbackLaw, local_gain
 
 
@@ -172,18 +173,23 @@ def base_level_ladder(fit, check, R, r0, level_grid, k_max=8):
 class LevelScaling:
     """Continuous scaling mu(s): 1 below r0/2, >= each annulus constant.
 
-    Piecewise linear through the running maxima of the ladder; frozen at
-    its last value beyond the covered levels. The certified levels end at
-    the outer edge of the last annulus, certified_top; a query above it
-    warns once per instance.
+    Built from the base level r0 > 0 and the annulus constants (each
+    >= 1): piecewise linear through the knots (0, 1), (r0/2, 1) and
+    (k r0, running maximum of the first k constants), frozen at its last
+    value beyond the covered levels. The certified levels end at the outer
+    edge of the last annulus, certified_top; a query above it warns once
+    per instance.
     """
 
-    def __init__(self, r0, ladder, knots_s, knots_v):
-        self.r0 = float(r0)
+    def __init__(self, r0, ladder):
+        self.r0 = r0 = float(r0)
+        if r0 <= 0:
+            raise ValueError("r0 must be positive")
         self.ladder = [float(l) for l in ladder]
-        self.knots_s = np.asarray(knots_s, dtype=float)
-        self.knots_v = np.asarray(knots_v, dtype=float)
-        self._knots = (self.knots_s.tolist(), self.knots_v.tolist())
+        if any(l < 1.0 for l in self.ladder):
+            raise ValueError("ladder constants must be >= 1")
+        self.knots_s = [0.0, 0.5 * r0] + [k * r0 for k in range(1, len(self.ladder) + 1)]
+        self.knots_v = [1.0] + list(accumulate(self.ladder, max, initial=1.0))
         self._warned = False
 
     @property
@@ -197,7 +203,7 @@ class LevelScaling:
                 f"(frozen at {self.knots_v[-1]:.4g})", stacklevel=2)
             self._warned = True
         # np.interp's arithmetic for one level, without its array set-up
-        ks, kv = self._knots
+        ks, kv = self.knots_s, self.knots_v
         j = bisect_right(ks, s) - 1
         if j < 0:
             return kv[0]
@@ -214,47 +220,29 @@ class LevelScaling:
             "r0": self.r0,
             "ladder": self.ladder,
             "certified_top": self.certified_top,
-            "knots_s": self.knots_s.tolist(),
-            "knots_v": self.knots_v.tolist(),
+            "knots_s": list(self.knots_s),
+            "knots_v": list(self.knots_v),
         }
-
-
-def build_mu(r0, ladder):
-    """Assemble the level scaling envelope from annulus constants."""
-    r0 = float(r0)
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    ladder = [float(l) for l in ladder]
-    if any(l < 1.0 for l in ladder):
-        raise ValueError("ladder constants must be >= 1")
-    knots_s = [0.0, 0.5 * r0]
-    knots_v = [1.0, 1.0]
-    c = 1.0
-    for k, ell in enumerate(ladder, start=1):
-        c = max(c, ell)
-        knots_s.append(k * r0)
-        knots_v.append(c)
-    return LevelScaling(r0, ladder, knots_s, knots_v)
 
 
 class InverseOptimalCost:
     """Running cost q(x) + u' r(x) u that makes V the value function.
 
-    The input weight is given as r(x, v), its value at a state x whose
-    level is v. The level is V(x) unless level, a function of the state,
-    names the one r follows (the six-state orbital weight follows a
-    four-state level); r is then never handed a value it ignores. The
-    state weight is derived from r, q = -L_aV + (1/4) L_bV r^-1 L_bV', so
-    the stationary Hamilton-Jacobi-Bellman identity holds by construction.
-    base_Q and base_R are the quadratic weights at the origin; scaling is
-    the level envelope that bends base_R into r away from it.
-    Construction requires r(0) = base_R exactly.
+    The input weight is r(x) = weight(v), a function of the level v of x
+    only. The level is V(x) unless level, a function of the state, names
+    the one r follows (the six-state orbital weight follows a four-state
+    level). The state weight is derived from r,
+    q = -L_aV + (1/4) L_bV r^-1 L_bV', so the stationary
+    Hamilton-Jacobi-Bellman identity holds by construction. base_Q and
+    base_R are the quadratic weights at the origin; scaling is the level
+    envelope that bends base_R into r away from it and owns the base
+    level and the ladder. Construction requires r(0) = base_R exactly.
     """
 
-    def __init__(self, V, sys, r, base_Q, base_R, scaling, level=None):
+    def __init__(self, V, sys, weight, base_Q, base_R, scaling, level=None):
         self.V = V
         self.sys = sys
-        self._r = r
+        self.weight = weight
         self.level = level
         # the level r follows at a state: V(x), or the cost's own level function
         self.level_at = V.value if level is None else level
@@ -270,13 +258,12 @@ class InverseOptimalCost:
         return 0.25 * float(_input_forms(lb, self.r(x))) - la
 
     def r(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.r_at(x, self.level_at(x))
+        return self._r(self.level_at(np.asarray(x, dtype=float)))
 
-    def r_at(self, x, v):
-        """r at a state x whose level (level_at(x)) is already known to be v."""
+    def _r(self, v):
+        """r at the states of level v, as a (p, p) array."""
         p = self.base_R.shape[0]
-        return np.asarray(self._r(x, v), dtype=float).reshape(p, p)
+        return np.asarray(self.weight(v), dtype=float).reshape(p, p)
 
     def stage(self, x, g, b):
         """(L_bV, r, w, u) at x from g = grad V(x) and b = b(x).
@@ -287,7 +274,7 @@ class InverseOptimalCost:
         the optimal feedback all call it, so they agree bit for bit.
         """
         lb = g @ b
-        r = self.r_at(x, self.level_at(x))
+        r = self._r(self.level_at(x))
         w = _solve(r, lb)
         return lb, r, w, -0.5 * w
 
@@ -308,7 +295,7 @@ def build_inverse_cost(V, sys, R, Q, scaling):
         raise CertificateError(
             f"half the Hessian of V at 0 does not solve the Riccati equation "
             f"for (Q, R): residual {res:.3e}")
-    return InverseOptimalCost(V, sys, lambda x, v: R / scaling.mu(v),
+    return InverseOptimalCost(V, sys, lambda v: R / scaling.mu(v),
                               base_Q=Q, base_R=R, scaling=scaling)
 
 
@@ -325,7 +312,7 @@ def level_scaled_cost(V, sys, Q, R, box, level_grid, k_max=8, n_samples=2000, se
     check = lie_sweep(V, sys, sample_box(box, n_samples, seed=seed + 1))
     r0, ladder = base_level_ladder(fit, check, R, find_base_level(fit, R, level_grid),
                                    level_grid, k_max=k_max)
-    return build_inverse_cost(V, sys, R, Q, build_mu(r0, ladder))
+    return build_inverse_cost(V, sys, R, Q, LevelScaling(r0, ladder))
 
 
 def hjb_residual(V, cost, sys, x):
@@ -349,21 +336,20 @@ def state_weights(sweep, cost):
     """
     p = sweep.sys.p
     levels = sweep.values if cost.level is None else map(cost.level, sweep.points)
-    r = np.array([cost.r_at(x, v) for x, v in zip(sweep.points, levels)])
+    r = np.array([cost._r(v) for v in levels])
     return 0.25 * _input_forms(sweep.lb, r.reshape(-1, p, p)) - sweep.la
 
 
-def optimal_feedback(V, cost, sys):
+def optimal_feedback(cost):
     """u = -(1/2) r(x)^-1 L_bV(x)'; minimizes the reconstructed cost.
 
-    V and sys must be the cost's own. u is cost.stage's at grad V(x) and
+    V and the plant are the cost's own. u is cost.stage's at grad V(x) and
     b(x); the drift is not evaluated. The law's metadata records the cost
     it minimizes ("cost"): evaluate_cost and sim.closed_loop_path
     recognise the law by it and call cost.stage themselves instead of the
     law, with the b(x) their stage already holds.
     """
-    if V is not cost.V or sys is not cost.sys:
-        raise ValueError("optimal_feedback needs the cost's own V and system")
+    V, sys = cost.V, cost.sys
 
     def u(x):
         return cost.stage(x, V.gradient(x), sys.b(x))[3]
@@ -380,16 +366,6 @@ class CostEstimate:
     t_final: float
     x_final: np.ndarray
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "integral": self.integral,
-            "tail": self.tail,
-            "tail_kind": self.tail_kind,
-            "t_final": self.t_final,
-            "x_final": self.x_final.tolist(),
-        }
-
 
 def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     """Integral of q + u' r u along the closed loop, plus a tail estimate.
@@ -403,8 +379,9 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     stage. Integration stops inside {V <= 1e-8 V(x0)}. For the optimal
     feedback the tail is V at the final state (exact under the HJB
     identity); otherwise a linear-quadratic tail estimate is used and
-    labeled as such. sys must be cost.sys, and V, when given, cost.V
-    (ValueError otherwise). Raises DivergenceError when the horizon ends
+    labeled as such. sys must be cost.sys, and V, when given, cost.V, and
+    dt and horizon must be positive (sim.step_count); ValueError
+    otherwise. Raises DivergenceError when the horizon ends
     before the terminal set is reached, or when the run fails (rk4_path);
     its last_state is a plant state.
     """
@@ -412,6 +389,7 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
         raise ValueError("V must be the cost's own value function cost.V")
     if sys is not cost.sys:
         raise ValueError("sys must be the cost's own system cost.sys")
+    n_steps = step_count(horizon, dt)
     V = cost.V
     x0 = np.asarray(x0, dtype=float)
     v0 = V.value(x0)
@@ -433,7 +411,6 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
         dz[-1] = 0.25 * float(lb @ w) - la + float(u @ r @ u)
         return dz
 
-    n_steps = int(np.ceil(horizon / dt - 1e-12))
     z0 = np.append(x0, 0.0)
     try:
         path = rk4_path(f, z0, dt, n_steps, stop=lambda z: V.value(z[:-1]) <= level)

@@ -286,9 +286,9 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     so the cost's level is V_t(z4) and the six-state V is not evaluated
     for r; q is derived from r. The cost's plant is orbital_system(params),
     the one object simulate_orbital runs. The returned law is the optimal
-    feedback of that cost; its metadata carries the base level r0, the
-    ladder and the four-state cost ("cost4") that the six-state cost
-    extends.
+    feedback of that cost ("cost"); its metadata also carries the
+    four-state cost ("cost4") that the six-state cost extends. Both costs
+    share one scaling, which holds the base level r0 and the ladder.
     """
     V0 = local_quadratic_clf(cfg.P0)
     sys3 = orbital_restriction(params, 3, 1)
@@ -316,7 +316,7 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
         # the scaling follows the four-state level, not the six-state one
         return V_t.value(z[:4])
 
-    def r6(z, v4):
+    def r6(v4):
         mu = scaling.mu(v4)
         r = np.zeros((3, 3))
         r[0, 0], r[1, 1], r[2, 2] = cfg.R_r / mu, cfg.R_theta / mu, cfg.R_h
@@ -328,9 +328,8 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     base_Q = block_diag(cfg.Q_tilde, cfg.rho2 ** 2 * B2 @ B2.T / cfg.R_h)
     cost = InverseOptimalCost(V, sys6, r6, base_Q=base_Q, base_R=cfg.input_weight(),
                               scaling=scaling, level=level4)
-    law = optimal_feedback(V, cost, sys6)
-    law.metadata.update({"r0": scaling.r0, "ladder": list(scaling.ladder),
-                         "cost4": cost4})
+    law = optimal_feedback(cost)
+    law.metadata["cost4"] = cost4
     return V, cost, law
 
 

@@ -23,8 +23,7 @@ from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig
 from .sampling import Box, sample_box
 from .serialize import matrix_from_json, matrix_to_json
 from .sim import integrate
-from .structured import FeedforwardSystem, StrictFeedbackSystem, \
-    backstepping_partition
+from .structured import StrictFeedbackSystem, backstepping_partition
 from .synthesis import blended_design, local_gain, seam_diagnostics, verify_decrease
 from .systems import load_system
 
@@ -32,7 +31,6 @@ from .systems import load_system
 @dataclass
 class SynthesisRecord:
     system: object
-    full: object
     care: object
     K_o: np.ndarray
     V: object
@@ -43,6 +41,11 @@ class SynthesisRecord:
     gain: np.ndarray
     gain_error: float
     seam: dict
+
+    @property
+    def full(self):
+        """The designed plant, a ControlAffineSystem: the system itself."""
+        return self.system
 
     def to_dict(self):
         return {
@@ -69,15 +72,13 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0):
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    cascade = isinstance(system, StrictFeedbackSystem)
-    full = system.to_control_affine() if cascade else system
-    lin = LinearSystem(full.linearization.A, full.linearization.B)
+    lin = LinearSystem(system.linearization.A, system.linearization.B)
     care = solve_care(lin, Q, R)
     K_o = lqr_gain(care, lin, R)
     part = backstepping_partition(care.P, blocks=(system.H1, system.H2)) \
-        if cascade else None
+        if isinstance(system, StrictFeedbackSystem) else None
     V = local_quadratic_clf(care.P)
-    sweep = lie_sweep(V, full, sample_box(box, n_samples, seed=seed))
+    sweep = lie_sweep(V, system, sample_box(box, n_samples, seed=seed))
     artstein, law = blended_design(sweep, K_o, level_grid)
     if part is not None:
         law.metadata["partition"] = part.to_dict()
@@ -86,26 +87,33 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0):
     gain = local_gain(law)
     gain_error = float(np.max(np.abs(gain - K_o)))
     seam = seam_diagnostics(law, V, blend_profile(r0), box, n_pairs=100, seed=seed)
-    return SynthesisRecord(system=system, full=full, care=care, K_o=K_o, V=V,
+    return SynthesisRecord(system=system, care=care, K_o=K_o, V=V,
                            law=law, r0=r0, artstein=artstein, decrease=decrease,
                            gain=gain, gain_error=gain_error, seam=seam)
 
 
 @dataclass
 class CostRecord:
-    r0: float
-    ladder: list
-    scaling: object
+    """A reconstructed cost, its optimal feedback and its sampled q > 0 check.
+
+    The base level and the ladder are the cost's scaling's (cost.scaling).
+    """
+
     cost: object
     law: object
     q_min: float
     checked: int
 
+    @property
+    def r0(self):
+        return self.cost.scaling.r0
+
     def to_dict(self):
+        scaling = self.cost.scaling
         return {
-            "r0": self.r0,
-            "ladder": self.ladder,
-            "scaling": self.scaling.to_dict(),
+            "r0": scaling.r0,
+            "ladder": scaling.ladder,
+            "scaling": scaling.to_dict(),
             "q_min_off_origin": self.q_min,
             "checked": self.checked,
         }
@@ -123,14 +131,12 @@ def reconstruct_cost(full, V, Q, R, box, level_grid, k_max=8, n_samples=2000, se
     """
     cost = level_scaled_cost(V, full, Q, R, box, level_grid, k_max=k_max,
                              n_samples=n_samples, seed=seed)
-    law = optimal_feedback(V, cost, full)
+    law = optimal_feedback(cost)
     sweep = lie_sweep(V, full, sample_box(box, n_samples, seed=seed + 17))
-    scaling = cost.scaling
-    top = scaling.certified_top
+    top = cost.scaling.certified_top
     inside = (sweep.values > 1e-9 * top) & (sweep.values <= top)
     q = state_weights(sweep.rows(inside), cost)
-    return CostRecord(r0=scaling.r0, ladder=list(scaling.ladder), scaling=scaling,
-                      cost=cost, law=law, q_min=float(np.min(q, initial=np.inf)),
+    return CostRecord(cost=cost, law=law, q_min=float(np.min(q, initial=np.inf)),
                       checked=len(q))
 
 
@@ -242,13 +248,10 @@ def config_hash(cfg):
 def load_problem(cfg):
     """(system, Q, R, box, level grid) of a config filled by load_config.
 
-    Feedforward descriptions are converted to their control-affine form;
-    missing weights default to identities. A box whose dimension is not
+    Missing weights default to identities. A box whose dimension is not
     the plant's state count is a ConfigError.
     """
     system = load_system(cfg["system"])
-    if isinstance(system, FeedforwardSystem):
-        system = system.to_control_affine()
     if cfg["box"] is None or cfg["level_grid"] is None:
         raise ConfigError("non-registry systems need explicit 'box' and 'level_grid' "
                           "(--box and --levels on the command line)")
@@ -292,7 +295,7 @@ def _check(name, passed, value=None, threshold=None):
 def cost_versus_value(synth, costrec, x0, horizon, dt):
     """Cost of the reconstructed optimal feedback from x0 against V(x0)."""
     x0 = np.asarray(x0, dtype=float)
-    est = evaluate_cost(synth.full, costrec.cost, costrec.law, x0,
+    est = evaluate_cost(synth.system, costrec.cost, costrec.law, x0,
                         horizon=horizon, dt=dt)
     v0 = synth.V.value(x0)
     return {
@@ -333,7 +336,7 @@ def run(config, out_dir=None):
 
     synth = synthesize_problem(system, Q, R, box, grid, n_samples=n_samples,
                                seed=seed)
-    costrec = reconstruct_cost(synth.full, synth.V, Q, R, box, grid,
+    costrec = reconstruct_cost(synth.system, synth.V, Q, R, box, grid,
                                k_max=int(cfg["inverse_optimal"]["k_max"]),
                                n_samples=n_samples, seed=seed)
 
@@ -358,7 +361,7 @@ def run(config, out_dir=None):
     trace_files = []
     for i, x0 in enumerate(states):
         v0 = synth.V.value(x0)
-        traj = integrate(synth.full, synth.law, x0, dt=dt, T=horizon,
+        traj = integrate(synth.system, synth.law, x0, dt=dt, T=horizon,
                          stop=lambda x: synth.V.value(x) <= 1e-8 * v0,
                          annotate={"V": synth.V.value})
         traces_ok &= _non_increasing(traj.annotations["V"])
@@ -409,6 +412,7 @@ def _run_orbital(cfg, out_dir=None):
         s0=states[0] if states else None, n_samples=n_samples,
         seed=seed, level_grid=None if grid is None else expand_level_grid(grid),
         k_max=int(cfg["inverse_optimal"]["k_max"]))
+    scaling = law.metadata["cost"].scaling
     eq_res = float(np.linalg.norm(orbital_drift(params, equilibrium(params))))
     vs = traj.annotations["V"]
     target_tol = float(cfg.get("target_tolerance", 1e-3))
@@ -429,7 +433,7 @@ def _run_orbital(cfg, out_dir=None):
     return _finish_report(cfg, "orbital", {
         "params": params.to_dict(),
         "cost_config": cost_cfg.to_dict(),
-        "design": {"r0": law.metadata["r0"], "ladder": law.metadata["ladder"]},
+        "design": {"r0": scaling.r0, "ladder": scaling.ladder},
         "simulation": {
             "final_error": final_err,
             "final_value": float(vs[-1]),

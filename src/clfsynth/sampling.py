@@ -40,7 +40,12 @@ class Box:
 
 
 def sample_box(box, n, seed=0):
-    """The first n scrambled Halton points of a seed inside the box, shape (n, dim)."""
+    """The first n scrambled Halton points of a seed inside the box, shape (n, dim).
+
+    n must be a positive count (ValueError otherwise).
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be positive, got {n}")
     u = qmc.Halton(d=box.dim, scramble=True, seed=seed).random(n)
     return box.lows + u * (box.highs - box.lows)
 

@@ -19,6 +19,18 @@ def rk4_step(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def step_count(T, dt):
+    """Number of RK4 steps of size dt that cover the horizon T.
+
+    Raises ValueError unless dt and T are both positive: closed_loop_path
+    and inverse_opt.evaluate_cost count their steps here.
+    """
+    if not (dt > 0 and T > 0):
+        raise ValueError(f"dt and T must be positive (integration step dt = {dt!r}, "
+                         f"horizon T = {T!r})")
+    return int(np.ceil(T / dt - 1e-12))
+
+
 def rk4_path(f, x0, dt, n_steps, stop=None):
     """States of n_steps RK4 steps from x0; stop(x) truncates after recording.
 
@@ -104,10 +116,9 @@ def closed_loop_path(sys, law, x0, dt, T, stop=None):
     stages in order, so every fourth field call is a first stage. stop
     ends the run after the state that triggered it; a run that leaves the
     finite range or the field's domain raises rk4_path's DivergenceError.
+    dt and T must be positive (step_count).
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
-    n_steps = int(np.ceil(T / dt - 1e-12))
+    n_steps = step_count(T, dt)
     a = np.empty((n_steps + 1, sys.n))
     b = np.empty((n_steps + 1, sys.n, sys.p))
     u = np.empty((n_steps + 1, sys.p))

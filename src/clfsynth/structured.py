@@ -10,10 +10,10 @@ own linear inner law alpha_y(y) = -P12'y/P22 and V_y = y'P_y y, the
 composite is x'Px exactly, so the cascade design uses that quadratic form.
 
 Feedforward descriptions (an appended coordinate fed by an actuated inner
-system) convert to their control-affine form and are designed like any
-other plant. Both descriptions build that ControlAffineSystem once, and
-their origin blocks are slices of its linearization, the one place an
-origin linearization is derived or validated.
+system) are designed like any other plant. Both descriptions are
+ControlAffineSystems, and their origin blocks are slices of their own
+linearization, the one place an origin linearization is derived or
+validated.
 """
 
 from dataclasses import dataclass
@@ -28,22 +28,21 @@ from .sampling import quadratic_level_box, sample_box
 from .synthesis import blended_design
 
 
-class StrictFeedbackSystem:
+class StrictFeedbackSystem(ControlAffineSystem):
     """Cascade with a scalar actuated coordinate driving a y-subsystem.
 
     h1, h2 map y to (n_y,) arrays; f, g map (y, x) to scalars with g
     nonvanishing (checked at the origin; sample elsewhere as needed). The
-    control-affine form is built once; supplied origin blocks
-    (H1, H2, F1, F2, G) are assembled into its linearization, which
-    validates them, and without blocks its finite-difference Jacobian is
-    used. The blocks are read back as slices of that linearization.
+    cascade is the control-affine system of the stacked state (y, x);
+    supplied origin blocks (H1, H2, F1, F2, G) are assembled into its
+    linearization, which validates them, and without blocks its
+    finite-difference Jacobian is used. The blocks are read back as slices
+    of that linearization.
     """
-
-    p = 1
 
     def __init__(self, n_y, h1, h2, f, g, blocks=None):
         self.n_y = n_y = int(n_y)
-        self.n = n = n_y + 1
+        n = n_y + 1
         if abs(float(g(np.zeros(n_y), 0.0))) < 1e-12:
             raise ValueError("g must not vanish at the origin")
         linearization = None
@@ -67,33 +66,29 @@ class StrictFeedbackSystem:
             col[n_y, 0] = float(g(chi[:n_y], float(chi[n_y])))
             return col
 
-        self._full = ControlAffineSystem(n, 1, a, b, linearization=linearization)
+        super().__init__(n, 1, a, b, linearization=linearization)
         A, B = self.assemble()
         self.H1, self.H2 = A[:n_y, :n_y], A[:n_y, n_y]
         self.F1, self.F2, self.G = A[n_y, :n_y], float(A[n_y, n_y]), float(B[n_y, 0])
 
     def assemble(self):
         """Origin linearization (A, B) of the cascade."""
-        lin = self._full.linearization
-        return lin.A, lin.B
-
-    def to_control_affine(self):
-        return self._full
+        return self.linearization.A, self.linearization.B
 
 
-class FeedforwardSystem:
+class FeedforwardSystem(ControlAffineSystem):
     """Scalar coordinate fed by an actuated inner system: y' = h(x),
     x' = f(x) + g(x) u, with the appended coordinate listed first.
 
-    The control-affine form is built once; supplied origin blocks
-    (H, F, G) are assembled into its linearization, which validates them.
-    The blocks are read back as slices of that linearization.
+    The control-affine system of the stacked state (y, x); supplied origin
+    blocks (H, F, G) are assembled into its linearization, which validates
+    them. The blocks are read back as slices of that linearization.
     """
 
     def __init__(self, n_x, p, h, f, g, blocks=None):
         self.n_x = n_x = int(n_x)
-        self.p = p = int(p)
-        self.n = n = n_x + 1
+        p = int(p)
+        n = n_x + 1
         linearization = None
         if blocks is not None:
             H, F, G = blocks
@@ -108,12 +103,9 @@ class FeedforwardSystem:
         def b(chi):
             return np.vstack([np.zeros((1, p)), np.asarray(g(chi[1:]), dtype=float).reshape(n_x, p)])
 
-        self._full = ControlAffineSystem(n, p, a, b, linearization=linearization)
-        lin = self._full.linearization
+        super().__init__(n, p, a, b, linearization=linearization)
+        lin = self.linearization
         self.H, self.F, self.G = lin.A[0, 1:], lin.A[1:, 1:], lin.B[1:, :]
-
-    def to_control_affine(self):
-        return self._full
 
 
 @dataclass
@@ -249,7 +241,7 @@ def backstepping_synthesize(sys, K_o, P=None, box=None, level_grid=None,
         level_grid = np.geomspace(0.05, 2.0, 24)
     if box is None:
         box = quadratic_level_box(0.5 * V.hessian_origin, max(level_grid))
-    sweep = lie_sweep(V, sys.to_control_affine(), sample_box(box, n_samples, seed=seed))
+    sweep = lie_sweep(V, sys, sample_box(box, n_samples, seed=seed))
     law = blended_design(sweep, K_o, level_grid)[1]
     law.metadata["partition"] = part.to_dict()
     return V, law

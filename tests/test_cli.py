@@ -66,6 +66,15 @@ class TestCare:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    def test_sampling_flags_are_refused(self, tmp_path, capsys, flag):
+        a = write_json(tmp_path / "A.json", [[-1.0]])
+        b = write_json(tmp_path / "B.json", [[1.0]])
+        with pytest.raises(SystemExit) as exc:
+            main(["care", "--A", a, "--B", b, flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         b = write_json(tmp_path / "B.json", [[1.0]])
         code, _, err = run_cli(capsys, "care", "--A",
@@ -103,6 +112,12 @@ class TestSynth:
         assert res["gain_error"] == 0.0
         assert res["artstein"]["passed"] is True
         assert res["decrease"]["passed"] is True
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_sample_count_exits_2(self, capsys, count):
+        code, _, err = run_cli(capsys, "synth", "scalar_linear", "--samples", count)
+        assert code == 2
+        assert err.startswith("error:") and f"sample count must be positive, got {count}" in err
 
     def test_unknown_system_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "synth", "no_such_system")
@@ -175,6 +190,20 @@ class TestInvopt:
                                "--samples", "400", "--x0", "1.0,2.0")
         assert code == 2
         assert "must have 1 entries" in err
+
+
+    def test_cost_without_x0_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "invopt", "cost", "scalar_linear",
+                               "--samples", "400")
+        assert code == 2
+        assert err.startswith("error:") and "--x0" in err
+
+    @pytest.mark.parametrize("flags", [("--dt", "0"), ("--dt", "-0.01"), ("--T", "0")])
+    def test_nonpositive_step_or_horizon_exits_2(self, capsys, flags):
+        code, _, err = run_cli(capsys, "invopt", "cost", "scalar_linear",
+                               "--samples", "400", "--x0", "1.0", *flags)
+        assert code == 2
+        assert err.startswith("error:") and "dt and T must be positive" in err
 
 
 class TestBackstep:
@@ -302,6 +331,20 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", cfg)
         assert code == 2
         assert err.startswith("error:") and f"'{next(iter(entry))}' must be" in err
+
+    @pytest.mark.parametrize("integrator", [{"dt": 0}, {"dt": -0.01}, {"horizon": 0}])
+    def test_nonpositive_step_or_horizon_exits_2(self, tmp_path, capsys, integrator):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "system": "scalar_linear", "sampling": {"n_samples": 300},
+            "integrator": integrator})
+        code, _, err = run_cli(capsys, "run", cfg)
+        assert code == 2
+        assert err.startswith("error:") and "dt and T must be positive" in err
+
+    def test_orbital_sample_count_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "orbital", "--samples", "0")
+        assert code == 2
+        assert err.startswith("error:") and "sample count must be positive, got 0" in err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

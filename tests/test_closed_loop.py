@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfsynth import clf, runner
-from clfsynth.inverse_opt import evaluate_cost, optimal_feedback
+from clfsynth.inverse_opt import evaluate_cost
 from clfsynth.linear_core import solve_lyapunov
 from clfsynth.orbital import OrbitalCostConfig, OrbitalParams, build_orbital_controller, \
     equilibrium, orbital_system, simulate_orbital
@@ -236,9 +236,3 @@ class TestForeignArguments:
         with pytest.raises(ValueError, match="cost.sys"):
             evaluate_cost(load_system("scalar_cubic"), costrec.cost, costrec.law,
                           0.5 * box.highs, HORIZON, DT)
-
-    def test_optimal_feedback_needs_the_cost_v(self, designs):
-        _, synth, costrec = designs["scalar_cubic"]
-        other = clf.local_quadratic_clf(synth.care.P)
-        with pytest.raises(ValueError, match="own V"):
-            optimal_feedback(other, costrec.cost, synth.full)

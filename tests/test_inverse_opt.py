@@ -28,11 +28,11 @@ from clfsynth.clf import ControlAffineSystem, LieSweep, lie_sweep, local_quadrat
 from clfsynth.errors import CertificateError, DivergenceError
 from clfsynth.inverse_opt import (
     InverseOptimalCost,
+    LevelScaling,
     _input_forms,
     _solve,
     base_level_ladder,
     build_inverse_cost,
-    build_mu,
     check_base_region,
     estimate_level_constants,
     evaluate_cost,
@@ -289,12 +289,12 @@ class TestBaseLevelLadder:
 
 class TestBuildMu:
     def test_knots_use_running_max(self):
-        sc = build_mu(0.8, [2.0, 5.0, 3.0])
+        sc = LevelScaling(0.8, [2.0, 5.0, 3.0])
         assert np.allclose(sc.knots_s, [0.0, 0.4, 0.8, 1.6, 2.4])
         assert np.allclose(sc.knots_v, [1.0, 1.0, 2.0, 5.0, 5.0])
 
     def test_interpolated_values(self):
-        sc = build_mu(0.8, [2.0, 5.0, 3.0])
+        sc = LevelScaling(0.8, [2.0, 5.0, 3.0])
         assert sc.mu(0.2) == 1.0
         assert sc.mu(0.6) == pytest.approx(1.5, rel=1e-12)
         assert sc.mu(1.2) == pytest.approx(3.5, rel=1e-12)
@@ -302,14 +302,14 @@ class TestBuildMu:
     def test_no_warning_on_the_last_annulus(self):
         # three annuli above r0 = 0.8 reach up to 3.2; mu is only frozen
         # past the last knot at 2.4, still inside the certified levels
-        sc = build_mu(0.8, [2.0, 5.0, 3.0])
+        sc = LevelScaling(0.8, [2.0, 5.0, 3.0])
         assert sc.certified_top == pytest.approx(3.2, rel=1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sc.mu(3.0) == 5.0
 
     def test_frozen_tail_warns_once(self):
-        sc = build_mu(0.8, [2.0, 5.0, 3.0])
+        sc = LevelScaling(0.8, [2.0, 5.0, 3.0])
         with pytest.warns(UserWarning, match="beyond the certified range"):
             assert sc.mu(5.0) == 5.0
         with warnings.catch_warnings(record=True) as caught:
@@ -322,7 +322,7 @@ class TestBuildMu:
         for _ in range(10):
             r0 = float(rng.uniform(0.1, 3.0))
             ladder = list(1.0 + rng.gamma(1.0, 2.0, size=rng.integers(1, 7)))
-            sc = build_mu(r0, ladder)
+            sc = LevelScaling(r0, ladder)
             s = np.linspace(0.0, (len(ladder) + 2) * r0, 200)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -334,12 +334,12 @@ class TestBuildMu:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r0 must be positive"):
-            build_mu(0.0, [1.0])
+            LevelScaling(0.0, [1.0])
         with pytest.raises(ValueError, match=">= 1"):
-            build_mu(1.0, [0.5])
+            LevelScaling(1.0, [0.5])
 
     def test_to_dict_round_trip_values(self):
-        sc = build_mu(1.0, [2.0, 4.0])
+        sc = LevelScaling(1.0, [2.0, 4.0])
         d = sc.to_dict()
         assert sorted(d) == ["certified_top", "knots_s", "knots_v", "ladder", "r0"]
         assert d["r0"] == 1.0
@@ -352,7 +352,7 @@ class TestInverseCost:
         self.sys = scalar_linear()
         self.V = local_quadratic_clf(np.array([[1.0 + SQRT2]]))
         # all-ones ladder long enough to cover every probe point below
-        self.scaling = build_mu(1.0, [1.0] * 10)
+        self.scaling = LevelScaling(1.0, [1.0] * 10)
         self.cost = build_inverse_cost(self.V, self.sys, np.eye(1), np.eye(1),
                                        self.scaling)
 
@@ -377,7 +377,7 @@ class TestInverseCost:
                                     np.array([xv]))) <= 1e-12
 
     def test_optimal_feedback_is_lq_gain(self):
-        law = optimal_feedback(self.V, self.cost, self.sys)
+        law = optimal_feedback(self.cost)
         assert law.kind == "optimal_feedback"
         assert law.metadata["cost"] is self.cost
         for xv in (1.0, -0.4, 2.0):
@@ -391,7 +391,7 @@ class TestInverseCost:
 
     def test_scaled_input_weight_at_origin_rejected(self):
         with pytest.raises(ValueError, match="must equal the base input weight"):
-            InverseOptimalCost(self.V, self.sys, lambda x, v: 0.5 * np.eye(1),
+            InverseOptimalCost(self.V, self.sys, lambda v: 0.5 * np.eye(1),
                                np.eye(1), np.eye(1), self.scaling)
 
 
@@ -400,7 +400,7 @@ class TestEvaluateCost:
         self.sys = scalar_linear()
         self.V = local_quadratic_clf(np.array([[1.0 + SQRT2]]))
         self.cost = build_inverse_cost(self.V, self.sys, np.eye(1), np.eye(1),
-                                       build_mu(1.0, [1.0, 1.0, 1.0]))
+                                       LevelScaling(1.0, [1.0, 1.0, 1.0]))
 
     def test_suboptimal_law_closed_form(self):
         law = FeedbackLaw("static", lambda x: np.array([-3.0 * x[0]]), 1, 1)
@@ -410,14 +410,14 @@ class TestEvaluateCost:
         assert est.value == pytest.approx(2.5, abs=1e-9)
 
     def test_optimal_law_cost_equals_value(self):
-        law = optimal_feedback(self.V, self.cost, self.sys)
+        law = optimal_feedback(self.cost)
         est = evaluate_cost(self.sys, self.cost, law, np.array([1.0]),
                             horizon=8.0, dt=0.001)
         assert est.tail_kind == "value_tail"
         assert est.value == pytest.approx(1.0 + SQRT2, abs=1e-9)
 
     def test_start_at_origin(self):
-        law = optimal_feedback(self.V, self.cost, self.sys)
+        law = optimal_feedback(self.cost)
         est = evaluate_cost(self.sys, self.cost, law, np.zeros(1),
                             horizon=1.0, dt=0.01)
         assert est.tail_kind == "origin"
@@ -433,11 +433,17 @@ class TestEvaluateCost:
         assert exc.value.last_state[0] == pytest.approx(np.e, rel=1e-8)
         assert exc.value.last_time == pytest.approx(1.0)
 
-    def test_estimate_to_dict(self):
-        law = optimal_feedback(self.V, self.cost, self.sys)
+    @pytest.mark.parametrize("horizon, dt", [(1.0, 0.0), (1.0, -0.01), (0.0, 0.01)])
+    def test_nonpositive_step_or_horizon_raises(self, horizon, dt):
+        law = optimal_feedback(self.cost)
+        with pytest.raises(ValueError, match="dt and T must be positive"):
+            evaluate_cost(self.sys, self.cost, law, np.array([1.0]),
+                          horizon=horizon, dt=dt)
+
+    def test_estimate_value_is_integral_plus_tail(self):
+        law = optimal_feedback(self.cost)
         est = evaluate_cost(self.sys, self.cost, law, np.array([0.5]),
                             horizon=8.0, dt=0.001)
-        d = est.to_dict()
-        assert sorted(d) == ["integral", "t_final", "tail", "tail_kind",
-                             "value", "x_final"]
-        assert d["value"] == pytest.approx(d["integral"] + d["tail"])
+        assert est.value == pytest.approx(est.integral + est.tail)
+        assert 0.0 < est.t_final <= 8.0
+        assert est.x_final.shape == (1,)

@@ -235,9 +235,12 @@ class TestLayeredDesign:
         cost4 = inverse_opt.level_scaled_cost(
             V_t, orbital_restriction(par, 4, 2), cfg.Q_tilde, np.diag([cfg.R_r, cfg.R_theta]),
             Box.centered([0.5] * 4), np.geomspace(0.01, 2.0, 40), k_max=4, n_samples=400)
-        assert meta["r0"] == cost4.scaling.r0
-        assert meta["ladder"] == cost4.scaling.ladder
-        assert all(l >= 1.0 for l in meta["ladder"])
+        assert "r0" not in meta and "ladder" not in meta
+        scaling = meta["cost"].scaling
+        assert scaling is meta["cost4"].scaling
+        assert scaling.r0 == cost4.scaling.r0
+        assert scaling.ladder == cost4.scaling.ladder
+        assert all(l >= 1.0 for l in scaling.ladder)
 
     def test_six_state_weight_adds_the_normal_channel(self, unit_design):
         par, cfg, V, cost, law = unit_design

@@ -128,7 +128,7 @@ class TestDomainBreach:
         # 1 + sqrt(2) solves 2P - P^2 + 1 = 0, the Riccati equation of (1, 1, 1, 1)
         V = local_quadratic_clf(np.array([[1.0 + np.sqrt(2.0)]]))
         cost = inverse_opt.build_inverse_cost(V, sys_, np.eye(1), np.eye(1),
-                                              inverse_opt.build_mu(10.0, []))
+                                              inverse_opt.LevelScaling(10.0, []))
         with pytest.raises(DivergenceError, match="fence") as exc:
             inverse_opt.evaluate_cost(sys_, cost, self.outward(), np.array([0.5]),
                                       horizon=5.0, dt=0.01)
@@ -285,6 +285,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'level_grid' must be a list"):
             runner.load_problem(load_config({"system": "scalar_linear",
                                              "level_grid": grid}))
+
+    @pytest.mark.parametrize("system", ["scalar_linear", "orbital"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_count_must_be_positive(self, system, count):
+        with pytest.raises(ValueError, match=f"sample count must be positive, got {count}"):
+            run({"system": system, "sampling": {"n_samples": count}})
 
     def test_box_must_have_the_plant_width(self):
         cfg = load_config({"system": "strict_feedback_demo",
@@ -463,6 +469,34 @@ def test_elongated_box_designs_pass_every_check(name):
     assert rep["status"] == "pass"
 
 
+FEEDFORWARD_CFG = {
+    # y' = x, x' = x^2 + u
+    "system": {"structure": "feedforward", "n_x": 1, "p": 1,
+               "h": [{"coeff": 1.0, "exponents": [1]}],
+               "f": [[{"coeff": 1.0, "exponents": [2]}]],
+               "g": [[[{"coeff": 1.0, "exponents": [0]}]]]},
+    "box": {"lows": [-1.0, -1.0], "highs": [1.0, 1.0]},
+    "level_grid": {"start": 0.02, "stop": 1.5, "num": 28},
+}
+
+
+@pytest.mark.parametrize("cfg", [{"system": "strict_feedback_demo"}, FEEDFORWARD_CFG],
+                         ids=["cascade", "feedforward"])
+def test_structured_designs_sweep_the_structured_object_itself(monkeypatch, cfg):
+    sweeps = record_calls(monkeypatch, clf, "lie_sweep")
+    system, Q, R, box, grid = runner.load_problem(load_config(cfg))
+    assert isinstance(system, (structured.StrictFeedbackSystem,
+                               structured.FeedforwardSystem))
+    synth = runner.synthesize_problem(system, Q, R, box, grid, n_samples=300)
+    assert synth.full is synth.system is system
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runner.reconstruct_cost(synth.full, synth.V, Q, R, box, grid, k_max=2,
+                                n_samples=300)
+    assert len(sweeps) == 4
+    assert all(args[1] is system for args, _ in sweeps)
+
+
 class TestSynthesizePlain:
     def test_one_sweep_serves_every_sampled_check(self, monkeypatch):
         rec = synthesize_with_one_sweep(monkeypatch, "scalar_cubic")
@@ -513,7 +547,7 @@ class TestReconstructCost:
         rec = runner.reconstruct_cost(synth.full, synth.V, np.eye(2), np.eye(1), box, grid,
                                       k_max=4, n_samples=500, seed=0)
         sweep = lie_sweep(synth.V, synth.full, sample_box(box, 200, seed=5))
-        sweep = sweep.rows(sweep.values <= rec.scaling.certified_top)
+        sweep = sweep.rows(sweep.values <= rec.cost.scaling.certified_top)
         q = inverse_opt.state_weights(sweep, rec.cost)
         assert len(q) > 100
         assert np.array_equal(q, [rec.cost.q(x) for x in sweep.points])
@@ -536,14 +570,14 @@ class TestReconstructCost:
             except CertificateError:
                 return  # refused: nothing uncertified was returned
         check = lie_sweep(V, full, sample_box(box, 300, seed=seed + 1))
-        r0 = rec.r0
+        r0, ladder = rec.r0, rec.cost.scaling.ladder
         for v, la, lb in zip(check.values, check.la, check.lb):
             if v <= 1e-7 * r0:
                 continue
             k = int(np.ceil(v / r0)) - 1  # annulus k holds k r0 < V <= (k + 1) r0
-            if k > len(rec.ladder):
+            if k > len(ladder):
                 continue
-            ell = 1.0 if k == 0 else rec.ladder[k - 1]
+            ell = 1.0 if k == 0 else ladder[k - 1]
             assert la - 0.25 * ell * lb[0] ** 2 < -strict_margin(la)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfsynth import numdiff
-from clfsynth.clf import local_quadratic_clf
+from clfsynth.clf import ControlAffineSystem, local_quadratic_clf
 from clfsynth.errors import CertificateError
 from clfsynth.structured import (
     FeedforwardSystem,
@@ -58,7 +58,8 @@ class TestStrictFeedbackSystem:
         assert np.allclose(B, [[0.0], [1.0]])
 
     def test_control_affine_vector_fields(self):
-        full = cascade_demo().to_control_affine()
+        full = cascade_demo()
+        assert isinstance(full, ControlAffineSystem)
         chi = np.array([0.5, -2.0])
         assert np.allclose(full.a(chi), [-0.125 - 2.0, -2.0 * 0.25])
         assert np.allclose(full.b(chi), [[0.0], [1.0]])
@@ -256,7 +257,7 @@ class TestFeedforward:
             g=lambda x: np.array([[0.0], [1.0]]))
 
     def test_assembled_linearization(self):
-        sys_ = self.inner().to_control_affine()
+        sys_ = self.inner()
         A, B = sys_.linearization.A, sys_.linearization.B
         assert np.allclose(A, [[0.0, 1.0, 0.0],
                                [0.0, -1.0, 1.0],
@@ -264,7 +265,7 @@ class TestFeedforward:
         assert np.allclose(B, [[0.0], [0.0], [1.0]])
 
     def test_vector_fields(self):
-        sys_ = self.inner().to_control_affine()
+        sys_ = self.inner()
         chi = np.array([5.0, 1.0, 2.0])
         assert np.allclose(sys_.a(chi), [1.0, 1.0, -2.0])
         assert np.allclose(sys_.b(chi), [[0.0], [0.0], [1.0]])

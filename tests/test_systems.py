@@ -82,7 +82,7 @@ class TestStructuredSpecs:
         assert (sys_.F2, sys_.G) == (0.0, 1.0)
 
     def test_strict_feedback_field(self):
-        full = load_system(STRICT_FEEDBACK).to_control_affine()
+        full = load_system(STRICT_FEEDBACK)
         y, x = 0.7, -1.3
         assert np.allclose(full.a([y, x]), [-y ** 3 + x, x * y ** 2], rtol=1e-15)
         assert np.array_equal(full.b([y, x]), [[0.0], [1.0]])
