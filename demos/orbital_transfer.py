@@ -66,7 +66,7 @@ def main():
 
     geo_path = CONFIGS / "orbital_geo.json"
     if geo_path.exists():
-        geo = OrbitalParams.from_dict(json.loads(geo_path.read_text()))
+        geo = OrbitalParams(**json.loads(geo_path.read_text()))
         print(f"\ngeostationary preset: p0 = {geo.p0} km, "
               f"mu = {geo.mu} km^3/s^2")
         print(f"orbit rate eta      {geo.eta:.6g} rad/s "

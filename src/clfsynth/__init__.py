@@ -2,7 +2,8 @@
 
 The package builds globally stabilizing feedback laws whose behavior near
 the origin coincides with a prescribed linear-quadratic design, and then
-reconstructs a meaningful cost that the combined law minimizes exactly.
+reconstructs a meaningful cost that its own law optimal_feedback(cost)
+minimizes exactly; near the origin both laws reduce to the LQ gain.
 """
 
 from .errors import ArtsteinViolationError, CertificateError, ConfigError, \

@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import CertificateError, ConfigError, DivergenceError
 from .linear_core import LinearSystem, lqr_gain, solve_care
-from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES, OrbitalCostConfig, \
-    OrbitalParams
+from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES
 from .serialize import matrix_from_json, matrix_to_json
 from .structured import StrictFeedbackSystem
 from . import runner
@@ -43,9 +42,34 @@ def _parse_vector(text, n, label):
         vals = [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"{label} must be comma-separated numbers") from None
-    if len(vals) != n:
+    if n is not None and len(vals) != n:
         raise ConfigError(f"{label} must have {n} entries, got {len(vals)}")
     return np.asarray(vals)
+
+
+# run-input flag (argparse dest) -> (config section, key), or (top-level entry, None)
+RUN_INPUTS = {"seed": ("sampling", "seed"), "samples": ("sampling", "n_samples"),
+              "k_max": ("inverse_optimal", "k_max"), "dt": ("integrator", "dt"),
+              "T": ("integrator", "horizon"), "levels": ("level_grid", None),
+              "Q": ("prescription", "Q"), "R": ("prescription", "R"), "box": ("box", None),
+              "params": ("orbital_params", None), "cost": ("orbital_cost", None)}
+JSON_FILE_FLAGS = {"Q", "R", "box", "params", "cost"}
+
+
+def _run_config(args, system):
+    """runner.load_config of the config whose entries are the run-input flags given."""
+    cfg = {"system": system}
+    for dest, (entry, key) in RUN_INPUTS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if dest in JSON_FILE_FLAGS:
+            value = _load_json(value, dest)
+        elif dest == "levels":
+            value = _parse_vector(value, None, "--levels").tolist()
+        target = cfg if key is None else cfg.setdefault(entry, {})
+        target[key or entry] = value
+    return runner.load_config(cfg)
 
 
 def cmd_care(args):
@@ -67,29 +91,22 @@ def cmd_care(args):
 
 
 def _problem(args):
-    """(system, Q, R, box, level grid) from the shared problem flags."""
+    """(run config, (system, Q, R, box, level grid)) of the shared problem flags."""
     spec = args.system
     if spec.endswith(".json"):
         spec = _load_json(spec, "system")
-    cfg = {"system": spec, "prescription": {
-        "Q": None if args.Q is None else _load_json(args.Q, "Q"),
-        "R": None if args.R is None else _load_json(args.R, "R")}}
-    if args.box is not None:
-        cfg["box"] = _load_json(args.box, "box")
-    if args.levels is not None:
-        cfg["level_grid"] = [float(v) for v in args.levels.split(",")]
-    return runner.load_problem(runner.load_config(cfg))
+    cfg = _run_config(args, spec)
+    return cfg, runner.load_problem(cfg)
 
 
 def _synth_pipeline(args, problem=None):
-    system, Q, R, box, grid = problem or _problem(args)
-    rec = runner.synthesize_problem(system, Q, R, box, grid,
-                                    n_samples=args.samples, seed=args.seed)
-    return rec, Q, R, box, grid
+    cfg, (system, Q, R, box, grid) = problem or _problem(args)
+    rec = runner.synthesize_problem(system, Q, R, box, grid, **cfg["sampling"])
+    return cfg, rec, Q, R, box, grid
 
 
 def cmd_synth(args):
-    rec = _synth_pipeline(args)[0]
+    rec = _synth_pipeline(args)[1]
     out = rec.to_dict()
     out["kind"] = rec.law.kind
     _emit(out, args.out)
@@ -99,24 +116,24 @@ def cmd_synth(args):
 def cmd_invopt(args):
     if args.invopt_action == "cost" and args.x0 is None:
         raise ConfigError("invopt cost needs the initial state --x0")
-    rec, Q, R, box, grid = _synth_pipeline(args)
+    cfg, rec, Q, R, box, grid = _synth_pipeline(args)
     costrec = runner.reconstruct_cost(rec.system, rec.V, Q, R, box, grid,
-                                      k_max=args.k_max,
-                                      n_samples=args.samples, seed=args.seed)
+                                      k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
     if args.invopt_action == "build":
         _emit(costrec.to_dict(), args.out)
         return 0
     # cost: integrate the reconstructed running cost along the optimal law
     x0 = _parse_vector(args.x0, rec.system.n, "--x0")
-    _emit(runner.cost_versus_value(rec, costrec, x0, args.T, args.dt), args.out)
+    _emit(runner.cost_versus_value(rec, costrec, x0, cfg["integrator"]["horizon"],
+                                   cfg["integrator"]["dt"]), args.out)
     return 0
 
 
 def cmd_backstep(args):
     problem = _problem(args)
-    if not isinstance(problem[0], StrictFeedbackSystem):
+    if not isinstance(problem[1][0], StrictFeedbackSystem):
         raise ConfigError("backstep expects a strict-feedback system spec")
-    rec = _synth_pipeline(args, problem)[0]
+    rec = _synth_pipeline(args, problem)[1]
     _emit({
         "K_o": matrix_to_json(rec.K_o),
         "P": matrix_to_json(rec.care.P),
@@ -129,15 +146,13 @@ def cmd_backstep(args):
 
 
 def cmd_orbital(args):
-    params = OrbitalParams.from_dict(_load_json(args.params, "params")
-                                     if args.params else {})
-    cost_cfg = OrbitalCostConfig.from_dict(params,
-                                           _load_json(args.cost, "cost")
-                                           if args.cost else {})
+    cfg = _run_config(args, "orbital")
+    params, cost_cfg = runner.load_orbital_problem(cfg)
     s0 = None if args.x0 is None else _parse_vector(args.x0, 6, "--x0")
     law, traj, final_err = runner.orbital_transfer(
-        params, cost_cfg, dt=args.dt, T=args.T, s0=s0, n_samples=args.samples,
-        seed=args.seed)
+        params, cost_cfg, dt=cfg["integrator"]["dt"], T=cfg["integrator"]["horizon"],
+        s0=s0, level_grid=runner.expand_level_grid(cfg["level_grid"]),
+        k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
     scaling = law.metadata["cost"].scaling
     if args.trace:
         traj.to_csv(args.trace, state_names=ORBITAL_STATE_NAMES,
@@ -163,10 +178,9 @@ def cmd_run(args):
     return 0 if report["status"] == "pass" else 3
 
 
-def _add_common(p, samples=2000):
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--samples", type=int, default=samples,
-                   help="sample count for certificate checks")
+def _add_common(p):
+    p.add_argument("--seed", type=int, help="sampling seed (CLFSYNTH_SEED wins)")
+    p.add_argument("--samples", type=int, help="sample count for certificate checks")
     p.add_argument("--out", default=None, help="write the JSON result here")
 
 
@@ -199,15 +213,16 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("invopt", help="reconstruct the cost the blended law "
-                                      "minimizes")
+    p = sub.add_parser("invopt", help="reconstruct a cost and the feedback that "
+                                      "minimizes it (near the origin both it and "
+                                      "the blend are the LQ gain)")
     p.add_argument("invopt_action", choices=["build", "cost"])
     _add_problem(p)
-    p.add_argument("--k-max", type=int, default=8, dest="k_max")
+    p.add_argument("--k-max", type=int, dest="k_max")
     p.add_argument("--x0", default=None, help="comma-separated initial state "
                                               "for the cost action")
-    p.add_argument("--dt", type=float, default=0.005)
-    p.add_argument("--T", type=float, default=40.0)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--T", type=float)
     _add_common(p)
     p.set_defaults(fn=cmd_invopt)
 
@@ -223,10 +238,10 @@ def build_parser():
     p.add_argument("--cost", default=None, help="JSON file with cost weights")
     p.add_argument("--x0", default=None, help="comma-separated initial state "
                                               "(defaults to a perturbed target)")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--T", type=float, default=60.0)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--T", type=float)
     p.add_argument("--trace", default=None, help="write the trajectory CSV here")
-    _add_common(p, samples=1500)
+    _add_common(p)
     p.set_defaults(fn=cmd_orbital)
 
     p = sub.add_parser("run", help="execute a full config and write a report")

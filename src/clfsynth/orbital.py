@@ -73,10 +73,6 @@ class OrbitalParams:
     def to_dict(self):
         return {"p0": self.p0, "mu": self.mu}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(p0=float(d.get("p0", 1.0)), mu=float(d.get("mu", 1.0)))
-
 
 def equilibrium(params):
     return np.array([0.0, 0.0, 0.0, params.p0, 0.0, 0.0])
@@ -249,15 +245,6 @@ class OrbitalCostConfig:
         return cls(Q0=Q0, R_r=float(R_r), R_theta=float(R_theta), R_h=float(R_h),
                    rho1=float(rho1), rho2=float(rho2), P0=P0, Q_tilde=Qt,
                    care_residual=cert.residual_norm)
-
-    @classmethod
-    def from_dict(cls, params, d):
-        return cls.build(
-            params,
-            Q0=d.get("Q0"),
-            R_r=d.get("R_r", 1.0), R_theta=d.get("R_theta", 1.0),
-            R_h=d.get("R_h", 1.0),
-            rho1=d.get("rho1", 2.0), rho2=d.get("rho2", 1.0))
 
     def input_weight(self):
         return np.diag([self.R_r, self.R_theta, self.R_h])

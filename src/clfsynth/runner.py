@@ -3,8 +3,10 @@
 A run takes a JSON-friendly config, executes synthesis, cost
 reconstruction, verification and simulation, and emits a report whose
 bytes depend only on the config (fixed seeds, sorted keys, round-trip
-float formatting). The CLFSYNTH_SEED environment variable overrides the
-configured sampling seed.
+float formatting). load_config is the one reader of run inputs, for run
+configs and CLI flags alike: it checks every key against SECTION_KEYS,
+converts each number once and fills the defaults; CLFSYNTH_SEED wins
+over the configured seed.
 """
 
 import hashlib
@@ -161,33 +163,66 @@ DEFAULT_PROBLEMS = {
         "level_grid": {"start": 0.01, "stop": 1.0, "num": 28},
         "initial_states": [[0.3, -0.2], [-0.25, 0.2]],
     },
+    # configs/run_orbital.json's settings; p0, mu and the weights default in orbital
+    "orbital": {"sampling": {"n_samples": 1500}, "integrator": {"dt": 0.01, "horizon": 60.0}},
 }
+
+MATRIX = "matrix"
+# every settable key of every section and its kind: int, float, or MATRIX (read by
+# matrix_from_json where used); sampling's keys are the pipelines' keyword names
+SECTION_KEYS = {
+    "prescription": {"Q": MATRIX, "R": MATRIX},
+    "sampling": {"seed": int, "n_samples": int},
+    "integrator": {"dt": float, "horizon": float},
+    "inverse_optimal": {"k_max": int},
+    "orbital_params": {"p0": float, "mu": float},
+    "orbital_cost": {"Q0": MATRIX, "R_r": float, "R_theta": float, "R_h": float,
+                     "rho1": float, "rho2": float},
+}
+# filled where a config leaves them out; a registry problem's own sections win
+SECTION_DEFAULTS = {"prescription": {"Q": None, "R": None}, "inverse_optimal": {"k_max": 8},
+                    "sampling": {"seed": 0, "n_samples": 2000},
+                    "integrator": {"dt": 0.005, "horizon": 40.0}}
+LEVEL_GRID_KEYS = {"start": float, "stop": float, "num": int}
+CONFIG_KEYS = {"system", "box", "level_grid", "initial_states", "target_tolerance",
+               *SECTION_KEYS}
+
+
+def _number(value, kind, name):
+    """A JSON number as kind; booleans, strings and a fraction for an int are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and \
+            (kind is float or isinstance(value, int) or value.is_integer()):
+        return kind(value)
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+
+
+def _entries(given, kinds, where):
+    """The entries of one config object, each checked and converted to its kind."""
+    unknown = sorted(set(given) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown keys {[f'{where}.{k}' for k in unknown]}; {where} "
+                          f"takes {sorted(kinds)}")
+    for key, value in given.items():
+        if kinds[key] is not MATRIX:
+            given[key] = _number(value, kinds[key], f"{where}.{key}")
+        elif isinstance(value, (bool, str)):
+            raise ConfigError(f"{where}.{key} must be a matrix, got {json.dumps(value)}")
+    return given
 
 
 def expand_level_grid(spec):
+    """The levels of a level grid checked by load_config; None stays None."""
     if isinstance(spec, dict):
-        try:
-            start, stop, num = spec["start"], spec["stop"], spec["num"]
-        except KeyError as e:
-            raise ConfigError(f"level_grid needs 'start', 'stop' and 'num'; missing {e}") \
-                from None
-        return list(np.geomspace(float(start), float(stop), int(num)))
-    return [float(v) for v in spec]
-
-
-CONFIG_KEYS = {"system", "prescription", "box", "level_grid", "initial_states", "sampling",
-               "integrator", "inverse_optimal", "orbital_params", "orbital_cost",
-               "target_tolerance"}
-# config entries that are JSON objects whenever they are given
-SECTIONS = ("prescription", "sampling", "integrator", "inverse_optimal", "orbital_params",
-            "orbital_cost")
+        return list(np.geomspace(spec["start"], spec["stop"], spec["num"]))
+    return None if spec is None else list(spec)
 
 
 def load_config(src):
-    """Read, default-fill and validate a run config; env seed wins.
+    """Read, check, convert and default-fill a run config; env seed wins.
 
-    An unreadable path, a section, box or level grid of the wrong JSON
-    type and an unknown key are ConfigErrors.
+    An unreadable path, an entry of the wrong JSON type or kind, an unknown
+    key and a negative seed are ConfigErrors naming the entry.
     """
     if isinstance(src, (str, os.PathLike)):
         try:
@@ -206,37 +241,39 @@ def load_config(src):
         raise ConfigError(f"unknown config keys {unknown}; known keys are "
                           f"{sorted(CONFIG_KEYS)}")
     name = cfg["system"] if isinstance(cfg["system"], str) else None
-    defaults = DEFAULT_PROBLEMS.get(name, {})
+    problem = json.loads(json.dumps(DEFAULT_PROBLEMS.get(name, {})))
     for key in ("box", "level_grid", "initial_states"):
-        cfg.setdefault(key, defaults.get(key))
-    cfg.setdefault("prescription", {"Q": None, "R": None})
-    cfg.setdefault("sampling", {})
-    cfg.setdefault("integrator", {})
-    cfg.setdefault("inverse_optimal", {})
-    for key in SECTIONS:
-        if key in cfg and not isinstance(cfg[key], dict):
-            raise ConfigError(f"'{key}' must be an object, got {json.dumps(cfg[key])}")
+        cfg.setdefault(key, problem.get(key))
+    for section, kinds in SECTION_KEYS.items():
+        given = cfg.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"'{section}' must be an object, got {json.dumps(given)}")
+        if section in cfg or section in SECTION_DEFAULTS:
+            cfg[section] = {**SECTION_DEFAULTS.get(section, {}), **problem.get(section, {}),
+                            **_entries(given, kinds, section)}
     if cfg["box"] is not None and not isinstance(cfg["box"], dict):
         raise ConfigError("'box' must be an object with 'lows' and 'highs', got "
                           f"{json.dumps(cfg['box'])}")
-    if cfg["level_grid"] is not None and not isinstance(cfg["level_grid"], (list, dict)):
+    grid = cfg["level_grid"]
+    if isinstance(grid, list):
+        cfg["level_grid"] = [_number(v, float, f"level_grid[{i}]") for i, v in enumerate(grid)]
+    elif isinstance(grid, dict):
+        if missing := sorted(set(LEVEL_GRID_KEYS) - set(grid)):
+            raise ConfigError(f"level_grid needs 'start', 'stop' and 'num'; missing {missing}")
+        _entries(grid, LEVEL_GRID_KEYS, "level_grid")
+    elif grid is not None:
         raise ConfigError("'level_grid' must be a list of levels or an object with "
-                          f"'start', 'stop' and 'num', got {json.dumps(cfg['level_grid'])}")
-    cfg["sampling"].setdefault("seed", 0)
-    cfg["sampling"].setdefault("n_samples", 2000)
-    cfg["integrator"].setdefault("dt", 0.005)
-    cfg["integrator"].setdefault("horizon", 40.0)
-    cfg["inverse_optimal"].setdefault("k_max", 8)
-    unknown = sorted(set(cfg["inverse_optimal"]) - {"k_max"})
-    if unknown:
-        raise ConfigError(f"unknown inverse_optimal keys {unknown}; only 'k_max' is "
-                          "settable")
+                          f"'start', 'stop' and 'num', got {json.dumps(grid)}")
+    if "target_tolerance" in cfg:
+        cfg["target_tolerance"] = _number(cfg["target_tolerance"], float, "target_tolerance")
     env_seed = os.environ.get("CLFSYNTH_SEED")
     if env_seed is not None:
         try:
             cfg["sampling"]["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"CLFSYNTH_SEED must be an integer, got {env_seed!r}") from None
+    if cfg["sampling"]["seed"] < 0:
+        raise ConfigError(f"sampling.seed must be non-negative, got {cfg['sampling']['seed']}")
     return cfg
 
 
@@ -259,10 +296,9 @@ def load_problem(cfg):
     if box.dim != system.n:
         raise ConfigError(f"the box has {box.dim} coordinates but the system has "
                           f"{system.n} states")
-    Q = cfg["prescription"].get("Q")
-    R = cfg["prescription"].get("R")
-    Q = np.eye(system.n) if Q is None else matrix_from_json(Q, "Q")
-    R = np.eye(system.p) if R is None else matrix_from_json(R, "R")
+    Q, R = cfg["prescription"]["Q"], cfg["prescription"]["R"]
+    Q = np.eye(system.n) if Q is None else matrix_from_json(Q, "prescription.Q")
+    R = np.eye(system.p) if R is None else matrix_from_json(R, "prescription.R")
     return system, Q, R, box, expand_level_grid(cfg["level_grid"])
 
 
@@ -331,17 +367,11 @@ def run(config, out_dir=None):
         return _run_orbital(cfg, out_dir)
     system, Q, R, box, grid = load_problem(cfg)
     states = _initial_states(cfg, system.n)
-    seed = int(cfg["sampling"]["seed"])
-    n_samples = int(cfg["sampling"]["n_samples"])
-
-    synth = synthesize_problem(system, Q, R, box, grid, n_samples=n_samples,
-                               seed=seed)
+    synth = synthesize_problem(system, Q, R, box, grid, **cfg["sampling"])
     costrec = reconstruct_cost(synth.system, synth.V, Q, R, box, grid,
-                               k_max=int(cfg["inverse_optimal"]["k_max"]),
-                               n_samples=n_samples, seed=seed)
+                               k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
 
-    dt = float(cfg["integrator"]["dt"])
-    horizon = float(cfg["integrator"]["horizon"])
+    dt, horizon = cfg["integrator"]["dt"], cfg["integrator"]["horizon"]
     checks = [
         _check("artstein_no_violations", synth.artstein.passed,
                value=len(synth.artstein.violations)),
@@ -379,14 +409,12 @@ def run(config, out_dir=None):
          "costs": cost_results}, trace_files, checks, out_dir)
 
 
-def orbital_transfer(params, cost_cfg, dt, T, s0=None, n_samples=1500, seed=0,
-                     level_grid=None, k_max=8):
+def orbital_transfer(params, cost_cfg, dt, T, s0, n_samples, seed, level_grid, k_max):
     """Layered orbital design, then one closed-loop transfer from s0.
 
-    s0 defaults to an offset of the target orbit. Returns (law, trajectory,
-    final error). The orbit-scale coordinate carries the p0 unit, so the
-    error norm divides it out; at p0 = 1 this is the plain euclidean
-    distance to the target.
+    s0 None starts from an offset of the target orbit, level_grid None uses
+    the design's own grid. Returns (law, trajectory, final error); the error
+    divides the orbit-scale coordinate by its unit p0.
     """
     V, _, law = build_orbital_controller(params, cost_cfg, seed=seed,
                                          n_samples=n_samples,
@@ -399,23 +427,26 @@ def orbital_transfer(params, cost_cfg, dt, T, s0=None, n_samples=1500, seed=0,
     return law, traj, float(np.linalg.norm((traj.states[-1] - star) / unit))
 
 
+def load_orbital_problem(cfg):
+    """(OrbitalParams, OrbitalCostConfig) of a loaded config; they default what it omits."""
+    params = OrbitalParams(**cfg.get("orbital_params", {}))
+    weights = dict(cfg.get("orbital_cost", {}))
+    if weights.get("Q0") is not None:
+        weights["Q0"] = matrix_from_json(weights["Q0"], "orbital_cost.Q0")
+    return params, OrbitalCostConfig.build(params, **weights)
+
+
 def _run_orbital(cfg, out_dir=None):
-    params = OrbitalParams.from_dict(cfg.get("orbital_params") or {})
-    cost_cfg = OrbitalCostConfig.from_dict(params, cfg.get("orbital_cost") or {})
-    seed = int(cfg["sampling"]["seed"])
-    n_samples = int(cfg["sampling"]["n_samples"])
-    grid = cfg["level_grid"]
+    params, cost_cfg = load_orbital_problem(cfg)
     states = _initial_states(cfg, len(ORBITAL_STATE_NAMES))
     law, traj, final_err = orbital_transfer(
-        params, cost_cfg, dt=float(cfg["integrator"]["dt"]),
-        T=float(cfg["integrator"]["horizon"]),
-        s0=states[0] if states else None, n_samples=n_samples,
-        seed=seed, level_grid=None if grid is None else expand_level_grid(grid),
-        k_max=int(cfg["inverse_optimal"]["k_max"]))
+        params, cost_cfg, dt=cfg["integrator"]["dt"], T=cfg["integrator"]["horizon"],
+        s0=states[0] if states else None, level_grid=expand_level_grid(cfg["level_grid"]),
+        k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
     scaling = law.metadata["cost"].scaling
     eq_res = float(np.linalg.norm(orbital_drift(params, equilibrium(params))))
     vs = traj.annotations["V"]
-    target_tol = float(cfg.get("target_tolerance", 1e-3))
+    target_tol = cfg.get("target_tolerance", 1e-3)
 
     checks = [
         _check("equilibrium_residual", eq_res <= 1e-14, value=eq_res, threshold=1e-14),

@@ -7,6 +7,7 @@ capsys; a single subprocess test checks the module entry point end to end.
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -118,6 +119,20 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", "scalar_linear", "--samples", count)
         assert code == 2
         assert err.startswith("error:") and f"sample count must be positive, got {count}" in err
+
+    def test_non_numeric_levels_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "synth", "scalar_linear", "--levels", "a,b")
+        assert code == 2
+        assert err.startswith("error:") and "--levels" in err
+
+    def test_env_seed_wins_over_seed_flag(self, capsys, monkeypatch):
+        flags = ("synth", "strict_feedback_demo", "--samples", "300")
+        seeded = run_cli(capsys, *flags, "--seed", "5")
+        monkeypatch.setenv("CLFSYNTH_SEED", "5")
+        assert run_cli(capsys, *flags) == seeded
+        assert run_cli(capsys, *flags, "--seed", "0") == seeded
+        monkeypatch.delenv("CLFSYNTH_SEED")
+        assert run_cli(capsys, *flags)[1] != seeded[1]
 
     def test_unknown_system_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "synth", "no_such_system")
@@ -268,6 +283,25 @@ class TestOrbital:
         assert res["final_error"] == sim["final_error"]
         assert res["final_error"] == pytest.approx(0.1485, abs=1e-4)
 
+    @pytest.mark.parametrize("flag, entry, name", [
+        ("--cost", {"rho_1": 5}, r"orbital_cost\.rho_1"),
+        ("--params", {"P0": 2}, r"orbital_params\.P0"),
+        ("--cost", {"rho1": "5"}, r"orbital_cost\.rho1 must be a number"),
+    ])
+    def test_misspelt_or_malformed_file_exits_2(self, tmp_path, capsys, flag, entry, name):
+        path = write_json(tmp_path / "f.json", entry)
+        code, _, err = run_cli(capsys, "orbital", flag, path)
+        assert code == 2
+        assert err.startswith("error:") and re.search(name, err)
+
+    def test_same_transfer_as_run(self, capsys):
+        # `orbital` with no flags and `run` on {"system": "orbital"} read the
+        # same defaults
+        code, out, _ = run_cli(capsys, "orbital")
+        assert code == 0
+        assert json.loads(out)["final_error"] == \
+            run({"system": "orbital"})["simulation"]["final_error"]
+
     def test_coarse_step_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "orbital", "--samples", "400",
                                "--dt", "5.0", "--T", "50.0")
@@ -319,6 +353,24 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", cfg)
         assert code == 2
         assert err.startswith("error:") and next(iter(entry)) in err
+
+    @pytest.mark.parametrize("entry, name", [
+        ({"sampling": {"samples": 100}}, r"sampling\.samples"),
+        ({"prescription": {"Q": [[1.0]], "S": 3}}, r"prescription\.S"),
+        ({"sampling": {"n_samples": True}}, r"sampling\.n_samples"),
+        ({"sampling": {"n_samples": 200.7}}, r"sampling\.n_samples"),
+        ({"sampling": {"seed": "x"}}, r"sampling\.seed"),
+        ({"sampling": {"seed": -1}}, r"sampling\.seed"),
+        ({"inverse_optimal": {"k_max": "x"}}, r"inverse_optimal\.k_max"),
+        ({"integrator": {"dt": "x"}}, r"integrator\.dt"),
+        ({"integrator": {"horizon": "x"}}, r"integrator\.horizon"),
+        ({"target_tolerance": "x"}, "target_tolerance"),
+    ])
+    def test_entry_error_names_the_entry(self, tmp_path, capsys, entry, name):
+        cfg = write_json(tmp_path / "cfg.json", {"system": "scalar_linear", **entry})
+        code, _, err = run_cli(capsys, "run", cfg)
+        assert code == 2
+        assert err.startswith("error:") and re.search(name, err)
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "missing.json"))

@@ -21,7 +21,7 @@ from scipy.linalg import block_diag, solve_continuous_are
 from test_sim_runner import record_calls
 
 from clfsynth import clf, inverse_opt, numdiff
-from clfsynth.errors import CertificateError, DivergenceError
+from clfsynth.errors import CertificateError, ConfigError, DivergenceError
 from clfsynth.inverse_opt import hjb_residual
 from clfsynth.orbital import (
     OrbitalCostConfig,
@@ -35,6 +35,7 @@ from clfsynth.orbital import (
     orbital_system,
     simulate_orbital,
 )
+from clfsynth.runner import load_config
 from clfsynth.sampling import Box, sample_box
 from clfsynth.sim import rk4_path
 
@@ -66,7 +67,7 @@ class TestParams:
         with pytest.raises(ValueError, match="must be positive"):
             OrbitalParams(p0=0.0)
         par = OrbitalParams(p0=3.0, mu=0.5)
-        assert OrbitalParams.from_dict(par.to_dict()) == par
+        assert OrbitalParams(**par.to_dict()) == par
 
 
 class TestVectorField:
@@ -204,10 +205,15 @@ class TestCostConfig:
         par = OrbitalParams()
         cfg = OrbitalCostConfig.build(par, rho1=3.0, R_theta=2.0)
         d = cfg.to_dict()
-        cfg2 = OrbitalCostConfig.from_dict(par, d)
+        derived = ("P0", "Q_tilde", "care_residual")
+        cfg2 = OrbitalCostConfig.build(par, **{k: v for k, v in d.items() if k not in derived})
         assert np.allclose(cfg2.P0, cfg.P0)
         assert cfg2.rho1 == 3.0 and cfg2.R_theta == 2.0
         assert np.allclose(cfg2.Q_tilde, cfg.Q_tilde)
+        # the derived entries are not settable: a run config naming them is refused
+        with pytest.raises(ConfigError, match="orbital_cost.P0.*orbital_cost.Q_tilde"
+                                              ".*orbital_cost.care_residual"):
+            load_config({"system": "orbital", "orbital_cost": d})
 
 
 class TestSharedSweeps:

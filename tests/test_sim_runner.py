@@ -207,6 +207,10 @@ class TestIntegrate:
             integrate(sys_, law, np.array([1.0]), dt=0.0, T=1.0)
 
 
+SECTION_TABLE = [(section, key, kind) for section, kinds in runner.SECTION_KEYS.items()
+                 for key, kind in kinds.items()]
+
+
 class TestLoadConfig:
     def test_registry_defaults_filled(self):
         cfg = load_config({"system": "scalar_cubic"})
@@ -252,7 +256,7 @@ class TestLoadConfig:
             load_config({"system": "scalar_linear",
                          "inverse_optimal": {"k_max": 2, "safety_factor": 1.5}})
 
-    @pytest.mark.parametrize("key", runner.SECTIONS)
+    @pytest.mark.parametrize("key", runner.SECTION_KEYS)
     @pytest.mark.parametrize("value", [[600], 600, None])
     def test_section_must_be_an_object(self, key, value):
         with pytest.raises(ConfigError, match=f"'{key}' must be an object"):
@@ -297,6 +301,47 @@ class TestLoadConfig:
                            "box": {"lows": [-1.0], "highs": [1.0]}})
         with pytest.raises(ConfigError, match="box has 1 coordinates but the system has 2"):
             runner.load_problem(cfg)
+
+    @pytest.mark.parametrize("section, key, kind", SECTION_TABLE,
+                             ids=[f"{s}.{k}" for s, k, _ in SECTION_TABLE])
+    def test_every_section_key_is_checked(self, section, key, kind):
+        valid = {int: 1, float: 1.0, runner.MATRIX: None}[kind]
+        with pytest.raises(ConfigError, match=rf"{section}\.bogus.*'{key}'"):
+            load_config({"system": "orbital", section: {key: valid, "bogus": 1}})
+        for bad in ["x", True] + ([200.7] if kind is int else []):
+            with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+                load_config({"system": "orbital", section: {key: bad}})
+
+    @pytest.mark.parametrize("entry, name", [
+        ({"level_grid": [0.1, "0.5"]}, r"level_grid\[1\]"),
+        ({"level_grid": {"start": 0.1, "stop": True, "num": 5}}, r"level_grid\.stop"),
+        ({"level_grid": {"start": 0.1, "stop": 1.0, "num": 5.5}}, r"level_grid\.num"),
+        ({"level_grid": {"start": 0.1, "stop": 1.0, "num": 5, "base": 2}},
+         r"level_grid\.base"),
+        ({"target_tolerance": None}, "target_tolerance"),
+        ({"sampling": {"seed": -1}}, r"sampling\.seed must be non-negative"),
+    ])
+    def test_grid_tolerance_and_seed_are_checked(self, entry, name):
+        with pytest.raises(ConfigError, match=name):
+            load_config({"system": "scalar_linear", **entry})
+
+    def test_numbers_are_converted_once(self):
+        cfg = load_config({"system": "scalar_linear", "sampling": {"n_samples": 600.0},
+                           "integrator": {"horizon": 20}, "level_grid": [1, 2],
+                           "target_tolerance": 1})
+        assert type(cfg["sampling"]["n_samples"]) is int
+        assert type(cfg["integrator"]["horizon"]) is float
+        assert all(type(v) is float for v in cfg["level_grid"])
+        assert type(cfg["target_tolerance"]) is float
+        assert load_config(cfg) == cfg
+
+    def test_orbital_registry_defaults(self):
+        cfg = load_config({"system": "orbital", "sampling": {"seed": 3}})
+        assert cfg["sampling"] == {"seed": 3, "n_samples": 1500}
+        assert cfg["integrator"] == {"dt": 0.01, "horizon": 60.0}
+        # p0, mu and the cost weights keep their one owner: OrbitalParams and
+        # OrbitalCostConfig.build
+        assert "orbital_params" not in cfg and "orbital_cost" not in cfg
 
 
 class TestConfigHash:

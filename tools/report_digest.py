@@ -1,11 +1,15 @@
-"""Print the sha256 of every report.json and trace CSV of nine reference runs.
+"""Print the sha256 of every report.json and trace CSV of nine reference runs
+and of the output of seven command lines.
 
 Runs the four shipped run configs, the two registry problems
 strict_feedback_demo and orbital_reduced, two inline structured specs and
 one inline polynomial spec (their origin linearizations are read from the
 term lists) into a temporary directory and prints one
-"<sha256>  <run>/<file>" line per output file. Two checkouts
-produce identical reports exactly when their outputs are identical:
+"<sha256>  <run>/<file>" line per output file. Then runs each command line
+of CLI_RUNS as `python -m clfsynth.cli ...` and prints one
+"<sha256>  cli/<command line>" line for its stdout and exit code.
+CLFSYNTH_SEED is unset for all of it. Two checkouts produce identical
+digests exactly when their outputs are identical:
 
     python tools/report_digest.py --against ../parent-checkout
 
@@ -59,6 +63,16 @@ RUNS = [
         "level_grid": {"start": 0.02, "stop": 1.5, "num": 28}}),
 ]
 
+CLI_RUNS = [
+    "synth strict_feedback_demo --samples 400",
+    "synth scalar_cubic",
+    "invopt build scalar_cubic --samples 400",
+    "invopt cost scalar_cubic --samples 400 --x0 0.8",
+    "backstep strict_feedback_demo --samples 400",
+    "orbital --samples 400 --T 20",
+    "orbital",
+]
+
 
 def digests(root):
     """{"<run>/<file>": sha256} of one checkout, computed in a fresh process."""
@@ -83,6 +97,7 @@ def main(argv=None):
             print(f"differs  {name}")
         print(f"{len(differ)} of {len(mine.keys() | theirs.keys())} files differ")
         return 1 if differ else 0
+    os.environ.pop("CLFSYNTH_SEED", None)
     sys.path.insert(0, str(root / "src"))
     from clfsynth.runner import run
 
@@ -98,6 +113,13 @@ def main(argv=None):
                 with open(os.path.join(out, fname), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 print(f"{digest}  {name}/{fname}", flush=True)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        for line in CLI_RUNS:
+            done = subprocess.run([sys.executable, "-m", "clfsynth.cli", *line.split()],
+                                  cwd=tmp, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.DEVNULL)
+            digest = hashlib.sha256(done.stdout + b"exit %d" % done.returncode).hexdigest()
+            print(f"{digest}  cli/{line}", flush=True)
     return 0
 
 
