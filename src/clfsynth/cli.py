@@ -12,20 +12,9 @@ import numpy as np
 
 from .errors import CertificateError, ConfigError, DivergenceError
 from .linear_core import LinearSystem, lqr_gain, solve_care
-from .orbital import ORBITAL_INPUT_NAMES, ORBITAL_STATE_NAMES
 from .serialize import matrix_from_json, matrix_to_json
 from .structured import StrictFeedbackSystem
 from . import runner
-
-
-def _load_json(path, label):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{label} file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{label} file is not valid JSON: {e}") from None
 
 
 def _emit(obj, out=None):
@@ -37,20 +26,18 @@ def _emit(obj, out=None):
         sys.stdout.write(text)
 
 
-def _parse_vector(text, n, label):
+def _parse_vector(text, label):
     try:
-        vals = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"{label} must be comma-separated numbers") from None
-    if n is not None and len(vals) != n:
-        raise ConfigError(f"{label} must have {n} entries, got {len(vals)}")
-    return np.asarray(vals)
 
 
 # run-input flag (argparse dest) -> (config section, key), or (top-level entry, None)
 RUN_INPUTS = {"seed": ("sampling", "seed"), "samples": ("sampling", "n_samples"),
               "k_max": ("inverse_optimal", "k_max"), "dt": ("integrator", "dt"),
               "T": ("integrator", "horizon"), "levels": ("level_grid", None),
+              "x0": ("initial_states", None),
               "Q": ("prescription", "Q"), "R": ("prescription", "R"), "box": ("box", None),
               "params": ("orbital_params", None), "cost": ("orbital_cost", None)}
 JSON_FILE_FLAGS = {"Q", "R", "box", "params", "cost"}
@@ -64,20 +51,22 @@ def _run_config(args, system):
         if value is None:
             continue
         if dest in JSON_FILE_FLAGS:
-            value = _load_json(value, dest)
+            value = runner.read_json(value, f"--{dest}")
         elif dest == "levels":
-            value = _parse_vector(value, None, "--levels").tolist()
+            value = _parse_vector(value, "--levels")
+        elif dest == "x0":
+            value = [_parse_vector(value, "--x0")]
         target = cfg if key is None else cfg.setdefault(entry, {})
         target[key or entry] = value
     return runner.load_config(cfg)
 
 
 def cmd_care(args):
-    A = matrix_from_json(_load_json(args.A, "A"), "A")
-    B = matrix_from_json(_load_json(args.B, "B"), "B")
+    A = matrix_from_json(runner.read_json(args.A, "--A"), "A")
+    B = matrix_from_json(runner.read_json(args.B, "--B"), "B")
     n, p = A.shape[0], B.shape[1]
-    Q = np.eye(n) if args.Q is None else matrix_from_json(_load_json(args.Q, "Q"), "Q")
-    R = np.eye(p) if args.R is None else matrix_from_json(_load_json(args.R, "R"), "R")
+    Q = np.eye(n) if args.Q is None else matrix_from_json(runner.read_json(args.Q, "--Q"), "Q")
+    R = np.eye(p) if args.R is None else matrix_from_json(runner.read_json(args.R, "--R"), "R")
     sys_ = LinearSystem(A, B)
     cert = solve_care(sys_, Q, R)
     K = lqr_gain(cert, sys_, R)
@@ -94,7 +83,7 @@ def _problem(args):
     """(run config, (system, Q, R, box, level grid)) of the shared problem flags."""
     spec = args.system
     if spec.endswith(".json"):
-        spec = _load_json(spec, "system")
+        spec = runner.read_json(spec, "system")
     cfg = _run_config(args, spec)
     return cfg, runner.load_problem(cfg)
 
@@ -123,7 +112,7 @@ def cmd_invopt(args):
         _emit(costrec.to_dict(), args.out)
         return 0
     # cost: integrate the reconstructed running cost along the optimal law
-    x0 = _parse_vector(args.x0, rec.system.n, "--x0")
+    x0 = runner.initial_states(cfg, rec.system.n)[0]
     _emit(runner.cost_versus_value(rec, costrec, x0, cfg["integrator"]["horizon"],
                                    cfg["integrator"]["dt"]), args.out)
     return 0
@@ -146,26 +135,11 @@ def cmd_backstep(args):
 
 
 def cmd_orbital(args):
-    cfg = _run_config(args, "orbital")
-    params, cost_cfg = runner.load_orbital_problem(cfg)
-    s0 = None if args.x0 is None else _parse_vector(args.x0, 6, "--x0")
-    law, traj, final_err = runner.orbital_transfer(
-        params, cost_cfg, dt=cfg["integrator"]["dt"], T=cfg["integrator"]["horizon"],
-        s0=s0, level_grid=runner.expand_level_grid(cfg["level_grid"]),
-        k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
-    scaling = law.metadata["cost"].scaling
+    sections, _, traces = runner.orbital_stage(_run_config(args, "orbital"))
     if args.trace:
-        traj.to_csv(args.trace, state_names=ORBITAL_STATE_NAMES,
-                    input_names=ORBITAL_INPUT_NAMES)
-    _emit({
-        "params": params.to_dict(),
-        "r0": scaling.r0,
-        "ladder": scaling.ladder,
-        "final_error": final_err,
-        "final_value": float(traj.annotations["V"][-1]),
-        "steps": len(traj) - 1,
-        "trace": args.trace,
-    }, args.out)
+        traces["orbital_trace.csv"](args.trace)
+    _emit({"params": sections["params"], **sections["design"], **sections["simulation"],
+           "trace": args.trace}, args.out)
     return 0
 
 

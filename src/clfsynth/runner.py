@@ -4,15 +4,19 @@ A run takes a JSON-friendly config, executes synthesis, cost
 reconstruction, verification and simulation, and emits a report whose
 bytes depend only on the config (fixed seeds, sorted keys, round-trip
 float formatting). load_config is the one reader of run inputs, for run
-configs and CLI flags alike: it checks every key against SECTION_KEYS,
-converts each number once and fills the defaults; CLFSYNTH_SEED wins
-over the configured seed.
+configs and CLI flags alike: it picks the run kind's table (PLANT_RUN, or
+ORBITAL_RUN for the orbital transfer), refuses every entry that table does
+not list and every non-finite number, converts each number once and fills
+the defaults; CLFSYNTH_SEED wins over the configured seed. Each run kind
+has one stage (plant_stage, orbital_stage) returning the report's
+sections, checks and traces; run alone writes the traces and the report.
 """
 
 import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -163,52 +167,77 @@ DEFAULT_PROBLEMS = {
         "level_grid": {"start": 0.01, "stop": 1.0, "num": 28},
         "initial_states": [[0.3, -0.2], [-0.25, 0.2]],
     },
-    # configs/run_orbital.json's settings; p0, mu and the weights default in orbital
-    "orbital": {"sampling": {"n_samples": 1500}, "integrator": {"dt": 0.01, "horizon": 60.0}},
 }
 
-MATRIX = "matrix"
-# every settable key of every section and its kind: int, float, or MATRIX (read by
-# matrix_from_json where used); sampling's keys are the pipelines' keyword names
-SECTION_KEYS = {
-    "prescription": {"Q": MATRIX, "R": MATRIX},
-    "sampling": {"seed": int, "n_samples": int},
-    "integrator": {"dt": float, "horizon": float},
-    "inverse_optimal": {"k_max": int},
-    "orbital_params": {"p0": float, "mu": float},
-    "orbital_cost": {"Q0": MATRIX, "R_r": float, "R_theta": float, "R_h": float,
-                     "rho1": float, "rho2": float},
+# entry kinds besides int and float: MATRIX is a JSON matrix (read by matrix_from_json
+# where used), BOX an object or null, GRID a level list, a {start, stop, num} object or
+# null, STATES a list of states (initial_states checks it against the plant)
+MATRIX, BOX, GRID, STATES = "matrix", "box", "level grid", "states"
+# left out of the config when not given: its reader defaults it
+OMIT = "omit"
+# one table per run kind: each top-level entry but 'system' -> (kind, default), each
+# section -> {key: (kind, default)}; a registry problem's box, grid and states win
+PLANT_RUN = {
+    "box": (BOX, None), "level_grid": (GRID, None), "initial_states": (STATES, None),
+    "prescription": {"Q": (MATRIX, None), "R": (MATRIX, None)},
+    "sampling": {"seed": (int, 0), "n_samples": (int, 2000)},
+    "integrator": {"dt": (float, 0.005), "horizon": (float, 40.0)},
+    "inverse_optimal": {"k_max": (int, 8)},
 }
-# filled where a config leaves them out; a registry problem's own sections win
-SECTION_DEFAULTS = {"prescription": {"Q": None, "R": None}, "inverse_optimal": {"k_max": 8},
-                    "sampling": {"seed": 0, "n_samples": 2000},
-                    "integrator": {"dt": 0.005, "horizon": 40.0}}
-LEVEL_GRID_KEYS = {"start": float, "stop": float, "num": int}
-CONFIG_KEYS = {"system", "box", "level_grid", "initial_states", "target_tolerance",
-               *SECTION_KEYS}
+# configs/run_orbital.json's settings; OrbitalParams and OrbitalCostConfig.build
+# default p0, mu and the weights, orbital_stage the tolerance (1e-3)
+ORBITAL_RUN = {
+    "level_grid": (GRID, None), "initial_states": (STATES, None),
+    "target_tolerance": (float, OMIT),
+    "sampling": {"seed": (int, 0), "n_samples": (int, 1500)},
+    "integrator": {"dt": (float, 0.01), "horizon": (float, 60.0)},
+    "inverse_optimal": {"k_max": (int, 8)},
+    "orbital_params": {"p0": (float, OMIT), "mu": (float, OMIT)},
+    "orbital_cost": {"Q0": (MATRIX, OMIT), "R_r": (float, OMIT), "R_theta": (float, OMIT),
+                     "R_h": (float, OMIT), "rho1": (float, OMIT), "rho2": (float, OMIT)},
+}
+# the keys of a {start, stop, num} level grid, all required
+LEVEL_GRID_KEYS = {"start": (float, None), "stop": (float, None), "num": (int, None)}
 
 
-def _number(value, kind, name):
-    """A JSON number as kind; booleans, strings and a fraction for an int are refused."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and \
-            (kind is float or isinstance(value, int) or value.is_integer()):
-        return kind(value)
-    what = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+def _convert(value, kind, name):
+    """One config entry checked against its kind; a number is converted to int or
+    float, and booleans, strings and a fraction for an int are refused."""
+    if kind in (int, float):
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and \
+                (kind is float or isinstance(value, int) or value.is_integer()):
+            return kind(value)
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+    if kind is MATRIX and isinstance(value, (bool, str)):
+        raise ConfigError(f"{name} must be a matrix, got {json.dumps(value)}")
+    if kind is BOX and not isinstance(value, (dict, type(None))):
+        raise ConfigError(f"'{name}' must be an object with 'lows' and 'highs', got "
+                          f"{json.dumps(value)}")
+    if kind is STATES and not isinstance(value, (list, type(None))):
+        raise ConfigError(f"'{name}' must be a list of states, got {json.dumps(value)}")
+    if kind is GRID and isinstance(value, list):
+        return [_convert(v, float, f"{name}[{i}]") for i, v in enumerate(value)]
+    if kind is GRID and isinstance(value, dict):
+        if missing := sorted(set(LEVEL_GRID_KEYS) - set(value)):
+            raise ConfigError(f"{name} needs 'start', 'stop' and 'num'; missing {missing}")
+        return _entries(value, LEVEL_GRID_KEYS, name)
+    if kind is GRID and value is not None:
+        raise ConfigError(f"'{name}' must be a list of levels or an object with "
+                          f"'start', 'stop' and 'num', got {json.dumps(value)}")
+    return value
 
 
 def _entries(given, kinds, where):
     """The entries of one config object, each checked and converted to its kind."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"'{where}' must be an object, got {json.dumps(given)}")
     unknown = sorted(set(given) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown keys {[f'{where}.{k}' for k in unknown]}; {where} "
                           f"takes {sorted(kinds)}")
-    for key, value in given.items():
-        if kinds[key] is not MATRIX:
-            given[key] = _number(value, kinds[key], f"{where}.{key}")
-        elif isinstance(value, (bool, str)):
-            raise ConfigError(f"{where}.{key} must be a matrix, got {json.dumps(value)}")
-    return given
+    return {key: _convert(value, kinds[key][0], f"{where}.{key}")
+            for key, value in given.items()}
 
 
 def expand_level_grid(spec):
@@ -218,54 +247,60 @@ def expand_level_grid(spec):
     return None if spec is None else list(spec)
 
 
+def _parse(text, where):
+    """json.loads(text); ConfigError naming where for invalid JSON and for NaN or
+    ±Infinity, which Python's json reads but no run accepts."""
+    def refuse(token):
+        raise ConfigError(f"{where} holds the non-finite number {token}")
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{where} is not valid JSON: {e}") from None
+
+
+def read_json(path, label):
+    """The JSON file at path, for a run config and for the files CLI flags name."""
+    where = f"{label} {os.fspath(path)!r}"
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as e:
+        reason = "file not found" if isinstance(e, FileNotFoundError) else e.strerror
+        raise ConfigError(f"cannot read {where}: {reason}") from None
+    return _parse(text, where)
+
+
 def load_config(src):
     """Read, check, convert and default-fill a run config; env seed wins.
 
-    An unreadable path, an entry of the wrong JSON type or kind, an unknown
-    key and a negative seed are ConfigErrors naming the entry.
+    The run kind's table (ORBITAL_RUN for system 'orbital', else PLANT_RUN)
+    lists every entry the run reads. An unreadable path, an entry of the
+    wrong JSON type or kind, a non-finite number, an entry the table does
+    not list and a negative seed are ConfigErrors naming the entry.
     """
     if isinstance(src, (str, os.PathLike)):
-        try:
-            with open(src) as fh:
-                cfg = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {os.fspath(src)!r}: {e.strerror}") from None
-    elif isinstance(src, dict):
-        cfg = json.loads(json.dumps(src))
-    else:
+        src = read_json(src, "config")
+    elif not isinstance(src, dict):
         raise ConfigError("config must be a path or a dict")
+    cfg = _parse(json.dumps(src), "config")
     if "system" not in cfg:
         raise ConfigError("config needs a 'system' entry")
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    table = ORBITAL_RUN if cfg["system"] == "orbital" else PLANT_RUN
+    unknown = sorted(set(cfg) - {"system", *table})
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; known keys are "
-                          f"{sorted(CONFIG_KEYS)}")
+                          f"{sorted({'system', *table})}")
     name = cfg["system"] if isinstance(cfg["system"], str) else None
-    problem = json.loads(json.dumps(DEFAULT_PROBLEMS.get(name, {})))
-    for key in ("box", "level_grid", "initial_states"):
-        cfg.setdefault(key, problem.get(key))
-    for section, kinds in SECTION_KEYS.items():
-        given = cfg.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"'{section}' must be an object, got {json.dumps(given)}")
-        if section in cfg or section in SECTION_DEFAULTS:
-            cfg[section] = {**SECTION_DEFAULTS.get(section, {}), **problem.get(section, {}),
-                            **_entries(given, kinds, section)}
-    if cfg["box"] is not None and not isinstance(cfg["box"], dict):
-        raise ConfigError("'box' must be an object with 'lows' and 'highs', got "
-                          f"{json.dumps(cfg['box'])}")
-    grid = cfg["level_grid"]
-    if isinstance(grid, list):
-        cfg["level_grid"] = [_number(v, float, f"level_grid[{i}]") for i, v in enumerate(grid)]
-    elif isinstance(grid, dict):
-        if missing := sorted(set(LEVEL_GRID_KEYS) - set(grid)):
-            raise ConfigError(f"level_grid needs 'start', 'stop' and 'num'; missing {missing}")
-        _entries(grid, LEVEL_GRID_KEYS, "level_grid")
-    elif grid is not None:
-        raise ConfigError("'level_grid' must be a list of levels or an object with "
-                          f"'start', 'stop' and 'num', got {json.dumps(grid)}")
-    if "target_tolerance" in cfg:
-        cfg["target_tolerance"] = _number(cfg["target_tolerance"], float, "target_tolerance")
+    problem = DEFAULT_PROBLEMS.get(name, {})
+    for entry, spec in table.items():
+        if isinstance(spec, dict):
+            filled = {key: value for key, (_, value) in spec.items() if value is not OMIT}
+            if entry in cfg or filled:
+                cfg[entry] = {**filled, **_entries(cfg.get(entry, {}), spec, entry)}
+        elif entry in cfg:
+            cfg[entry] = _convert(cfg[entry], spec[0], entry)
+        elif spec[1] is not OMIT:
+            cfg[entry] = json.loads(json.dumps(problem.get(entry, spec[1])))
     env_seed = os.environ.get("CLFSYNTH_SEED")
     if env_seed is not None:
         try:
@@ -302,16 +337,16 @@ def load_problem(cfg):
     return system, Q, R, box, expand_level_grid(cfg["level_grid"])
 
 
-def _initial_states(cfg, n):
-    """The config's initial states as (n,) arrays; ConfigError for any other row."""
-    try:
-        states = [np.asarray(x0, dtype=float) for x0 in cfg.get("initial_states") or []]
-    except (TypeError, ValueError):
-        states = None
-    if states is None or any(x0.shape != (n,) for x0 in states):
-        raise ConfigError(f"initial_states must be a list of states of {n} numbers each, "
-                          f"got {json.dumps(cfg.get('initial_states'))}")
-    return states
+def initial_states(cfg, n):
+    """The config's initial states as (n,) arrays; ConfigError naming the first other row."""
+    rows = cfg["initial_states"] or []
+    for i, x0 in enumerate(rows):
+        if not (isinstance(x0, list) and len(x0) == n and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in x0)):
+            raise ConfigError(f"initial_states must be a list of states of {n} numbers "
+                              f"each; initial_states[{i}] must have {n} entries, got "
+                              f"{json.dumps(x0)}")
+    return [np.asarray(x0, dtype=float) for x0 in rows]
 
 
 def _non_increasing(vs):
@@ -342,31 +377,15 @@ def cost_versus_value(synth, costrec, x0, horizon, dt):
     }
 
 
-def _finish_report(cfg, system, sections, trace_files, checks, out_dir):
-    """The report around a run's own sections; written to out_dir when given."""
-    report = dict(sections, config=cfg, config_sha256=config_hash(cfg),
-                  system=system, traces=trace_files, checks=checks,
-                  status="pass" if all(c["passed"] for c in checks) else "fail")
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return report
+def plant_stage(cfg):
+    """(sections, checks, traces) of a loaded plant run config.
 
-
-def run(config, out_dir=None):
-    """Execute a config end to end; returns the report dict.
-
-    Writes report.json and per-initial-state CSV traces into out_dir when
-    given. The report's status is "pass" only if every certificate and
-    tolerance check passed.
+    Synthesis, cost reconstruction, the cost of the reconstructed optimal
+    feedback from each initial state, and the blended law's trajectory
+    from each. traces maps a CSV file name to the function writing it.
     """
-    cfg = load_config(config)
-    if cfg["system"] == "orbital":
-        return _run_orbital(cfg, out_dir)
     system, Q, R, box, grid = load_problem(cfg)
-    states = _initial_states(cfg, system.n)
+    states = initial_states(cfg, system.n)
     synth = synthesize_problem(system, Q, R, box, grid, **cfg["sampling"])
     costrec = reconstruct_cost(synth.system, synth.V, Q, R, box, grid,
                                k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
@@ -388,63 +407,48 @@ def run(config, out_dir=None):
                              value=worst_rel, threshold=1e-3))
 
     traces_ok = True
-    trace_files = []
+    traces = {}
     for i, x0 in enumerate(states):
         v0 = synth.V.value(x0)
         traj = integrate(synth.system, synth.law, x0, dt=dt, T=horizon,
                          stop=lambda x: synth.V.value(x) <= 1e-8 * v0,
                          annotate={"V": synth.V.value})
         traces_ok &= _non_increasing(traj.annotations["V"])
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"trace_{i:03d}.csv")
-            traj.to_csv(path)
-            trace_files.append(os.path.basename(path))
+        traces[f"trace_{i:03d}.csv"] = traj.to_csv
     if states:
         checks.append(_check("trajectories_monotone", traces_ok))
-
-    return _finish_report(
-        cfg, cfg["system"] if isinstance(cfg["system"], str) else "inline",
-        {"synthesis": synth.to_dict(), "inverse_optimal": costrec.to_dict(),
-         "costs": cost_results}, trace_files, checks, out_dir)
+    return ({"synthesis": synth.to_dict(), "inverse_optimal": costrec.to_dict(),
+             "costs": cost_results}, checks, traces)
 
 
-def orbital_transfer(params, cost_cfg, dt, T, s0, n_samples, seed, level_grid, k_max):
-    """Layered orbital design, then one closed-loop transfer from s0.
+def orbital_stage(cfg):
+    """(sections, checks, traces) of a loaded orbital run config.
 
-    s0 None starts from an offset of the target orbit, level_grid None uses
-    the design's own grid. Returns (law, trajectory, final error); the error
-    divides the orbit-scale coordinate by its unit p0.
+    The layered design (build_orbital_controller; level_grid None uses the
+    design's own grid), then one closed-loop transfer from the initial
+    state, or from an offset of the target orbit when none is given. The
+    final error divides the orbit-scale coordinate by its unit p0.
     """
-    V, _, law = build_orbital_controller(params, cost_cfg, seed=seed,
-                                         n_samples=n_samples,
-                                         level_grid=level_grid, k_max=k_max)
-    star = equilibrium(params)
-    if s0 is None:
-        s0 = star + np.array([0.1, 0.05, -0.05, 0.1 * params.p0, 0.05, -0.05])
-    traj = simulate_orbital(params, law, s0, dt=dt, T=T, V=V)
-    unit = np.array([1.0, 1.0, 1.0, params.p0, 1.0, 1.0])
-    return law, traj, float(np.linalg.norm((traj.states[-1] - star) / unit))
-
-
-def load_orbital_problem(cfg):
-    """(OrbitalParams, OrbitalCostConfig) of a loaded config; they default what it omits."""
     params = OrbitalParams(**cfg.get("orbital_params", {}))
     weights = dict(cfg.get("orbital_cost", {}))
     if weights.get("Q0") is not None:
         weights["Q0"] = matrix_from_json(weights["Q0"], "orbital_cost.Q0")
-    return params, OrbitalCostConfig.build(params, **weights)
-
-
-def _run_orbital(cfg, out_dir=None):
-    params, cost_cfg = load_orbital_problem(cfg)
-    states = _initial_states(cfg, len(ORBITAL_STATE_NAMES))
-    law, traj, final_err = orbital_transfer(
-        params, cost_cfg, dt=cfg["integrator"]["dt"], T=cfg["integrator"]["horizon"],
-        s0=states[0] if states else None, level_grid=expand_level_grid(cfg["level_grid"]),
+    cost_cfg = OrbitalCostConfig.build(params, **weights)
+    states = initial_states(cfg, len(ORBITAL_STATE_NAMES))
+    if len(states) > 1:
+        raise ConfigError(f"an orbital run takes at most one initial state, got {len(states)}")
+    V, _, law = build_orbital_controller(
+        params, cost_cfg, level_grid=expand_level_grid(cfg["level_grid"]),
         k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
+    star = equilibrium(params)
+    offset = np.array([0.1, 0.05, -0.05, 0.1 * params.p0, 0.05, -0.05])
+    s0 = states[0] if states else star + offset
+    traj = simulate_orbital(params, law, s0, dt=cfg["integrator"]["dt"],
+                            T=cfg["integrator"]["horizon"], V=V)
+    unit = np.array([1.0, 1.0, 1.0, params.p0, 1.0, 1.0])
+    final_err = float(np.linalg.norm((traj.states[-1] - star) / unit))
     scaling = law.metadata["cost"].scaling
-    eq_res = float(np.linalg.norm(orbital_drift(params, equilibrium(params))))
+    eq_res = float(np.linalg.norm(orbital_drift(params, star)))
     vs = traj.annotations["V"]
     target_tol = cfg.get("target_tolerance", 1e-3)
 
@@ -454,20 +458,41 @@ def _run_orbital(cfg, out_dir=None):
         _check("converges_to_target", final_err <= target_tol, value=final_err,
                threshold=target_tol),
     ]
-    trace_files = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "orbital_trace.csv")
-        traj.to_csv(path, state_names=ORBITAL_STATE_NAMES,
+    write = partial(traj.to_csv, state_names=ORBITAL_STATE_NAMES,
                     input_names=ORBITAL_INPUT_NAMES)
-        trace_files.append(os.path.basename(path))
-    return _finish_report(cfg, "orbital", {
+    return {
         "params": params.to_dict(),
         "cost_config": cost_cfg.to_dict(),
         "design": {"r0": scaling.r0, "ladder": scaling.ladder},
         "simulation": {
             "final_error": final_err,
             "final_value": float(vs[-1]),
-            "steps": int(len(traj) - 1),
+            "steps": len(traj) - 1,
         },
-    }, trace_files, checks, out_dir)
+    }, checks, {"orbital_trace.csv": write}
+
+
+def run(config, out_dir=None):
+    """Execute a config end to end; returns the report dict.
+
+    The run kind's stage (orbital_stage for system 'orbital', else
+    plant_stage) gives the report's sections, checks and traces. When
+    out_dir is given, the traces and report.json are written there. The
+    report's status is "pass" only if every certificate and tolerance
+    check passed.
+    """
+    cfg = load_config(config)
+    stage = orbital_stage if cfg["system"] == "orbital" else plant_stage
+    sections, checks, traces = stage(cfg)
+    report = dict(sections, config=cfg, config_sha256=config_hash(cfg),
+                  system=cfg["system"] if isinstance(cfg["system"], str) else "inline",
+                  traces=[] if out_dir is None else list(traces), checks=checks,
+                  status="pass" if all(c["passed"] for c in checks) else "fail")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, write in traces.items():
+            write(os.path.join(out_dir, name))
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    return report

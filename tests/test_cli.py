@@ -302,6 +302,20 @@ class TestOrbital:
         assert json.loads(out)["final_error"] == \
             run({"system": "orbital"})["simulation"]["final_error"]
 
+    def test_prints_a_view_of_the_orbital_run(self, capsys):
+        code, out, _ = run_cli(capsys, "orbital", "--samples", "400", "--T", "20")
+        assert code == 0
+        rep = run({"system": "orbital", "sampling": {"n_samples": 400},
+                   "integrator": {"horizon": 20.0}})
+        assert json.loads(out) == {"params": rep["params"], **rep["design"],
+                                   **rep["simulation"], "trace": None}
+
+    def test_x0_of_five_entries_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "orbital", "--samples", "400",
+                               "--x0", "0.1,0.05,-0.05,1.1,0.05")
+        assert code == 2
+        assert err.startswith("error:") and "initial_states[0] must have 6 entries" in err
+
     def test_coarse_step_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "orbital", "--samples", "400",
                                "--dt", "5.0", "--T", "50.0")
@@ -367,7 +381,9 @@ class TestRun:
         ({"target_tolerance": "x"}, "target_tolerance"),
     ])
     def test_entry_error_names_the_entry(self, tmp_path, capsys, entry, name):
-        cfg = write_json(tmp_path / "cfg.json", {"system": "scalar_linear", **entry})
+        # only an orbital run reads target_tolerance
+        system = "orbital" if "target_tolerance" in entry else "scalar_linear"
+        cfg = write_json(tmp_path / "cfg.json", {"system": system, **entry})
         code, _, err = run_cli(capsys, "run", cfg)
         assert code == 2
         assert err.startswith("error:") and re.search(name, err)
@@ -403,7 +419,61 @@ class TestRun:
         bad.write_text("{{{")
         code, _, err = run_cli(capsys, "run", str(bad))
         assert code == 2
-        assert "error:" in err
+        assert err.startswith("error: config '") and "cfg.json' is not valid JSON" in err
+
+
+class TestRunKindEntries:
+    """A run refuses, with exit 2 and the entry named, what its kind does not read."""
+
+    @pytest.mark.parametrize("system, entry, name", [
+        ("scalar_linear", {"orbital_params": {"p0": 2.0}}, "'orbital_params'"),
+        ("scalar_linear", {"orbital_cost": {"rho1": 3.0}}, "'orbital_cost'"),
+        ("scalar_linear", {"target_tolerance": 1e-12}, "'target_tolerance'"),
+        ("orbital", {"prescription": {"Q": [[5.0]]}}, "'prescription'"),
+        ("orbital", {"box": {"lows": [-1.0] * 6, "highs": [1.0] * 6}}, "'box'"),
+        ("orbital", {"initial_states": [[0.1, 0.05, -0.05, 1.1, 0.05, -0.05]] * 2},
+         "at most one initial state"),
+    ])
+    def test_entry_the_run_does_not_read_exits_2(self, tmp_path, capsys, system, entry, name):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "system": system, "sampling": {"n_samples": 300}, **entry})
+        code, _, err = run_cli(capsys, "run", cfg, "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:") and name in err
+
+    @pytest.mark.parametrize("text", [
+        '"level_grid": [0.1, NaN, 1.0]',
+        '"box": {"lows": [NaN], "highs": [2.0]}',
+        '"initial_states": [[NaN]]',
+        '"integrator": {"dt": Infinity}',
+        '"integrator": {"horizon": -Infinity}',
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"system": "scalar_linear", "sampling": {"n_samples": 300}, '
+                        + text + "}")
+        code, _, err = run_cli(capsys, "run", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        token = re.search(r"-?(NaN|Infinity)", text).group()
+        assert err.startswith("error:") and f"non-finite number {token}\n" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "scalar_linear", "--samples", "300", "--levels", "0.1,nan,1.0"],
+        ["invopt", "cost", "scalar_linear", "--samples", "300", "--x0", "inf"],
+        ["orbital", "--samples", "300", "--dt", "nan"],
+    ])
+    def test_non_finite_flag_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "non-finite number" in err
+
+    def test_non_finite_number_in_a_flag_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "box.json"
+        path.write_text('{"lows": [-1.0], "highs": [Infinity]}')
+        code, _, err = run_cli(capsys, "synth", "scalar_linear", "--samples", "300",
+                               "--box", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "box.json' holds the non-finite number" in err
 
 
 class TestParser:

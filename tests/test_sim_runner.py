@@ -207,8 +207,17 @@ class TestIntegrate:
             integrate(sys_, law, np.array([1.0]), dt=0.0, T=1.0)
 
 
-SECTION_TABLE = [(section, key, kind) for section, kinds in runner.SECTION_KEYS.items()
-                 for key, kind in kinds.items()]
+# a system of each run kind and its table; every section of either table
+RUN_TABLES = {"scalar_linear": runner.PLANT_RUN, "orbital": runner.ORBITAL_RUN}
+SECTIONS = {section: kinds for table in RUN_TABLES.values()
+            for section, kinds in table.items() if isinstance(kinds, dict)}
+SECTION_TABLE = [(section, key, kind) for section, kinds in SECTIONS.items()
+                 for key, (kind, _) in kinds.items()]
+
+
+def systems_reading(entry):
+    """The systems of RUN_TABLES whose run kind takes entry."""
+    return [system for system, table in RUN_TABLES.items() if entry in table]
 
 
 class TestLoadConfig:
@@ -256,11 +265,12 @@ class TestLoadConfig:
             load_config({"system": "scalar_linear",
                          "inverse_optimal": {"k_max": 2, "safety_factor": 1.5}})
 
-    @pytest.mark.parametrize("key", runner.SECTION_KEYS)
+    @pytest.mark.parametrize("key", SECTIONS)
     @pytest.mark.parametrize("value", [[600], 600, None])
     def test_section_must_be_an_object(self, key, value):
-        with pytest.raises(ConfigError, match=f"'{key}' must be an object"):
-            load_config({"system": "orbital", key: value})
+        for system in systems_reading(key):
+            with pytest.raises(ConfigError, match=f"'{key}' must be an object"):
+                load_config({"system": system, key: value})
 
     @pytest.mark.parametrize("system, states", [
         ("scalar_linear", [[1.0, 2.0]]),
@@ -306,11 +316,12 @@ class TestLoadConfig:
                              ids=[f"{s}.{k}" for s, k, _ in SECTION_TABLE])
     def test_every_section_key_is_checked(self, section, key, kind):
         valid = {int: 1, float: 1.0, runner.MATRIX: None}[kind]
-        with pytest.raises(ConfigError, match=rf"{section}\.bogus.*'{key}'"):
-            load_config({"system": "orbital", section: {key: valid, "bogus": 1}})
-        for bad in ["x", True] + ([200.7] if kind is int else []):
-            with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
-                load_config({"system": "orbital", section: {key: bad}})
+        for system in systems_reading(section):
+            with pytest.raises(ConfigError, match=rf"{section}\.bogus.*'{key}'"):
+                load_config({"system": system, section: {key: valid, "bogus": 1}})
+            for bad in ["x", True] + ([200.7] if kind is int else []):
+                with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+                    load_config({"system": system, section: {key: bad}})
 
     @pytest.mark.parametrize("entry, name", [
         ({"level_grid": [0.1, "0.5"]}, r"level_grid\[1\]"),
@@ -322,16 +333,19 @@ class TestLoadConfig:
         ({"sampling": {"seed": -1}}, r"sampling\.seed must be non-negative"),
     ])
     def test_grid_tolerance_and_seed_are_checked(self, entry, name):
+        # only an orbital run reads target_tolerance
+        system = "orbital" if "target_tolerance" in entry else "scalar_linear"
         with pytest.raises(ConfigError, match=name):
-            load_config({"system": "scalar_linear", **entry})
+            load_config({"system": system, **entry})
 
     def test_numbers_are_converted_once(self):
         cfg = load_config({"system": "scalar_linear", "sampling": {"n_samples": 600.0},
-                           "integrator": {"horizon": 20}, "level_grid": [1, 2],
-                           "target_tolerance": 1})
+                           "integrator": {"horizon": 20}, "level_grid": [1, 2]})
         assert type(cfg["sampling"]["n_samples"]) is int
         assert type(cfg["integrator"]["horizon"]) is float
         assert all(type(v) is float for v in cfg["level_grid"])
+        assert load_config(cfg) == cfg
+        cfg = load_config({"system": "orbital", "target_tolerance": 1})
         assert type(cfg["target_tolerance"]) is float
         assert load_config(cfg) == cfg
 
@@ -342,6 +356,55 @@ class TestLoadConfig:
         # p0, mu and the cost weights keep their one owner: OrbitalParams and
         # OrbitalCostConfig.build
         assert "orbital_params" not in cfg and "orbital_cost" not in cfg
+
+
+class TestRunKindTables:
+    """A run accepts only the entries its kind reads, and only finite numbers."""
+
+    @pytest.mark.parametrize("system, entry", [
+        ("scalar_linear", {"orbital_params": {"p0": 2.0}}),
+        ("scalar_linear", {"orbital_cost": {"rho1": 3.0}}),
+        ("scalar_linear", {"target_tolerance": 1e-12}),
+        ("orbital", {"prescription": {"Q": [[5.0]]}}),
+        ("orbital", {"box": {"lows": [-1.0] * 6, "highs": [1.0] * 6}}),
+    ])
+    def test_entry_of_the_other_run_kind_is_refused(self, system, entry):
+        (name,) = entry
+        with pytest.raises(ConfigError, match=f"unknown config keys \\['{name}'\\]"):
+            load_config({"system": system, "sampling": {"n_samples": 300}, **entry})
+
+    def test_orbital_run_takes_at_most_one_initial_state(self):
+        s0 = [0.1, 0.05, -0.05, 1.1, 0.05, -0.05]
+        with pytest.raises(ConfigError, match="at most one initial state, got 2"):
+            run(dict(QUICK_ORBITAL, initial_states=[s0, s0]))
+
+    def test_orbital_config_holds_only_orbital_entries(self):
+        cfg = load_config({"system": "orbital"})
+        assert sorted(cfg) == ["initial_states", "integrator", "inverse_optimal",
+                               "level_grid", "sampling", "system"]
+
+    @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"),
+                                              (float("inf"), "Infinity"),
+                                              (-float("inf"), "-Infinity")])
+    @pytest.mark.parametrize("entry", ["level_grid", "box", "initial_states"])
+    def test_non_finite_number_is_refused(self, entry, value, token):
+        cfg = {"system": "scalar_linear", "sampling": {"n_samples": 300}, entry: {
+            "level_grid": [0.1, value, 1.0], "box": {"lows": [value], "highs": [2.0]},
+            "initial_states": [[value]]}[entry]}
+        with pytest.raises(ConfigError, match=f"non-finite number {token}$"):
+            load_config(cfg)
+
+    def test_non_finite_number_in_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"system": "scalar_linear", "level_grid": [0.1, NaN, 1.0]}')
+        with pytest.raises(ConfigError, match="cfg.json' holds the non-finite number NaN"):
+            load_config(path)
+
+    def test_invalid_json_file_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{{{")
+        with pytest.raises(ConfigError, match="config '.*bad.json' is not valid JSON"):
+            load_config(path)
 
 
 class TestConfigHash:

@@ -1,10 +1,11 @@
-"""Print the sha256 of every report.json and trace CSV of nine reference runs
-and of the output of seven command lines.
+"""Print the sha256 of every report.json and trace CSV of ten reference runs
+and of the output of eight command lines.
 
 Runs the four shipped run configs, the two registry problems
-strict_feedback_demo and orbital_reduced, two inline structured specs and
-one inline polynomial spec (their origin linearizations are read from the
-term lists) into a temporary directory and prints one
+strict_feedback_demo and orbital_reduced, two inline structured specs, one
+inline polynomial spec (their origin linearizations are read from the
+term lists) and one inline orbital transfer from a given initial state
+into a temporary directory and prints one
 "<sha256>  <run>/<file>" line per output file. Then runs each command line
 of CLI_RUNS as `python -m clfsynth.cli ...` and prints one
 "<sha256>  cli/<command line>" line for its stdout and exit code.
@@ -61,6 +62,10 @@ RUNS = [
                    "input": [[[]], [[{"coeff": 1.0, "exponents": [0, 0]}]]]},
         "box": {"lows": [-1.0, -1.0], "highs": [1.0, 1.0]},
         "level_grid": {"start": 0.02, "stop": 1.5, "num": 28}}),
+    ("orbital_inline", {
+        "system": "orbital", "sampling": {"n_samples": 400},
+        "integrator": {"dt": 0.02, "horizon": 20.0},
+        "initial_states": [[0.05, -0.05, 0.05, 0.95, 0.0, 0.05]], "target_tolerance": 1e-2}),
 ]
 
 CLI_RUNS = [
@@ -70,6 +75,7 @@ CLI_RUNS = [
     "invopt cost scalar_cubic --samples 400 --x0 0.8",
     "backstep strict_feedback_demo --samples 400",
     "orbital --samples 400 --T 20",
+    "orbital --samples 400 --T 20 --x0 0.05,-0.05,0.05,0.95,0.0,0.05",
     "orbital",
 ]
 
