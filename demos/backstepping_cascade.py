@@ -41,7 +41,7 @@ def main():
     print(f"annihilator check   |T'PB| = "
           f"{np.max(np.abs(part.T.T @ cert.P @ B)):.2e}")
     gain = part.local_inner_gain
-    composite = backstepping_clf(local_quadratic_clf(part.P_y), lambda y: float(gain @ y),
+    composite = backstepping_clf(local_quadratic_clf(part.P_y), lambda y: np.vecdot(y, gain),
                                  part.P22, alpha_y_grad=lambda y: gain)
     pts = sample_box(Box.centered([1.5, 1.5]), 200)
     dev = max(abs(composite.value(x) - x @ cert.P @ x) / (x @ cert.P @ x) for x in pts)

@@ -42,12 +42,12 @@ def main():
     print(X)
     print(f"min eigenvalue      {np.linalg.eigvalsh(X).min():.6f}")
 
-    law = FeedbackLaw("lq", lambda x: K @ x, 2, 1)
-    sys_lin = ControlAffineSystem(2, 1, lambda x: A @ x, lambda x: B,
+    law = FeedbackLaw("lq", lambda x: np.matvec(K, x), 2, 1)
+    sys_lin = ControlAffineSystem(2, 1, lambda x: np.matvec(A, x), lambda x: B,
                                   linearization=lin)
     x0 = np.array([1.0, 0.0])
     traj = integrate(sys_lin, law, x0, dt=0.01, T=8.0,
-                     annotate={"V": lambda x: float(x @ cert.P @ x)})
+                     annotate={"V": lambda x: np.vecdot(x, np.matvec(cert.P, x))})
     vs = traj.annotations["V"]
     print(f"\nsimulated from      {x0}")
     print(f"V(x0) = {vs[0]:.6f} -> V(x(8)) = {vs[-1]:.3e}")

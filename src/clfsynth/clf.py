@@ -18,13 +18,36 @@ from .sampling import sample_box
 ORIGIN_TOL = 1e-12
 
 
+def check_rows(n, *fns):
+    """ValueError unless each fn on a stack of two probe states returns, row
+    by row and up to rounding, fn at each state (the rows contract). The
+    probes lie within 1e-3 of the origin, near which every plant is defined."""
+    k = np.arange(1.0, n + 1.0) / n
+    probes = np.stack([1e-3 * k, -5e-4 * k[::-1]])
+    for fn in fns:
+        want = np.array([fn(x) for x in probes])
+        try:
+            got = fn(probes)
+        except (ValueError, TypeError, IndexError) as e:
+            got = e
+        if not (isinstance(got, np.ndarray) and got.shape == want.shape
+                and (np.array_equal(got, want)
+                     or np.allclose(got, want, rtol=1e-9, atol=0.0, equal_nan=True))):
+            raise ValueError(
+                f"{fn.__qualname__} breaks the rows contract: on a stack of states it must "
+                "return the result of each state, row by row (read x[..., i])")
+
+
 class ControlAffineSystem:
     """System x' = a(x) + b(x) u with a(0) = 0.
 
-    a maps states to (n,) arrays, b to (n, p) arrays ((n,) is accepted for
-    single-input systems). The linearization at the origin is computed by
-    central differences unless one is supplied, in which case the supplied
-    pair is validated against finite differences within 1e-5 relative.
+    a and b take one state (n,) or a stack (..., n) (the rows contract,
+    check_rows) and return C-ordered x.shape[:-1] + (n,) and
+    x.shape[:-1] + (n, p) arrays, since BLAS sums (lie_forms) depend on
+    strides; a constant b is broadcast. The linearization at the origin
+    is computed by central differences unless one is supplied, in which
+    case the supplied pair is validated against finite differences within
+    1e-5 relative.
     """
 
     def __init__(self, n, p, a, b, linearization=None):
@@ -50,20 +73,29 @@ class ControlAffineSystem:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             self.linearization = LinearSystem(A, B, check_stabilizable=False)
+        check_rows(self.n, self.a, self.b)
 
     def a(self, x):
-        return np.asarray(self._a(np.asarray(x, dtype=float)), dtype=float).reshape(self.n)
+        x = np.asarray(x, dtype=float)
+        out = np.ascontiguousarray(self._a(x), dtype=float)
+        return out.reshape(self.n) if x.ndim == 1 else out.reshape(x.shape[:-1] + (self.n,))
 
     def b(self, x):
-        return np.asarray(self._b(np.asarray(x, dtype=float)), dtype=float).reshape(self.n, self.p)
+        x = np.asarray(x, dtype=float)
+        out = np.ascontiguousarray(self._b(x), dtype=float)
+        if x.ndim == 1:
+            return out.reshape(self.n, self.p)
+        if out.size == self.n * self.p:  # one matrix for every state
+            return np.broadcast_to(out.reshape(self.n, self.p), x.shape[:-1] + (self.n, self.p))
+        return out.reshape(x.shape[:-1] + (self.n, self.p))
 
 
 class Clf:
     """Lyapunov candidate: scalar value with gradient and origin Hessian.
 
-    Missing derivatives fall back to central differences. A supplied
-    Hessian is cross-checked against finite differences within 1e-3
-    relative; it must be symmetric positive definite.
+    value and gradient take rows (check_rows); a missing gradient falls
+    back to central differences. A supplied Hessian is cross-checked
+    against finite differences within 1e-3 relative; it must be SPD.
     """
 
     def __init__(self, n, value, gradient=None, hessian_origin=None):
@@ -71,10 +103,10 @@ class Clf:
         self._value = value
         self._gradient = gradient
         z = np.zeros(self.n)
-        v0 = float(value(z))
+        v0 = self.value(z)
         if abs(v0) > ORIGIN_TOL:
             raise ValueError(f"value(0) must be 0, got {v0:.3e}")
-        H_fd = numdiff.hessian(self._eval, z)
+        H_fd = numdiff.hessian(self.value, z)
         if hessian_origin is None:
             H = 0.5 * (H_fd + H_fd.T)
         else:
@@ -89,48 +121,50 @@ class Clf:
         g0 = self.gradient(z)
         if np.linalg.norm(g0) > 1e-8 * (1.0 + np.linalg.norm(H)):
             raise ValueError("gradient must vanish at the origin")
-
-    def _eval(self, x):
-        return float(self._value(np.asarray(x, dtype=float)))
+        check_rows(self.n, self.value, self.gradient)
 
     def value(self, x):
-        return self._eval(x)
+        x = np.asarray(x, dtype=float)
+        v = self._value(x)
+        return float(v) if x.ndim == 1 else np.asarray(v, dtype=float).reshape(x.shape[:-1])
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        if self._gradient is not None:
-            return np.asarray(self._gradient(x), dtype=float).reshape(self.n)
-        return numdiff.gradient(self._eval, x)
+        g = numdiff.gradient(self.value, x) if self._gradient is None else self._gradient(x)
+        return np.ascontiguousarray(g, dtype=float).reshape(x.shape)
 
 
 def local_quadratic_clf(P):
     """V(x) = x' P x for symmetric positive definite P; exact derivatives.
 
-    Value and gradient avoid BLAS, whose sums depend on the memory layout
-    of x: a row view, its copy and a Fortran-ordered row give the same
-    bits. The gradient sums the rows of (2P) * x, which is 2 (P x)
-    exactly, since doubling is exact.
+    Each entry of the gradient (2P) x, of P x and the value x . (P x) is
+    one np.vecdot of C-ordered rows, whose sums do not depend on the
+    layout of x: a row view, its copy, a Fortran-ordered row and the
+    same row of a stack give the same bits.
     """
     P = np.asarray(P, dtype=float)
     P = 0.5 * (P + P.T)
     np.linalg.cholesky(P)
     H = 2.0 * P
-    return Clf(P.shape[0],
-               value=lambda x: float(np.einsum("i,ij,j->", x, P, x)),
-               gradient=lambda x: (H * x).sum(axis=1),
+
+    def value(x):
+        x = np.ascontiguousarray(x)
+        return np.vecdot(x, np.vecdot(P, x[..., None, :]))
+
+    return Clf(P.shape[0], value,
+               lambda x: np.vecdot(H, np.ascontiguousarray(x)[..., None, :]),
                hessian_origin=H)
 
 
-def _lie_terms(V, sys, x):
-    """(grad V(x), L_a V(x), L_b V(x)): the one place grad V meets the field."""
-    g = V.gradient(x)
-    return g, float(g @ sys.a(x)), g @ sys.b(x)
+def lie_forms(g, a, b):
+    """(L_a V, L_b V) from grad V, a and b at one state or row by row: the
+    one place grad V meets the field."""
+    return np.vecdot(g, a), np.vecmat(g, b)
 
 
 def lie_derivatives(V, sys, x):
-    """(L_a V(x), L_b V(x)) with shapes (scalar, (p,))."""
-    _, la, lb = _lie_terms(V, sys, np.asarray(x, dtype=float))
-    return la, lb
+    """(L_a V, L_b V) at one state (scalar, (p,)) or at each row of a stack."""
+    return lie_forms(V.gradient(x), sys.a(x), sys.b(x))
 
 
 def kernel_tol(grad):
@@ -138,7 +172,7 @@ def kernel_tol(grad):
 
     grad is one gradient or one per row; the norm is over the last axis.
     """
-    return 1e-7 * (1.0 + np.linalg.norm(grad, axis=-1))
+    return 1e-7 * (1.0 + np.sqrt(np.vecdot(grad, grad)))
 
 
 def strict_margin(la):
@@ -174,23 +208,19 @@ class LieSweep:
 
 
 def lie_sweep(V, sys, points):
-    """LieSweep at the rows of points; grad V is computed once per row.
+    """LieSweep at the rows of points: one call of V and of the field for all rows.
 
-    Each row uses the arithmetic of lie_derivatives, so the two agree
-    exactly. The last axis of points must have sys.n entries (ValueError
-    otherwise).
+    Each row has the bits of lie_derivatives at that state. The last axis
+    of points must have sys.n entries (ValueError otherwise).
     """
-    points = np.asarray(points, dtype=float)
+    points = np.ascontiguousarray(points, dtype=float)
     if points.shape[-1:] != (sys.n,):
         raise ValueError(f"sweep points need {sys.n} coordinates, got shape {points.shape}")
     points = points.reshape(-1, sys.n)
-    terms = [_lie_terms(V, sys, x) for x in points]
-    return LieSweep(
-        V, sys, points,
-        values=np.array([V.value(x) for x in points]),
-        la=np.array([t[1] for t in terms]),
-        lb=np.array([t[2] for t in terms]).reshape(len(points), sys.p),
-        kernel_tol=kernel_tol(np.array([t[0] for t in terms]).reshape(len(points), sys.n)))
+    g = V.gradient(points)
+    la, lb = lie_forms(g, sys.a(points), sys.b(points))
+    return LieSweep(V, sys, points, values=V.value(points), la=la, lb=lb,
+                    kernel_tol=kernel_tol(g))
 
 
 @dataclass
@@ -232,29 +262,23 @@ def _scan_levels(sweep, level_grid, slack, failure):
     """Largest grid level whose swept sublevel set satisfies slack < -margin.
 
     slack holds one entry per sweep row, the margin is strict_margin(L_a V)
-    of that row. Levels are scanned in ascending order; a level passes when
-    every row with 1e-7 * top < V(x) <= level passes, levels with no such
-    row are skipped, and the first failing level stops the scan. Raises
+    of that row. A level passes when every row with 1e-7 * top < V(x) <=
+    level passes, so with m the smallest such V and f that of a failing
+    row, the level is the largest l with m <= l < f (an ascending scan
+    that skips empty levels and stops at the first failing one).
     CertificateError with the failure message when no level passes.
     """
-    levels = sorted(float(l) for l in level_grid)
-    if not levels or levels[0] <= 0:
+    levels = np.sort(np.asarray(level_grid, dtype=float).ravel())
+    if not levels.size or levels[0] <= 0:
         raise ValueError("level_grid must contain positive levels")
-    vals = sweep.values
-    above_floor = vals > 1e-7 * levels[-1]
-    passes = np.asarray(slack) < -strict_margin(sweep.la)
-    best = None
-    for level in levels:
-        mask = above_floor & (vals <= level)
-        if not np.any(mask):
-            continue
-        if np.all(passes[mask]):
-            best = level
-        else:
-            break
-    if best is None:
+    live = sweep.values > 1e-7 * levels[-1]
+    vals = sweep.values[live]
+    fails = ~(np.asarray(slack)[live] < -strict_margin(sweep.la[live]))
+    passing = levels[(levels >= np.min(vals, initial=np.inf))
+                     & (levels < np.min(vals[fails], initial=np.inf))]
+    if not passing.size:
         raise CertificateError(failure)
-    return best
+    return float(passing[-1])
 
 
 def find_r0(sweep, K_o, level_grid):
@@ -290,12 +314,10 @@ class BlendProfile:
             raise ValueError("r0 must be positive")
 
     def profile(self, s):
+        """The profile at a level (a float) or at each entry of a level column."""
         half = 0.5 * self.r0
-        if s <= half:
-            return 0.0
-        if s >= self.r0:
-            return 1.0
         t = (s - half) / half
+        t = np.clip(t, 0.0, 1.0) if isinstance(t, np.ndarray) else min(max(t, 0.0), 1.0)
         return t * t * (3.0 - 2.0 * t)
 
     __call__ = profile
@@ -338,22 +360,18 @@ def check_positivity_properness(V, box, n_samples=512, seed=0):
     local_quadratic_clf takes proves both facts on all of R^n.
     """
     pts, faces = np.split(sample_box(box, 2 * n_samples, seed=seed), 2)
-    vals = np.array([V.value(x) for x in pts])
+    vals = V.value(pts)
     scale = max(float(np.max(vals)), ORIGIN_TOL)
-    interior = [(x, v) for x, v in zip(pts, vals) if v > 1e-9 * scale or np.linalg.norm(x) > 1e-6]
-    negative = [x for x, v in interior if v <= 0.0]
+    interior = (vals > 1e-9 * scale) | (np.linalg.norm(pts, axis=1) > 1e-6)
     # push samples onto the boundary, one face per point, round robin
-    boundary_vals = []
-    for i, x in enumerate(faces):
-        y = np.array(x)
-        j = i % box.dim
-        y[j] = box.highs[j] if (i // box.dim) % 2 == 0 else box.lows[j]
-        boundary_vals.append(V.value(y))
-    core_max = float(np.max([V.value(0.25 * x) for x in pts]))
-    boundary_min = float(np.min(boundary_vals))
+    i = np.arange(len(faces))
+    j = i % box.dim
+    faces[i, j] = np.where((i // box.dim) % 2 == 0, box.highs[j], box.lows[j])
+    core_max = float(np.max(V.value(0.25 * pts)))
+    boundary_min = float(np.min(V.value(faces)))
     return PositivityReport(
         min_interior=float(np.min(vals)),
-        negative_states=negative,
+        negative_states=list(pts[interior & (vals <= 0.0)]),
         boundary_min=boundary_min,
         core_max=core_max,
         proper=boundary_min > core_max,

@@ -105,14 +105,16 @@ def cmd_synth(args):
 def cmd_invopt(args):
     if args.invopt_action == "cost" and args.x0 is None:
         raise ConfigError("invopt cost needs the initial state --x0")
-    cfg, rec, Q, R, box, grid = _synth_pipeline(args)
+    problem = _problem(args)
+    states = runner.initial_states(problem[0], problem[1][0].n)  # before any design work
+    cfg, rec, Q, R, box, grid = _synth_pipeline(args, problem)
     costrec = runner.reconstruct_cost(rec.system, rec.V, Q, R, box, grid,
                                       k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
     if args.invopt_action == "build":
         _emit(costrec.to_dict(), args.out)
         return 0
     # cost: integrate the reconstructed running cost along the optimal law
-    x0 = runner.initial_states(cfg, rec.system.n)[0]
+    x0 = states[0]
     _emit(runner.cost_versus_value(rec, costrec, x0, cfg["integrator"]["horizon"],
                                    cfg["integrator"]["dt"]), args.out)
     return 0

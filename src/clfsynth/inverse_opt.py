@@ -11,7 +11,7 @@ design has to show is q > 0 (state_weights reads q on a sweep).
 level_scaled_cost is the whole construction on a working box: sweeps,
 base level, annulus ladder, scaling and cost. Every certificate reads the
 input form L_bV r^-1 L_bV' as a column of one sweep (_input_forms, one
-solve per sweep); the per-state q calls it on a single row.
+_solve per sweep); the per-state q calls it on a single row.
 """
 
 import warnings
@@ -30,33 +30,40 @@ from .synthesis import FeedbackLaw, local_gain
 
 
 def _input_forms(lb, r):
-    """L_bV r^-1 L_bV' at every row of lb (N, p), with one solve.
+    """L_bV r^-1 L_bV' at every row of lb (N, p), with one _solve.
 
     r is one (p, p) weight for every row or one weight per row (N, p, p).
-    A single row lb of shape (p,) gives a 0-d array.
+    A single row lb of shape (p,) gives a scalar.
     """
     lb = np.asarray(lb, dtype=float)
-    return np.einsum("...i,...i->...", lb, np.linalg.solve(r, lb[..., None])[..., 0])
+    return np.vecdot(lb, _solve(r, lb))
 
 
 def _solve(r, lb):
-    """r^-1 lb for one weight r (p, p) and one row lb (p,).
+    """r^-1 lb for one weight r (p, p) and one row lb (p,), or row by row.
 
-    A diagonal weight divides. LAPACK's LU of a diagonal matrix has no
-    fill, and its triangular solves subtract zero products from lb and
-    divide by the pivots, so dividing gives the same bits without
-    np.linalg.solve's call overhead; a 1 x 1 weight always divides. With
-    p > 1 a zero entry of lb can come back from LAPACK as a zero of the
-    other sign, so such rows, like every non-diagonal weight (and a
-    diagonal one with a zero pivot), go through np.linalg.solve.
+    A diagonal weight divides: LAPACK's LU of a diagonal matrix has no
+    fill, and its triangular solves divide by the pivots, so dividing
+    gives its bits without np.linalg.solve's overhead. With p > 1 a zero
+    entry of lb can come back from LAPACK as -0, so such rows, like every
+    other weight, go through np.linalg.solve.
     """
-    if r.shape == (1, 1):
-        return lb / r[0, 0]
-    d = r.diagonal()
-    p = d.size
-    if np.count_nonzero(r) == p and np.count_nonzero(d) == p and np.count_nonzero(lb) == p:
-        return lb / d
-    return np.linalg.solve(r, lb)
+    if r.shape[-2:] == (1, 1):
+        return lb / r[..., 0]
+    p = lb.shape[-1]
+    if lb.ndim == 1:
+        d = r.diagonal()
+        if np.count_nonzero(r) == p and np.count_nonzero(d) == p and np.count_nonzero(lb) == p:
+            return lb / d
+        return np.linalg.solve(r, lb)
+    r = np.broadcast_to(r, lb.shape + (p,))
+    d = r.diagonal(axis1=-2, axis2=-1)
+    divides = (np.count_nonzero(r, axis=(-2, -1)) == p) & np.all(d != 0, axis=-1) \
+        & np.all(lb != 0, axis=-1)
+    out = np.empty(lb.shape)
+    out[divides] = lb[divides] / d[divides]
+    out[~divides] = np.linalg.solve(r[~divides], lb[~divides][..., None])[..., 0]
+    return out
 
 
 def _sweep_slack(sweep, R):
@@ -197,11 +204,15 @@ class LevelScaling:
         return (len(self.ladder) + 1) * self.r0
 
     def mu(self, s):
-        if s > self.certified_top and not self._warned:
+        column = isinstance(s, np.ndarray)
+        top = np.max(s, initial=-np.inf) if column else s
+        if top > self.certified_top and not self._warned:
             warnings.warn(
-                f"scaling queried at level {s:.4g} beyond the certified range "
+                f"scaling queried at level {top:.4g} beyond the certified range "
                 f"(frozen at {self.knots_v[-1]:.4g})", stacklevel=2)
             self._warned = True
+        if column:
+            return np.interp(s, self.knots_s, self.knots_v)
         # np.interp's arithmetic for one level, without its array set-up
         ks, kv = self.knots_s, self.knots_v
         j = bisect_right(ks, s) - 1
@@ -229,9 +240,10 @@ class InverseOptimalCost:
     """Running cost q(x) + u' r(x) u that makes V the value function.
 
     The input weight is r(x) = weight(v), a function of the level v of x
-    only. The level is V(x) unless level, a function of the state, names
-    the one r follows (the six-state orbital weight follows a four-state
-    level). The state weight is derived from r,
+    only (a level column gives (..., p, p)). The level is V(x) unless
+    level, a function of the state, names the one r follows (the
+    six-state orbital weight follows a four-state level). q, r and stage
+    take rows. The state weight is derived from r,
     q = -L_aV + (1/4) L_bV r^-1 L_bV', so the stationary
     Hamilton-Jacobi-Bellman identity holds by construction. base_Q and
     base_R are the quadratic weights at the origin; scaling is the level
@@ -255,15 +267,16 @@ class InverseOptimalCost:
     def q(self, x):
         x = np.asarray(x, dtype=float)
         la, lb = lie_derivatives(self.V, self.sys, x)
-        return 0.25 * float(_input_forms(lb, self.r(x))) - la
+        q = 0.25 * _input_forms(lb, self.r(x)) - la
+        return float(q) if x.ndim == 1 else q
 
     def r(self, x):
         return self._r(self.level_at(np.asarray(x, dtype=float)))
 
     def _r(self, v):
-        """r at the states of level v, as a (p, p) array."""
+        """r at the states of level v, (p, p), or (..., p, p) for a level column."""
         p = self.base_R.shape[0]
-        return np.asarray(self.weight(v), dtype=float).reshape(p, p)
+        return np.asarray(self.weight(v), dtype=float).reshape(getattr(v, "shape", ()) + (p, p))
 
     def stage(self, x, g, b):
         """(L_bV, r, w, u) at x from g = grad V(x) and b = b(x).
@@ -273,7 +286,7 @@ class InverseOptimalCost:
         map, evaluate_cost's field and sim.closed_loop_path's stage for
         the optimal feedback all call it, so they agree bit for bit.
         """
-        lb = g @ b
+        lb = np.vecmat(g, b)
         r = self._r(self.level_at(x))
         w = _solve(r, lb)
         return lb, r, w, -0.5 * w
@@ -295,8 +308,11 @@ def build_inverse_cost(V, sys, R, Q, scaling):
         raise CertificateError(
             f"half the Hessian of V at 0 does not solve the Riccati equation "
             f"for (Q, R): residual {res:.3e}")
-    return InverseOptimalCost(V, sys, lambda v: R / scaling.mu(v),
-                              base_Q=Q, base_R=R, scaling=scaling)
+    def weight(v):
+        mu = scaling.mu(v)
+        return R / (mu[..., None, None] if isinstance(mu, np.ndarray) else mu)
+
+    return InverseOptimalCost(V, sys, weight, base_Q=Q, base_R=R, scaling=scaling)
 
 
 def level_scaled_cost(V, sys, Q, R, box, level_grid, k_max=8, n_samples=2000, seed=0):
@@ -324,7 +340,7 @@ def hjb_residual(V, cost, sys, x):
     consistency, not optimality.
     """
     la, lb = lie_derivatives(V, sys, x)
-    return cost.q(x) + la - 0.25 * float(_input_forms(lb, cost.r(x)))
+    return cost.q(x) + la - 0.25 * _input_forms(lb, cost.r(x))
 
 
 def state_weights(sweep, cost):
@@ -332,12 +348,10 @@ def state_weights(sweep, cost):
 
     Computed from the sweep's levels and Lie derivatives with cost.q's
     arithmetic, so each entry equals cost.q at that row; a cost whose r
-    follows its own level reads that level at each row instead.
+    follows its own level reads that level on the sweep's points instead.
     """
-    p = sweep.sys.p
-    levels = sweep.values if cost.level is None else map(cost.level, sweep.points)
-    r = np.array([cost._r(v) for v in levels])
-    return 0.25 * _input_forms(sweep.lb, r.reshape(-1, p, p)) - sweep.la
+    levels = sweep.values if cost.level is None else cost.level(sweep.points)
+    return 0.25 * _input_forms(sweep.lb, cost._r(levels)) - sweep.la
 
 
 def optimal_feedback(cost):
@@ -370,20 +384,17 @@ class CostEstimate:
 def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     """Integral of q + u' r u along the closed loop, plus a tail estimate.
 
-    The running cost is integrated as an extra RK4 state on the same grid.
-    Each stage evaluates grad V, a, b and cost.stage (the level r follows,
-    r and one solve w = r^-1 L_bV') once; dx = a + b u and the rate is
-    (1/4) L_bV w - L_aV + u' r u, which is q + u' r u. When law is this
-    cost's own optimal feedback (optimal_feedback records the cost),
-    u = -(1/2) w and law is not called; any other law is called once per
-    stage. Integration stops inside {V <= 1e-8 V(x0)}. For the optimal
-    feedback the tail is V at the final state (exact under the HJB
-    identity); otherwise a linear-quadratic tail estimate is used and
-    labeled as such. sys must be cost.sys, and V, when given, cost.V, and
-    dt and horizon must be positive (sim.step_count); ValueError
-    otherwise. Raises DivergenceError when the horizon ends
-    before the terminal set is reached, or when the run fails (rk4_path);
-    its last_state is a plant state.
+    The running cost is an extra RK4 state on the same grid. Each stage
+    evaluates grad V, a, b and cost.stage (level, r, w = r^-1 L_bV') once;
+    dx = a + b u and the rate is (1/4) L_bV w - L_aV + u' r u = q + u' r u.
+    For this cost's own optimal feedback u = -(1/2) w and law is not
+    called; any other law is called once per stage. Integration stops
+    inside {V <= 1e-8 V(x0)}. The tail is V at the final state for the
+    optimal feedback (exact under the HJB identity), otherwise a labeled
+    linear-quadratic estimate. sys must be cost.sys, V (when given) cost.V,
+    and dt and horizon positive (sim.step_count); ValueError otherwise.
+    DivergenceError when the horizon ends before the terminal set or the
+    run fails (rk4_path); its last_state is a plant state.
     """
     if V is not None and V is not cost.V:
         raise ValueError("V must be the cost's own value function cost.V")

@@ -4,17 +4,17 @@ import numpy as np
 
 
 def gradient(f, x, h=None):
-    """Central-difference gradient of a scalar function at x."""
+    """Central-difference gradient of a scalar function at x (..., n), in 2n calls of f."""
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 1e-5 * (1.0 + np.abs(x))
     else:
         h = h * np.ones_like(x)
     g = np.zeros_like(x)
-    for j in range(x.size):
+    for j in range(x.shape[-1]):
         e = np.zeros_like(x)
-        e[j] = h[j]
-        g[j] = (f(x + e) - f(x - e)) / (2.0 * h[j])
+        e[..., j] = h[..., j]
+        g[..., j] = (f(x + e) - f(x - e)) / (2.0 * h[..., j])
     return g
 
 

@@ -16,10 +16,9 @@ z' diag(P0, rho1, rho2, rho2) z with the two out-of-plane offsets. Its
 input weight adds the fixed normal-channel weight R_h to the four-state
 one, and its state weight follows from that as for any
 InverseOptimalCost: q4 + (1/4) L_bV_h^2 / R_h. This six-state running
-cost is only positive semidefinite: the out-of-plane pair contributes a
-weak term and convergence there follows from an invariance argument,
-which the simulation-level diagnostics reflect by checking V' <= 0
-rather than strict decrease.
+cost is only positive semidefinite: convergence of the weakly weighted
+out-of-plane pair follows from an invariance argument, which the
+simulation-level diagnostics reflect by checking V' <= 0.
 """
 
 import math
@@ -29,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import block_diag
 
-from .clf import ControlAffineSystem, check_artstein_sampled, lie_sweep, \
+from .clf import ControlAffineSystem, check_artstein_sampled, lie_forms, lie_sweep, \
     local_quadratic_clf
 from .errors import ArtsteinViolationError, CertificateError, DivergenceError
 from .inverse_opt import InverseOptimalCost, level_scaled_cost, optimal_feedback
@@ -78,52 +77,53 @@ def equilibrium(params):
     return np.array([0.0, 0.0, 0.0, params.p0, 0.0, 0.0])
 
 
-def _check_domain(s):
-    if not (1.0 + s[1] > 0 and s[3] > 0):
-        raise ValueError(
-            f"state outside the admissible domain: 1 + chi2 = {1.0 + s[1]:.4g}, "
-            f"chi4 = {s[3]:.4g}")
+def _coordinates(s):
+    """(chi1, ..., chi6, sqrt): one state as Python floats with math.sqrt
+    (numpy's IEEE arithmetic without its per-scalar overhead), a stack as
+    columns with np.sqrt; squares are products, as libm pow and numpy's
+    square differ in the last bit. ValueError at 1 + chi2 <= 0 or chi4 <= 0.
+    """
+    s = np.asarray(s, dtype=float)
+    one = s.ndim == 1
+    c = s.reshape(6).tolist() if one else list(np.moveaxis(s, -1, 0))
+    ok = (1.0 + c[1] > 0) & (c[3] > 0)
+    if ok if one else ok.all():
+        return c + [math.sqrt if one else np.sqrt]
+    s = s if one else s.reshape(-1, 6)[np.argmin(ok.ravel())]
+    raise ValueError(
+        f"state outside the admissible domain: 1 + chi2 = {1.0 + s[1]:.4g}, "
+        f"chi4 = {s[3]:.4g}")
 
 
 def orbital_drift(params, s):
-    """Unforced field; conserves chi5^2 + chi6^2 (pure rotation out of plane).
-
-    The coordinates are read as Python floats: the same IEEE arithmetic
-    (math.sqrt is correctly rounded, as np.sqrt is) without numpy's
-    per-scalar overhead.
-    """
-    s = np.asarray(s, dtype=float).reshape(6).tolist()
-    _check_domain(s)
-    c1, c2, c3, c4, c5, c6 = s
+    """Unforced field at one state or a stack (..., 6); conserves chi5^2 + chi6^2
+    (pure rotation out of plane)."""
+    c1, c2, c3, c4, c5, c6, sqrt = _coordinates(s)
     eta = params.eta
-    e2 = (1.0 + c2) ** 2
-    w = params.eta_bar * math.sqrt(c4) * e2
-    return np.array([
-        w - eta,
-        -eta * e2 * c3,
-        eta * e2 * ((c4 / params.p0) * (1.0 + c2) - 1.0),
-        0.0,
-        w * c6,
-        -w * c5,
-    ])
+    e = 1.0 + c2
+    e2 = e * e
+    w = params.eta_bar * sqrt(c4) * e2
+    out = [w - eta, -eta * e2 * c3, eta * e2 * ((c4 / params.p0) * e - 1.0), 0.0, w * c6, -w * c5]
+    return np.array(out) if isinstance(c1, float) else \
+        np.stack(np.broadcast_arrays(*out), axis=-1)
 
 
 def orbital_input_matrix(params, s):
-    """Thrust map: columns for the radial, transverse and normal channels."""
-    s = np.asarray(s, dtype=float).reshape(6).tolist()
-    _check_domain(s)
-    c1, c2, c3, c4, c5, c6 = s
+    """Thrust map at one state or a stack: columns for the radial, transverse
+    and normal channels."""
+    c1, c2, c3, c4, c5, c6, sqrt = _coordinates(s)
     nu, nub = params.nu, params.nu_bar
     k = nu / params.p0 ** 1.5
-    root = math.sqrt(c4)
+    root = sqrt(c4)
     e = 1.0 + c2
-    B = np.zeros((6, 3))
+    lead = () if isinstance(c1, float) else c1.shape
+    B = np.zeros((6, 3) + lead)  # stack axes last, so one state's indexing serves both
     B[2, 0] = nu
-    B[3, 1] = 2.0 * k * c4 ** 2 * root / e
+    B[3, 1] = 2.0 * k * (c4 * c4) * root / e
     B[0, 2] = -k * c6 * c4 * root / e
-    B[4, 2] = nub * (1.0 + c5 ** 2 - c6 ** 2) / (2.0 * root * e)
+    B[4, 2] = nub * (1.0 + c5 * c5 - c6 * c6) / (2.0 * root * e)
     B[5, 2] = nub * c5 * c6 / (root * e)
-    return B
+    return np.moveaxis(B, (0, 1), (-2, -1)) if lead else B
 
 
 def orbital_linearization(params):
@@ -184,14 +184,15 @@ def orbital_restriction(params, n, p):
     A, B = orbital_linearization(params)
 
     def pinned(z):
-        s = star.copy()
-        s[:n] += z
+        s = np.empty(z.shape[:-1] + (6,))
+        s[...] = star
+        s[..., :n] += z
         return s
 
     return ControlAffineSystem(
         n, p,
-        a=lambda z: orbital_drift(params, pinned(z))[:n],
-        b=lambda z: orbital_input_matrix(params, pinned(z))[:n, :p],
+        a=lambda z: orbital_drift(params, pinned(z))[..., :n],
+        b=lambda z: orbital_input_matrix(params, pinned(z))[..., :n, :p],
         linearization=(A[:n, :n], B[:n, :p]))
 
 
@@ -301,12 +302,12 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
 
     def level4(z):
         # the scaling follows the four-state level, not the six-state one
-        return V_t.value(z[:4])
+        return V_t.value(z[..., :4])
 
     def r6(v4):
         mu = scaling.mu(v4)
-        r = np.zeros((3, 3))
-        r[0, 0], r[1, 1], r[2, 2] = cfg.R_r / mu, cfg.R_theta / mu, cfg.R_h
+        r = np.zeros(np.shape(mu) + (3, 3))
+        r[..., 0, 0], r[..., 1, 1], r[..., 2, 2] = cfg.R_r / mu, cfg.R_theta / mu, cfg.R_h
         return r
 
     V = local_quadratic_clf(block_diag(cfg.P0, cfg.rho1, cfg.rho2, cfg.rho2))
@@ -327,19 +328,16 @@ def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
     s0 - eq, and the recorded states are shifted back by eq; stop, when
     given, sees original coordinates. That plant is the one
     build_orbital_controller gave its cost, so the cost's optimal
-    feedback runs on the fused stage: per RK4 stage one drift, one input
-    matrix, one grad V, one four-state level, one r and one diagonal
-    division, and no law.map call; any other law is mapped once per
-    stage. A domain breach (orbit collapse, radius sign loss) ends the
-    run with its DivergenceError, its last_state given in original
-    coordinates. When V is supplied the trajectory is annotated with V
-    and its analytic derivative along the closed loop, grad V (a + b u),
-    read from the (a, b, u) the run's own first stages computed and one
-    gradient per recorded state.
+    feedback runs on the fused stage (no law.map call); any other law is
+    mapped once per stage. A domain breach (orbit collapse, radius sign
+    loss) ends the run with its DivergenceError, its last_state in
+    original coordinates. When V is supplied the trajectory is annotated
+    with V and V' = grad V (a + b u) from the run's own first-stage
+    (a, b, u), with one V and one grad V call on the recorded states.
     """
     star = equilibrium(params)
     s0 = np.asarray(s0, dtype=float).reshape(6)
-    _check_domain(s0)
+    _coordinates(s0)  # the domain check
     try:
         states, a, b, inputs = closed_loop_path(
             orbital_system(params), law, s0 - star, dt, T,
@@ -349,10 +347,8 @@ def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
         raise
     ann = {}
     if V is not None:
-        grads = [V.gradient(z) for z in states]
-        ann = {"V": [V.value(z) for z in states],
-               "Vdot": [float(g @ ai) + float((g @ bi) @ u)
-                        for g, ai, bi, u in zip(grads, a, b, inputs)]}
+        la, lb = lie_forms(V.gradient(states), a, b)
+        ann = {"V": V.value(states), "Vdot": la + np.vecdot(lb, inputs)}
     return Trajectory(dt * np.arange(len(states)), states + star, inputs, ann)
 
 

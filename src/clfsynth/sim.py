@@ -105,18 +105,15 @@ def closed_loop_path(sys, law, x0, dt, T, stop=None):
 
     Returns (states, a, b, u), one row per recorded state. Each stage
     evaluates a and b once. When law is the optimal feedback of a cost on
-    this very plant (law.metadata["cost"], whose sys is sys, as
-    inverse_opt.optimal_feedback records it), u is that cost's stage at
-    the stage's own b(x): one grad V, one r and one solve, and law.map is
-    never called; u has the bits law.map would give. Any other law is
-    called once per stage. The first stage of every step is the field at
-    the state the step starts from, so its (a, b, u) is kept for that
-    state instead of being evaluated again; only the final state, which
-    no step leaves, is evaluated once more. rk4_step evaluates its four
-    stages in order, so every fourth field call is a first stage. stop
-    ends the run after the state that triggered it; a run that leaves the
-    finite range or the field's domain raises rk4_path's DivergenceError.
-    dt and T must be positive (step_count).
+    this very plant (law.metadata["cost"], whose sys is sys), u is that
+    cost's stage at the stage's own b(x), with the bits law.map would give,
+    and law.map is never called; any other law is called once per stage.
+    Every fourth field call (rk4_step's first stage) is the field at the
+    state its step starts from, so its (a, b, u) is kept for that state;
+    only the final state is evaluated once more. stop ends the run after
+    the state that triggered it; a run that leaves the finite range or the
+    field's domain raises rk4_path's DivergenceError. dt and T must be
+    positive (step_count).
     """
     n_steps = step_count(T, dt)
     a = np.empty((n_steps + 1, sys.n))
@@ -155,8 +152,8 @@ def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
     """Closed-loop RK4 run of x' = a(x) + b(x) law(x) from x0.
 
     stop is an optional state predicate ending the run after the state
-    that triggered it; annotate maps column names to state functions
-    evaluated along the recorded path. The inputs are the ones the run's
+    that triggered it; annotate maps column names to state functions,
+    each called once on the recorded states. The inputs are the ones the run's
     own first stages computed (closed_loop_path), so the feedback is
     evaluated 4 times per step plus once at the final state (through its
     cost's stage for a cost's own optimal feedback). A run that leaves the
@@ -164,6 +161,6 @@ def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
     """
     states, _, _, inputs = closed_loop_path(sys, law, x0, dt, T, stop=stop)
     times = dt * np.arange(states.shape[0])
-    ann = {name: np.array([float(fn(x)) for x in states])
+    ann = {name: np.asarray(fn(states), dtype=float).reshape(len(states))
            for name, fn in (annotate or {}).items()}
     return Trajectory(times, states, inputs, ann)

@@ -31,9 +31,10 @@ from .synthesis import blended_design
 class StrictFeedbackSystem(ControlAffineSystem):
     """Cascade with a scalar actuated coordinate driving a y-subsystem.
 
-    h1, h2 map y to (n_y,) arrays; f, g map (y, x) to scalars with g
-    nonvanishing (checked at the origin; sample elsewhere as needed). The
-    cascade is the control-affine system of the stacked state (y, x);
+    The maps take rows: h1, h2 map y (..., n_y) to (..., n_y); f, g map
+    (y, x), x a (..., 1) column, to (..., 1) with g nonvanishing (checked
+    at the origin; sample elsewhere as needed). The cascade is the
+    control-affine system of the stacked state (y, x);
     supplied origin blocks (H1, H2, F1, F2, G) are assembled into its
     linearization, which validates them, and without blocks its
     finite-difference Jacobian is used. The blocks are read back as slices
@@ -43,7 +44,7 @@ class StrictFeedbackSystem(ControlAffineSystem):
     def __init__(self, n_y, h1, h2, f, g, blocks=None):
         self.n_y = n_y = int(n_y)
         n = n_y + 1
-        if abs(float(g(np.zeros(n_y), 0.0))) < 1e-12:
+        if abs(np.ravel(g(np.zeros(n_y), np.zeros(1)))[0]) < 1e-12:
             raise ValueError("g must not vanish at the origin")
         linearization = None
         if blocks is not None:
@@ -54,16 +55,14 @@ class StrictFeedbackSystem(ControlAffineSystem):
             linearization = (A, B)
 
         def a(chi):
-            y, x = chi[:n_y], chi[n_y]
-            out = np.empty(n)
-            out[:n_y] = np.asarray(h1(y), dtype=float).reshape(n_y) \
-                + np.asarray(h2(y), dtype=float).reshape(n_y) * x
-            out[n_y] = float(f(y, float(x)))
+            y, x = chi[..., :n_y], chi[..., n_y:]
+            out = np.empty(chi.shape)
+            out[..., :n_y], out[..., n_y:] = h1(y) + h2(y) * x, f(y, x)
             return out
 
         def b(chi):
-            col = np.zeros((n, 1))
-            col[n_y, 0] = float(g(chi[:n_y], float(chi[n_y])))
+            col = np.zeros(chi.shape)
+            col[..., n_y:] = g(chi[..., :n_y], chi[..., n_y:])
             return col
 
         super().__init__(n, 1, a, b, linearization=linearization)
@@ -78,7 +77,8 @@ class StrictFeedbackSystem(ControlAffineSystem):
 
 class FeedforwardSystem(ControlAffineSystem):
     """Scalar coordinate fed by an actuated inner system: y' = h(x),
-    x' = f(x) + g(x) u, with the appended coordinate listed first.
+    x' = f(x) + g(x) u, with the appended coordinate listed first; on
+    rows (..., n_x), h gives (..., 1), f (..., n_x) and g (..., n_x, p).
 
     The control-affine system of the stacked state (y, x); supplied origin
     blocks (H, F, G) are assembled into its linearization, which validates
@@ -97,11 +97,14 @@ class FeedforwardSystem(ControlAffineSystem):
             linearization = (A, np.vstack([np.zeros((1, p)), G]))
 
         def a(chi):
-            x = chi[1:]
-            return np.append(float(h(x)), np.asarray(f(x), dtype=float).reshape(n_x))
+            out = np.empty(chi.shape)
+            out[..., :1], out[..., 1:] = h(chi[..., 1:]), f(chi[..., 1:])
+            return out
 
         def b(chi):
-            return np.vstack([np.zeros((1, p)), np.asarray(g(chi[1:]), dtype=float).reshape(n_x, p)])
+            out = np.zeros(chi.shape + (p,))
+            out[..., 1:, :] = g(chi[..., 1:])
+            return out
 
         super().__init__(n, p, a, b, linearization=linearization)
         lin = self.linearization
@@ -171,10 +174,10 @@ def backstepping_clf(V_y, alpha_y, P22, alpha_y_grad=None, expected_inner_gain=N
     """Composite V(y, x) = V_y(y) + P22 (x - alpha_y(y))^2.
 
     The input derivative of the composite is 2 P22 (x - alpha_y(y)) g, so
-    it vanishes exactly on the manifold x = alpha_y(y). alpha_y must
-    vanish at 0; when expected_inner_gain is given, the slope of alpha_y
-    at 0 must match it (finite-difference check), otherwise construction
-    is refused.
+    it vanishes exactly on the manifold x = alpha_y(y). On rows y, alpha_y
+    gives (...) and alpha_y_grad (..., n_y). alpha_y must vanish at 0; when
+    expected_inner_gain is given, the slope of alpha_y at 0 must match it
+    (finite-difference check), otherwise construction is refused.
     """
     P22 = float(P22)
     if P22 <= 0:
@@ -184,9 +187,9 @@ def backstepping_clf(V_y, alpha_y, P22, alpha_y_grad=None, expected_inner_gain=N
     if abs(float(alpha_y(z))) > 1e-12:
         raise ValueError("alpha_y(0) must vanish")
     grad = alpha_y_grad if alpha_y_grad is not None else \
-        (lambda y: numdiff.gradient(lambda w: float(alpha_y(w)), y))
+        (lambda y: numdiff.gradient(alpha_y, y))
     K = np.asarray(grad(z), dtype=float).reshape(n_y)
-    K_fd = numdiff.gradient(lambda w: float(alpha_y(w)), z)
+    K_fd = numdiff.gradient(alpha_y, z)
     if np.linalg.norm(K - K_fd) > 1e-4 * (1.0 + np.linalg.norm(K)):
         raise ValueError("alpha_y_grad disagrees with finite differences at 0")
     if expected_inner_gain is not None:
@@ -204,15 +207,15 @@ def backstepping_clf(V_y, alpha_y, P22, alpha_y_grad=None, expected_inner_gain=N
     H[n_y, n_y] = 2.0 * P22
 
     def value(chi):
-        y, x = chi[:n_y], chi[n_y]
-        e = x - float(alpha_y(y))
+        y, x = chi[..., :n_y], chi[..., n_y]
+        e = x - alpha_y(y)
         return V_y.value(y) + P22 * e * e
 
     def gradient(chi):
-        y, x = chi[:n_y], chi[n_y]
-        e = x - float(alpha_y(y))
-        gy = V_y.gradient(y) - 2.0 * P22 * e * np.asarray(grad(y), dtype=float).reshape(n_y)
-        return np.append(gy, 2.0 * P22 * e)
+        y, x = chi[..., :n_y], chi[..., n_y:]
+        e = x - np.expand_dims(alpha_y(y), -1)
+        gy = V_y.gradient(y) - 2.0 * P22 * e * np.broadcast_to(grad(y), y.shape)
+        return np.concatenate([gy, 2.0 * P22 * e], axis=-1)
 
     return Clf(n_y + 1, value, gradient, hessian_origin=H)
 

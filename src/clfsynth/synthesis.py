@@ -10,14 +10,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clf import _lie_terms, blend_profile, check_artstein_sampled, find_r0, \
-    kernel_tol, strict_margin
+from .clf import blend_profile, check_artstein_sampled, check_rows, find_r0, kernel_tol, \
+    lie_forms, strict_margin
 from .errors import ArtsteinViolationError
 from .sampling import sample_box
 
 
 class FeedbackLaw:
-    """State feedback u = map(x) with map(0) = 0."""
+    """State feedback u = map(x) with map(0) = 0; map takes rows (clf.check_rows)."""
 
     def __init__(self, kind, map_fn, n, p, metadata=None):
         self.kind = str(kind)
@@ -28,9 +28,12 @@ class FeedbackLaw:
         u0 = self.map(np.zeros(self.n))
         if np.linalg.norm(u0) > 1e-12:
             raise ValueError(f"feedback must vanish at the origin, got {u0}")
+        check_rows(self.n, self.map)
 
     def map(self, x):
-        return np.asarray(self._map(np.asarray(x, dtype=float)), dtype=float).reshape(self.p)
+        x = np.asarray(x, dtype=float)
+        u = np.ascontiguousarray(self._map(x), dtype=float)
+        return u.reshape(self.p) if x.ndim == 1 else u.reshape(x.shape[:-1] + (self.p,))
 
 
 def sontag_controller(V, sys, artstein_report=None):
@@ -46,12 +49,12 @@ def sontag_controller(V, sys, artstein_report=None):
             f"{len(artstein_report.violations)} state(s)", artstein_report.violations)
 
     def u(x):
-        g, la, lb = _lie_terms(V, sys, x)
-        if np.linalg.norm(lb) <= kernel_tol(g):
-            return np.zeros(sys.p)
-        nb2 = float(lb @ lb)
-        coef = (la + np.sqrt(la * la + nb2 * nb2)) / nb2
-        return -coef * lb
+        g = V.gradient(x)
+        la, lb = lie_forms(g, sys.a(x), sys.b(x))
+        nb2 = np.vecdot(lb, lb)
+        live = np.sqrt(nb2) > kernel_tol(g)
+        coef = (la + np.sqrt(la * la + nb2 * nb2)) / np.where(live, nb2, np.inf)
+        return 0.0 - coef[..., None] * lb  # -coef lb, and +0 where it is 0
 
     return FeedbackLaw("sontag", u, sys.n, sys.p)
 
@@ -60,18 +63,22 @@ def blended_controller(alpha_inf, K_o, V, rho):
     """Blend a global law with the linear gain through the profile rho.
 
     Below half the blend radius the returned map is exactly K_o x (the
-    global law is not even evaluated there); above the radius it is exactly
-    alpha_inf.
+    global law is evaluated only where the profile is positive); above
+    the radius it is exactly alpha_inf.
     """
     K_o = np.asarray(K_o, dtype=float).reshape(alpha_inf.p, alpha_inf.n)
 
+    def mix(w, x):
+        return w * alpha_inf.map(x) + (1.0 - w) * np.matvec(K_o, x)
+
     def u(x):
         w = rho.profile(V.value(x))
-        if w == 0.0:
-            return K_o @ x
-        if w == 1.0:
-            return alpha_inf.map(x)
-        return w * alpha_inf.map(x) + (1.0 - w) * (K_o @ x)
+        if x.ndim == 1:  # one state: the same arithmetic (K_o @ x is np.matvec's gemv)
+            return K_o @ x if w == 0.0 else alpha_inf.map(x) if w == 1.0 else mix(w, x)
+        out, band, outer = np.matvec(K_o, x), (w > 0.0) & (w < 1.0), w == 1.0
+        out[outer] = alpha_inf.map(x[outer])
+        out[band] = mix(w[band][:, None], x[band])
+        return out
 
     return FeedbackLaw("blended", u, alpha_inf.n, alpha_inf.p,
                        metadata={"r0": rho.r0, "inner_kind": alpha_inf.kind})
@@ -141,7 +148,7 @@ def verify_decrease(sweep, law):
     """
     live = sweep.values > 1e-7 * max(float(np.max(sweep.values)), 1e-12)
     pts, la, lb = sweep.points[live], sweep.la[live], sweep.lb[live]
-    vdot = np.array([a + float(b @ law.map(x)) for x, a, b in zip(pts, la, lb)])
+    vdot = la + np.vecdot(lb, law.map(pts))
     return DecreaseReport(
         checked=len(pts), max_vdot=float(np.max(vdot, initial=-np.inf)),
         violations=[np.array(x) for x in pts[vdot >= -strict_margin(la)]])
@@ -152,20 +159,18 @@ def seam_diagnostics(law, V, rho, region, n_pairs=200, seed=0):
 
     Samples region states, rescales them onto the level sets {V = r0/2}
     and {V = r0}, and measures the map's variation across each seam along
-    the radial direction. Reported for inspection, not asserted.
+    the radial direction, with np.linalg.norm's arithmetic for one vector.
+    Reported for inspection, not asserted.
     """
     pts = sample_box(region, n_pairs, seed=seed)
+    v = V.value(pts)
+    pts, v = pts[v > 1e-9 * rho.r0], v[v > 1e-9 * rho.r0]
     out = {}
     for name, level in (("half_radius", 0.5 * rho.r0), ("radius", rho.r0)):
-        worst = 0.0
-        for x in pts:
-            v = V.value(x)
-            if v <= 1e-9 * rho.r0:
-                continue
-            y = x * np.sqrt(level / v)  # exact for quadratic V, close enough otherwise
-            d = 1e-5 * (1.0 + np.linalg.norm(y))
-            step = d * y / max(np.linalg.norm(y), 1e-12)
-            du = np.linalg.norm(law.map(y + step) - law.map(y - step))
-            worst = max(worst, du / (2.0 * d))
-        out[name] = worst
+        y = pts * np.sqrt(level / v)[:, None]  # exact for quadratic V, close enough otherwise
+        norm = np.sqrt(np.vecdot(y, y))
+        d = 1e-5 * (1.0 + norm)
+        step = d[:, None] * y / np.maximum(norm, 1e-12)[:, None]
+        du = law.map(y + step) - law.map(y - step)
+        out[name] = float(np.max(np.sqrt(np.vecdot(du, du)) / (2.0 * d), initial=0.0))
     return out

@@ -19,9 +19,11 @@ def _compile(cells, n_vars, names):
     """Term-list cells as one polynomial map from n_vars coordinates to len(cells) values.
 
     The terms become an exponent matrix E (terms, n_vars) and a coefficient
-    matrix C (terms, cells), so every cell is evaluated at once by
-    prod(x ** E, axis=1) @ C. Returns that map and its exact Jacobian at 0
-    (cells, n_vars), read from the degree-one rows.
+    matrix C (terms, cells), so every cell of one point or of a stack
+    (..., n_vars) is evaluated at once, as C-ordered monomials times C by
+    np.vecmat. Powers are repeated products, since np.power's last bits
+    depend on the array layout. Returns that map and its exact Jacobian at
+    0 (cells, n_vars), read from the degree-one rows.
     """
     E, cell_of, coeffs = [], [], []
     for k, (cell, name) in enumerate(zip(cells, names)):
@@ -45,7 +47,11 @@ def _compile(cells, n_vars, names):
     linear = E.sum(axis=1) == 1
 
     def fn(x):
-        return np.prod(np.asarray(x, dtype=float) ** E, axis=1) @ C
+        powers = [np.ones_like(x, dtype=float)]
+        for _ in range(int(E.max(initial=0))):
+            powers.append(powers[-1] * x)
+        factors = np.stack(powers, axis=-1)[..., np.arange(n_vars), E.astype(int)]
+        return np.vecmat(np.ascontiguousarray(np.prod(factors, axis=-1)), C)
 
     return fn, C[linear].T @ E[linear]
 
@@ -87,8 +93,8 @@ def system_from_structured(spec):
             g, _ = _compile([spec["g"]], n_y + 1, ["g"])
             return StrictFeedbackSystem(
                 n_y, h1=h1, h2=h2,
-                f=lambda y, x: f(np.append(y, x))[0],
-                g=lambda y, x: g(np.append(y, x))[0],
+                f=lambda y, x: f(np.concatenate([y, x], axis=-1)),
+                g=lambda y, x: g(np.concatenate([y, x], axis=-1)),
                 blocks=(H1, h2(np.zeros(n_y)), F[0, :n_y], F[0, n_y],
                         g(np.zeros(n_y + 1))[0]))
         if structure == "feedforward":
@@ -99,21 +105,23 @@ def system_from_structured(spec):
                             [f"g[{i}][{j}]" for i, row in enumerate(spec["g"])
                              for j in range(len(row))])
             return FeedforwardSystem(
-                n_x, p, h=lambda x: h(x)[0], f=f, g=g,
+                n_x, p, h=h, f=f, g=lambda x: g(x).reshape(x.shape[:-1] + (n_x, p)),
                 blocks=(H[0], F, g(np.zeros(n_x)).reshape(n_x, p)))
     except KeyError as e:
         raise ConfigError(f"{structure} system: missing field {e}") from None
     raise ConfigError(f"unknown structure tag {structure!r}")
 
 
+# Registry fields take rows; powers above 2 are products (np.power's last
+# bits depend on the array layout), squares np.square.
 def _scalar_linear():
-    return ControlAffineSystem(1, 1, a=lambda x: np.array([x[0]]),
+    return ControlAffineSystem(1, 1, a=lambda x: x.copy(),
                                b=lambda x: np.array([[1.0]]),
                                linearization=(np.array([[1.0]]), np.array([[1.0]])))
 
 
 def _scalar_cubic():
-    return ControlAffineSystem(1, 1, a=lambda x: np.array([x[0] ** 3]),
+    return ControlAffineSystem(1, 1, a=lambda x: x * x * x,
                                b=lambda x: np.array([[1.0]]),
                                linearization=(np.array([[0.0]]), np.array([[1.0]])))
 
@@ -121,9 +129,9 @@ def _scalar_cubic():
 def _strict_feedback_demo():
     return StrictFeedbackSystem(
         1,
-        h1=lambda y: np.array([-y[0] ** 3]),
-        h2=lambda y: np.array([1.0]),
-        f=lambda y, x: x * y[0] ** 2,
+        h1=lambda y: -(y * y * y),
+        h2=lambda y: 1.0,
+        f=lambda y, x: x * (y * y),
         g=lambda y, x: 1.0,
         blocks=([[0.0]], [1.0], [0.0], 0.0, 1.0))
 
@@ -134,9 +142,9 @@ def _orbital_reduced(params=None):
     eta, nu = params.eta, params.nu
     return StrictFeedbackSystem(
         1,
-        h1=lambda y: np.array([0.0]),
-        h2=lambda y: np.array([-eta * (1.0 + y[0]) ** 2]),
-        f=lambda y, x: eta * (1.0 + y[0]) ** 2 * y[0],
+        h1=lambda y: 0.0,
+        h2=lambda y: -eta * np.square(1.0 + y),
+        f=lambda y, x: eta * np.square(1.0 + y) * y,
         g=lambda y, x: nu,
         blocks=([[0.0]], [-eta], [eta], 0.0, nu))
 

@@ -15,8 +15,8 @@ from clfsynth.systems import load_system
 
 
 def scalar_system(a, b):
-    return ControlAffineSystem(1, 1, lambda x: np.array([a(x[0])]),
-                               lambda x: np.array([[b(x[0])]]))
+    return ControlAffineSystem(1, 1, lambda x: a(x[..., :1]),
+                               lambda x: b(x[..., :1]))
 
 
 def quadratic_v():
@@ -40,12 +40,12 @@ class TestControlAffineSystem:
 
     def test_rejects_wrong_supplied_linearization(self):
         with pytest.raises(ValueError, match="disagrees"):
-            ControlAffineSystem(1, 1, lambda x: np.array([x[0]]),
+            ControlAffineSystem(1, 1, lambda x: x[..., :1],
                                 lambda x: np.array([[1.0]]),
                                 linearization=([[5.0]], [[1.0]]))
 
     def test_supplied_linearization_is_kept_exactly(self):
-        sys_ = ControlAffineSystem(1, 1, lambda x: np.array([x[0]]),
+        sys_ = ControlAffineSystem(1, 1, lambda x: x[..., :1],
                                    lambda x: np.array([[1.0]]),
                                    linearization=([[1.0]], [[1.0]]))
         assert sys_.linearization.A[0, 0] == 1.0
@@ -53,7 +53,7 @@ class TestControlAffineSystem:
 
     def test_single_input_vector_field_reshaped(self):
         sys_ = ControlAffineSystem(2, 1,
-                                   lambda x: np.array([x[1], -x[0]]),
+                                   lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1),
                                    lambda x: np.array([0.0, 1.0]))
         assert sys_.b(np.zeros(2)).shape == (2, 1)
 
@@ -66,23 +66,23 @@ class TestControlAffineSystem:
 class TestClf:
     def test_rejects_nonzero_value_at_origin(self):
         with pytest.raises(ValueError, match="value\\(0\\)"):
-            Clf(1, lambda x: float(x[0] ** 2 + 1.0))
+            Clf(1, lambda x: x[..., 0] ** 2 + 1.0)
 
     def test_rejects_indefinite_hessian(self):
         with pytest.raises(ValueError, match="positive definite"):
-            Clf(1, lambda x: float(-x[0] ** 2))
+            Clf(1, lambda x: -x[..., 0] ** 2)
 
     def test_rejects_wrong_supplied_hessian(self):
         with pytest.raises(ValueError, match="hessian_origin"):
-            Clf(1, lambda x: float(x[0] ** 2), hessian_origin=[[5.0]])
+            Clf(1, lambda x: x[..., 0] ** 2, hessian_origin=[[5.0]])
 
     def test_rejects_nonvanishing_gradient(self):
         with pytest.raises(ValueError, match="gradient"):
-            Clf(1, lambda x: float(x[0] ** 2),
-                gradient=lambda x: np.array([2.0 * x[0] + 1.0]))
+            Clf(1, lambda x: x[..., 0] ** 2,
+                gradient=lambda x: 2.0 * x + 1.0)
 
     def test_finite_difference_gradient(self):
-        V = Clf(1, lambda x: float(x[0] ** 4 + x[0] ** 2))
+        V = Clf(1, lambda x: x[..., 0] ** 4 + x[..., 0] ** 2)
         g = V.gradient(np.array([0.5]))
         assert g[0] == pytest.approx(4 * 0.5 ** 3 + 2 * 0.5, rel=1e-6)
 
@@ -300,14 +300,14 @@ class TestPositivityProperness:
 
     def test_flattening_candidate_fails_properness(self):
         # x^2 exp(-x^2) decays toward the boundary of a wide box
-        V = Clf(1, lambda x: float(x[0] ** 2 * np.exp(-x[0] ** 2)))
+        V = Clf(1, lambda x: x[..., 0] ** 2 * np.exp(-x[..., 0] ** 2))
         report = check_positivity_properness(V, Box.centered([3.0]))
         assert not report.proper
         assert not report.passed
 
     def test_sign_flip_detected(self):
         # x^2 - x^4 goes negative past |x| = 1
-        V = Clf(1, lambda x: float(x[0] ** 2 - x[0] ** 4))
+        V = Clf(1, lambda x: x[..., 0] ** 2 - x[..., 0] ** 4)
         report = check_positivity_properness(V, Box.centered([2.0]))
         assert report.negative_states
         assert not report.passed

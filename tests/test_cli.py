@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from clfsynth import runner
 from clfsynth.cli import main
 from clfsynth.runner import run
 
@@ -203,6 +204,15 @@ class TestInvopt:
     def test_wrong_x0_length_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "invopt", "cost", "scalar_linear",
                                "--samples", "400", "--x0", "1.0,2.0")
+        assert code == 2
+        assert "must have 1 entries" in err
+
+    def test_x0_width_is_checked_before_any_design(self, capsys, monkeypatch):
+        def design(*args, **kwargs):
+            pytest.fail("synthesize_problem ran before --x0 was checked")
+
+        monkeypatch.setattr(runner, "synthesize_problem", design)
+        code, _, err = run_cli(capsys, "invopt", "cost", "scalar_linear", "--x0", "1.0,2.0")
         assert code == 2
         assert "must have 1 entries" in err
 

@@ -57,7 +57,7 @@ def level_sweep(V, sys_, level, n_samples=2000):
 
 
 def cubic_system():
-    return ControlAffineSystem(1, 1, lambda x: np.array([x[0] ** 3]),
+    return ControlAffineSystem(1, 1, lambda x: x[..., :1] ** 3,
                                lambda x: np.array([[1.0]]))
 
 
@@ -65,19 +65,19 @@ def plateau_system():
     """Drift zero on the base region, cubic-by-(x^2-1) ramp, then x^3."""
 
     def a(x):
-        s = x[0] ** 2
-        return np.array([x[0] ** 3 * np.clip(s - 1.0, 0.0, 1.0)])
+        s = x[..., :1] ** 2
+        return x[..., :1] ** 3 * np.clip(s - 1.0, 0.0, 1.0)
 
     return ControlAffineSystem(1, 1, a, lambda x: np.array([[1.0]]))
 
 
 def vanishing_b(x):
-    return np.array([[(1.0 - min(x[0] ** 2, 1.0)) ** 2]])
+    return ((1.0 - np.minimum(x[..., :1] ** 2, 1.0)) ** 2)[..., None]
 
 
 def scalar_linear():
     return ControlAffineSystem(
-        1, 1, lambda x: np.array([x[0]]), lambda x: np.array([[1.0]]),
+        1, 1, lambda x: x[..., :1], lambda x: np.array([[1.0]]),
         linearization=(np.array([[1.0]]), np.array([[1.0]])))
 
 
@@ -163,7 +163,7 @@ class TestCheckBaseRegion:
             check_base_region(level_sweep(unit_v(), cubic_system(), 0.8, 400), np.eye(1), 0.8)
 
     def test_stable_linear_passes_large_level(self):
-        sys_ = ControlAffineSystem(1, 1, lambda x: np.array([-x[0]]),
+        sys_ = ControlAffineSystem(1, 1, lambda x: -x[..., :1],
                                    lambda x: np.array([[1.0]]))
         assert check_base_region(level_sweep(unit_v(), sys_, 25.0, 400), np.eye(1), 25.0) > 200
 
@@ -232,7 +232,7 @@ class TestEstimateLevelConstants:
     def test_vanishing_input_with_stable_drift_floors_at_one(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sys_ = ControlAffineSystem(1, 1, lambda x: np.array([-x[0]]),
+            sys_ = ControlAffineSystem(1, 1, lambda x: -x[..., :1],
                                        vanishing_b)
         fit, check = ladder_sweeps(unit_v(), sys_, 3.0)
         ladder = estimate_level_constants(fit, check, np.eye(1), 1.0, k_max=2)
@@ -249,7 +249,7 @@ class TestEstimateLevelConstants:
     def test_empty_annulus_ends_ladder(self):
         # V = x^2 <= 0.09 on the box: annulus 1 of r0 = 0.05 is reached,
         # annulus 2 ([0.1, 0.15]) is not, so the ladder stops after one rung
-        sys_ = ControlAffineSystem(1, 1, lambda x: np.array([-x[0]]),
+        sys_ = ControlAffineSystem(1, 1, lambda x: -x[..., :1],
                                    lambda x: np.array([[1.0]]))
         box = Box(np.array([-0.3]), np.array([0.3]))
         fit, check = (lie_sweep(unit_v(), sys_, sample_box(box, 400, seed=s)) for s in (0, 1))
@@ -403,7 +403,7 @@ class TestEvaluateCost:
                                        LevelScaling(1.0, [1.0, 1.0, 1.0]))
 
     def test_suboptimal_law_closed_form(self):
-        law = FeedbackLaw("static", lambda x: np.array([-3.0 * x[0]]), 1, 1)
+        law = FeedbackLaw("static", lambda x: -3.0 * x[..., :1], 1, 1)
         est = evaluate_cost(self.sys, self.cost, law, np.array([1.0]),
                             horizon=8.0, dt=0.001)
         assert est.tail_kind == "lq_estimate_tail"
@@ -424,7 +424,7 @@ class TestEvaluateCost:
         assert est.value == 0.0
 
     def test_horizon_exhausted_raises(self):
-        law = FeedbackLaw("static", lambda x: np.zeros(1), 1, 1)
+        law = FeedbackLaw("static", lambda x: np.zeros_like(x), 1, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(DivergenceError, match="horizon") as exc:

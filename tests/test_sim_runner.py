@@ -99,9 +99,9 @@ class TestRk4:
 def fenced_plant():
     """x' = x + u, a field defined only on |x| <= 1."""
     def a(x):
-        if abs(x[0]) > 1.0:
+        if np.any(np.abs(x[..., :1]) > 1.0):
             raise ValueError("state outside the fence")
-        return np.array([x[0]])
+        return x[..., :1]
 
     return clf.ControlAffineSystem(1, 1, a, lambda x: np.array([[1.0]]),
                                    linearization=([[1.0]], [[1.0]]))
@@ -115,7 +115,7 @@ class TestDomainBreach:
     """
 
     def outward(self):
-        return FeedbackLaw("outward", lambda x: np.array([x[0]]), 1, 1)
+        return FeedbackLaw("outward", lambda x: x[..., :1], 1, 1)
 
     def test_integrate_raises_divergence(self):
         with pytest.raises(DivergenceError, match="fence") as exc:
@@ -188,21 +188,21 @@ class TestTrajectory:
 class TestIntegrate:
     def test_closed_loop_decay(self):
         sys_ = load_system("scalar_linear")
-        law = FeedbackLaw("static", lambda x: np.array([-2.0 * x[0]]), 1, 1)
+        law = FeedbackLaw("static", lambda x: -2.0 * x[..., :1], 1, 1)
         traj = integrate(sys_, law, np.array([1.0]), dt=0.001, T=1.0)
         assert abs(traj.states[-1, 0] - np.exp(-1.0)) <= 1e-8
         assert np.array_equal(traj.inputs[:, 0], -2.0 * traj.states[:, 0])
 
     def test_annotations_evaluated_along_path(self):
         sys_ = load_system("scalar_linear")
-        law = FeedbackLaw("static", lambda x: np.array([-2.0 * x[0]]), 1, 1)
+        law = FeedbackLaw("static", lambda x: -2.0 * x[..., :1], 1, 1)
         traj = integrate(sys_, law, np.array([1.0]), dt=0.01, T=0.5,
-                         annotate={"sq": lambda x: x[0] ** 2})
+                         annotate={"sq": lambda x: x[..., 0] ** 2})
         assert np.allclose(traj.annotations["sq"], traj.states[:, 0] ** 2)
 
     def test_validates_steps(self):
         sys_ = load_system("scalar_linear")
-        law = FeedbackLaw("static", lambda x: np.array([-2.0 * x[0]]), 1, 1)
+        law = FeedbackLaw("static", lambda x: -2.0 * x[..., :1], 1, 1)
         with pytest.raises(ValueError, match="dt and T must be positive"):
             integrate(sys_, law, np.array([1.0]), dt=0.0, T=1.0)
 

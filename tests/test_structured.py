@@ -35,9 +35,9 @@ def cascade_demo():
     """y' = -y^3 + x, x' = x y^2 + u."""
     return StrictFeedbackSystem(
         1,
-        h1=lambda y: np.array([-y[0] ** 3]),
+        h1=lambda y: -y ** 3,
         h2=lambda y: np.array([1.0]),
-        f=lambda y, x: x * y[0] ** 2,
+        f=lambda y, x: x * y ** 2,
         g=lambda y, x: 1.0)
 
 
@@ -67,9 +67,9 @@ class TestStrictFeedbackSystem:
     def test_supplied_blocks_accepted(self):
         sys_ = StrictFeedbackSystem(
             1,
-            h1=lambda y: np.array([-y[0] ** 3]),
+            h1=lambda y: -y ** 3,
             h2=lambda y: np.array([1.0]),
-            f=lambda y, x: x * y[0] ** 2,
+            f=lambda y, x: x * y ** 2,
             g=lambda y, x: 1.0,
             blocks=([[0.0]], [1.0], [0.0], 0.0, 1.0))
         assert sys_.G == 1.0
@@ -79,9 +79,9 @@ class TestStrictFeedbackSystem:
         with pytest.raises(ValueError, match="disagrees with finite differences"):
             StrictFeedbackSystem(
                 1,
-                h1=lambda y: np.array([-y[0] ** 3]),
+                h1=lambda y: -y ** 3,
                 h2=lambda y: np.array([1.0]),
-                f=lambda y, x: x * y[0] ** 2,
+                f=lambda y, x: x * y ** 2,
                 g=lambda y, x: 1.0,
                 blocks=([[0.0]], [2.0], [0.0], 0.0, 1.0))
 
@@ -152,7 +152,7 @@ class TestBacksteppingPartition:
 class TestBacksteppingClf:
     def composite(self):
         V_y = local_quadratic_clf(np.eye(1))
-        return backstepping_clf(V_y, lambda y: -float(y[0]), 1.0)
+        return backstepping_clf(V_y, lambda y: -y[..., 0], 1.0)
 
     def test_hand_worked_values(self):
         V = self.composite()
@@ -178,11 +178,11 @@ class TestBacksteppingClf:
     def test_validation(self):
         V_y = local_quadratic_clf(np.eye(1))
         with pytest.raises(ValueError, match="P22 must be positive"):
-            backstepping_clf(V_y, lambda y: -float(y[0]), 0.0)
+            backstepping_clf(V_y, lambda y: -y[..., 0], 0.0)
         with pytest.raises(ValueError, match=r"alpha_y\(0\) must vanish"):
-            backstepping_clf(V_y, lambda y: 1.0 - float(y[0]), 1.0)
+            backstepping_clf(V_y, lambda y: 1.0 - y[..., 0], 1.0)
         with pytest.raises(ValueError, match="disagrees with finite differences"):
-            backstepping_clf(V_y, lambda y: -float(y[0]), 1.0,
+            backstepping_clf(V_y, lambda y: -y[..., 0], 1.0,
                              alpha_y_grad=lambda y: np.array([3.0]))
 
     @settings(max_examples=50, deadline=None)
@@ -195,7 +195,7 @@ class TestBacksteppingClf:
         P = M @ M.T + np.eye(n)
         part = backstepping_partition(P)
         gain = part.local_inner_gain
-        V = backstepping_clf(local_quadratic_clf(part.P_y), lambda y: float(gain @ y),
+        V = backstepping_clf(local_quadratic_clf(part.P_y), lambda y: np.vecdot(y, gain),
                              part.P22, alpha_y_grad=lambda y: gain)
         quad = local_quadratic_clf(P)
         for x in rng.standard_normal((10, n)):
@@ -206,7 +206,7 @@ class TestBacksteppingClf:
     def test_inner_gain_mismatch_refused(self):
         V_y = local_quadratic_clf(np.eye(1))
         with pytest.raises(CertificateError, match="inner gain mismatch"):
-            backstepping_clf(V_y, lambda y: -float(y[0]), 1.0,
+            backstepping_clf(V_y, lambda y: -y[..., 0], 1.0,
                              expected_inner_gain=np.array([-2.0]))
 
 
@@ -252,8 +252,8 @@ class TestFeedforward:
     def inner(self):
         return FeedforwardSystem(
             2, 1,
-            h=lambda x: float(x[0]),
-            f=lambda x: np.array([-x[0] + x[1], -x[1]]),
+            h=lambda x: x[..., :1],
+            f=lambda x: np.stack([-x[..., 0] + x[..., 1], -x[..., 1]], axis=-1),
             g=lambda x: np.array([[0.0], [1.0]]))
 
     def test_assembled_linearization(self):
@@ -273,14 +273,14 @@ class TestFeedforward:
     def test_validation(self):
         with pytest.raises(ValueError, match=r"a\(0\) must vanish"):
             FeedforwardSystem(1, 1, h=lambda x: 1.0,
-                              f=lambda x: np.array([-x[0]]),
+                              f=lambda x: -x[..., :1],
                               g=lambda x: np.array([[1.0]]))
         with pytest.raises(ValueError, match=r"a\(0\) must vanish"):
-            FeedforwardSystem(1, 1, h=lambda x: float(x[0]),
+            FeedforwardSystem(1, 1, h=lambda x: x[..., :1],
                               f=lambda x: np.array([1.0]),
                               g=lambda x: np.array([[1.0]]))
         with pytest.raises(ValueError, match="disagrees with finite differences"):
-            FeedforwardSystem(1, 1, h=lambda x: float(x[0]),
-                              f=lambda x: np.array([-x[0]]),
+            FeedforwardSystem(1, 1, h=lambda x: x[..., :1],
+                              f=lambda x: -x[..., :1],
                               g=lambda x: np.array([[1.0]]),
                               blocks=([2.0], [[-1.0]], [[1.0]]))

@@ -16,7 +16,7 @@ SONTAG_GAIN = 1.0 + np.sqrt(5.0)
 
 
 def scalar_linear():
-    return ControlAffineSystem(1, 1, lambda x: np.array([x[0]]),
+    return ControlAffineSystem(1, 1, lambda x: x[..., :1],
                                lambda x: np.array([[1.0]]),
                                linearization=([[1.0]], [[1.0]]))
 
@@ -66,7 +66,7 @@ class TestSontag:
     def test_kernel_branch_returns_zero(self):
         # planar system whose input cannot move the first coordinate
         sys_ = ControlAffineSystem(
-            2, 1, lambda x: np.array([-x[0], -x[1]]),
+            2, 1, lambda x: -x,
             lambda x: np.array([[0.0], [1.0]]))
         V = local_quadratic_clf(np.eye(2))
         law = sontag_controller(V, sys_)
@@ -79,7 +79,7 @@ class TestSontag:
 
     def test_refuses_non_clf(self):
         with pytest.warns(UserWarning):
-            sys_ = ControlAffineSystem(1, 1, lambda x: np.array([x[0]]),
+            sys_ = ControlAffineSystem(1, 1, lambda x: x[..., :1],
                                        lambda x: np.array([[0.0]]))
         report = check_artstein_sampled(box_sweep(quadratic_v(), sys_, Box.centered([1.0])))
         with pytest.raises(ArtsteinViolationError) as exc:
@@ -143,7 +143,7 @@ class TestLocalGain:
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([[0.0], [1.0]])
         sys_ = ControlAffineSystem(
-            2, 1, lambda x: A @ x, lambda x: B, linearization=(A, B))
+            2, 1, lambda x: np.matvec(A, x), lambda x: B, linearization=(A, B))
         P = np.array([[np.sqrt(3.0), 1.0], [1.0, np.sqrt(3.0)]])
         V = local_quadratic_clf(P)
         K_o = np.array([[-1.0, -np.sqrt(3.0)]])
@@ -165,7 +165,7 @@ class TestVerifyDecrease:
     def test_destabilizing_law_fails(self):
         sys_ = scalar_linear()
         V = quadratic_v()
-        bad = FeedbackLaw("linear", lambda x: np.array([x[0]]), 1, 1)
+        bad = FeedbackLaw("linear", lambda x: x[..., :1], 1, 1)
         report = verify_decrease(box_sweep(V, sys_, Box.centered([1.0])), bad)
         assert not report.passed
         assert len(report.violations) == report.checked

@@ -1,6 +1,6 @@
-"""Time closed-loop runs of two checkouts interleaved in one process.
+"""Time closed-loop runs or designs of two checkouts interleaved in one process.
 
-    python tools/ab_time.py ROOT_A ROOT_B [--rounds 5] [--seed 3]
+    python tools/ab_time.py ROOT_A ROOT_B [--rounds 5] [--seed 3] [--design]
 
 Copies each checkout's src/clfsynth into a temporary directory under its
 own package name (clfsynth_a, clfsynth_b), imports both and builds the
@@ -14,6 +14,16 @@ orbital transfers (dt 0.04, T 40) from seeded offsets. It prints, per
 kind, the median time of each side, the B/A ratio of the medians and
 whether B's outputs equal A's bit for bit (states and inputs of a run,
 value and final state of a cost run).
+
+With --design it times the benchmark's design workload instead: each
+round builds every one of its five plants (scalar_linear, scalar_cubic,
+strict_feedback_demo, orbital_reduced and the Duffing polynomial plant)
+at each Halton seed 0-6 with runner.synthesize_problem and
+runner.reconstruct_cost (500 samples, k_max 4), on both sides in
+alternating order. It prints, per plant, the median time of each side,
+the B/A ratio of the medians and whether B's blend radius r0, base level,
+ladder, smallest sampled state weight q_min and seam values equal A's
+bit for bit at every seed.
 
 Separate timed runs on a small machine drift by much more than a few
 per cent, so both sides are timed under the same conditions here. This
@@ -40,6 +50,21 @@ PLANTS = {
     "strict_feedback_demo": ([1.5, 1.5], (0.02, 1.5, 28)),
     "orbital_reduced": ([0.5, 0.5], (0.01, 1.0, 28)),
 }
+# x1' = x2, x2' = x1 - x1^3/2 + u, the design workload's polynomial plant
+DUFFING = {"n": 2, "p": 1,
+           "drift": [[{"coeff": 1.0, "exponents": [0, 1]}],
+                     [{"coeff": 1.0, "exponents": [1, 0]},
+                      {"coeff": -0.5, "exponents": [3, 0]}]],
+           "input": [[[]], [[{"coeff": 1.0, "exponents": [0, 0]}]]]}
+# name, load_system spec, box half-widths, level grid: the design workload's plants
+DESIGN_PLANTS = {
+    "scalar_linear": ("scalar_linear", [2.0], (0.05, 4.0, 28)),
+    "scalar_cubic": ("scalar_cubic", [1.5], (0.05, 2.0, 28)),
+    "strict_feedback_demo": ("strict_feedback_demo", [1.5, 1.5], (0.02, 1.5, 28)),
+    "orbital_reduced": ("orbital_reduced", [0.5, 0.5], (0.01, 1.0, 28)),
+    "duffing_json": (DUFFING, [1.0, 1.0], (0.02, 1.5, 28)),
+}
+DESIGN_SEEDS = range(7)
 DT, HORIZON = 0.02, 40.0
 ORBITAL_DT, ORBITAL_T, TRANSFERS = 0.04, 40.0, 7
 ORBITAL_HALF = np.array([0.1, 0.05, 0.05, 0.1, 0.05, 0.05])
@@ -103,11 +128,56 @@ class Side:
         return out
 
 
+class DesignSide:
+    """One checkout's design operations, one per plant and Halton seed."""
+
+    def __init__(self, pkg):
+        self.runner = importlib.import_module(pkg.__name__ + ".runner")
+        sampling = importlib.import_module(pkg.__name__ + ".sampling")
+        systems = importlib.import_module(pkg.__name__ + ".systems")
+        self.plants = {name: (systems.load_system(spec), sampling.Box.centered(half),
+                              list(np.geomspace(*grid)), len(half))
+                       for name, (spec, half, grid) in DESIGN_PLANTS.items()}
+
+    def ops(self):
+        out = []
+        for name, (system, box, grid, n) in self.plants.items():
+            for seed in DESIGN_SEEDS:
+                out.append((f"design/{name}", lambda system=system, box=box, grid=grid, n=n,
+                            seed=seed: self.design(system, box, grid, n, seed)))
+        return out
+
+    def design(self, system, box, grid, n, seed):
+        synth = self.runner.synthesize_problem(system, np.eye(n), np.eye(1), box, grid,
+                                               n_samples=500, seed=seed)
+        costrec = self.runner.reconstruct_cost(synth.full, synth.V, np.eye(n), np.eye(1), box,
+                                               grid, k_max=4, n_samples=500, seed=seed)
+        return synth, costrec
+
+
 def fingerprint(out):
     """The bytes that must agree between the sides."""
     if hasattr(out, "states"):
         return out.states.tobytes() + out.inputs.tobytes()
+    if isinstance(out, tuple):  # a design: r0, base level, ladder, q_min, seams
+        synth, costrec = out
+        return np.array([synth.r0, costrec.r0, *costrec.cost.scaling.ladder, costrec.q_min,
+                         *(synth.seam[k] for k in sorted(synth.seam))]).tobytes()
     return np.float64(out.value).tobytes() + out.x_final.tobytes()
+
+
+def initial_states(side):
+    """[(plant, x0)]: one seeded state per plant where side's V exceeds 1e-4."""
+    starts = []
+    for i, (name, (half, _)) in enumerate(PLANTS.items()):
+        rng = np.random.default_rng([i])
+        V = side.designs[name][0].V
+        while True:
+            x0 = rng.uniform(-0.9, 0.9, len(half)) * np.array(half)
+            if V.value(x0) > 1e-4:
+                starts.append((name, x0))
+                break
+    return starts
 
 
 def main(argv=None):
@@ -116,27 +186,23 @@ def main(argv=None):
     parser.add_argument("root_b", help="checkout B (e.g. the change)")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=3, help="seed of the transfer offsets")
+    parser.add_argument("--design", action="store_true",
+                        help="time the design workload's designs instead of closed-loop runs")
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides = [Side(load(args.root_a, "clfsynth_a", tmp)),
-                 Side(load(args.root_b, "clfsynth_b", tmp))]
-        starts = []
-        for i, (name, (half, _)) in enumerate(PLANTS.items()):
-            rng = np.random.default_rng([i])
-            V = sides[0].designs[name][0].V
-            while True:
-                x0 = rng.uniform(-0.9, 0.9, len(half)) * np.array(half)
-                if V.value(x0) > 1e-4:
-                    starts.append((name, x0))
-                    break
+        side_type = DesignSide if args.design else Side
+        sides = [side_type(load(args.root_a, "clfsynth_a", tmp)),
+                 side_type(load(args.root_b, "clfsynth_b", tmp))]
+        starts = [] if args.design else initial_states(sides[0])
         times = {}
         equal = {}
         for r in range(args.rounds):
             rng = np.random.default_rng([args.seed, r])
             offsets = [rng.uniform(-1.0, 1.0, 6) * ORBITAL_HALF for _ in range(TRANSFERS)]
-            rounds = [side.ops(starts, offsets) for side in sides]
+            rounds = [side.ops() if args.design else side.ops(starts, offsets)
+                      for side in sides]
             for j, (kind, _) in enumerate(rounds[0]):
                 outs = [None, None]
                 for s in ((0, 1) if (r + j) % 2 == 0 else (1, 0)):
