@@ -88,14 +88,9 @@ def _problem(args):
     return cfg, runner.load_problem(cfg)
 
 
-def _synth_pipeline(args, problem=None):
-    cfg, (system, Q, R, box, grid) = problem or _problem(args)
-    rec = runner.synthesize_problem(system, Q, R, box, grid, **cfg["sampling"])
-    return cfg, rec, Q, R, box, grid
-
-
 def cmd_synth(args):
-    rec = _synth_pipeline(args)[1]
+    cfg, (system, Q, R, box, grid) = _problem(args)
+    rec = runner.synthesize_problem(system, Q, R, box, grid, **cfg["sampling"])
     out = rec.to_dict()
     out["kind"] = rec.law.kind
     _emit(out, args.out)
@@ -105,9 +100,9 @@ def cmd_synth(args):
 def cmd_invopt(args):
     if args.invopt_action == "cost" and args.x0 is None:
         raise ConfigError("invopt cost needs the initial state --x0")
-    problem = _problem(args)
-    states = runner.initial_states(problem[0], problem[1][0].n)  # before any design work
-    cfg, rec, Q, R, box, grid = _synth_pipeline(args, problem)
+    cfg, (system, Q, R, box, grid) = _problem(args)
+    states = runner.initial_states(cfg, system.n)  # before any design work
+    rec = runner.synthesize_problem(system, Q, R, box, grid, **cfg["sampling"])
     costrec = runner.reconstruct_cost(rec.system, rec.V, Q, R, box, grid,
                                       k_max=cfg["inverse_optimal"]["k_max"], **cfg["sampling"])
     if args.invopt_action == "build":
@@ -121,10 +116,10 @@ def cmd_invopt(args):
 
 
 def cmd_backstep(args):
-    problem = _problem(args)
-    if not isinstance(problem[1][0], StrictFeedbackSystem):
+    cfg, (system, Q, R, box, grid) = _problem(args)
+    if not isinstance(system, StrictFeedbackSystem):
         raise ConfigError("backstep expects a strict-feedback system spec")
-    rec = _synth_pipeline(args, problem)[1]
+    rec = runner.synthesize_problem(system, Q, R, box, grid, **cfg["sampling"])
     _emit({
         "K_o": matrix_to_json(rec.K_o),
         "P": matrix_to_json(rec.care.P),

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .clf import _scan_levels, lie_derivatives, lie_sweep, strict_margin
+from .clf import _scan_levels, check_rows, lie_derivatives, lie_sweep, strict_margin
 from .errors import CertificateError, DivergenceError
 from .linear_core import riccati_residual, solve_lyapunov
 from .sampling import sample_box
@@ -42,11 +42,13 @@ def _input_forms(lb, r):
 def _solve(r, lb):
     """r^-1 lb for one weight r (p, p) and one row lb (p,), or row by row.
 
-    A diagonal weight divides: LAPACK's LU of a diagonal matrix has no
-    fill, and its triangular solves divide by the pivots, so dividing
-    gives its bits without np.linalg.solve's overhead. With p > 1 a zero
-    entry of lb can come back from LAPACK as -0, so such rows, like every
-    other weight, go through np.linalg.solve.
+    A 1 x 1 weight divides. For one row a diagonal weight divides too:
+    LAPACK's LU of a diagonal matrix has no fill, and its triangular
+    solves divide by the pivots, so dividing gives its bits without
+    np.linalg.solve's overhead. With p > 1 a zero entry of lb can come
+    back from LAPACK as -0, so such rows, like every other weight, go
+    through np.linalg.solve. A stack of rows is one batched
+    np.linalg.solve, which gives every row the bits of its one-row call.
     """
     if r.shape[-2:] == (1, 1):
         return lb / r[..., 0]
@@ -56,14 +58,7 @@ def _solve(r, lb):
         if np.count_nonzero(r) == p and np.count_nonzero(d) == p and np.count_nonzero(lb) == p:
             return lb / d
         return np.linalg.solve(r, lb)
-    r = np.broadcast_to(r, lb.shape + (p,))
-    d = r.diagonal(axis1=-2, axis2=-1)
-    divides = (np.count_nonzero(r, axis=(-2, -1)) == p) & np.all(d != 0, axis=-1) \
-        & np.all(lb != 0, axis=-1)
-    out = np.empty(lb.shape)
-    out[divides] = lb[divides] / d[divides]
-    out[~divides] = np.linalg.solve(r[~divides], lb[~divides][..., None])[..., 0]
-    return out
+    return np.linalg.solve(r, lb[..., None])[..., 0]
 
 
 def _sweep_slack(sweep, R):
@@ -248,7 +243,9 @@ class InverseOptimalCost:
     Hamilton-Jacobi-Bellman identity holds by construction. base_Q and
     base_R are the quadratic weights at the origin; scaling is the level
     envelope that bends base_R into r away from it and owns the base
-    level and the ladder. Construction requires r(0) = base_R exactly.
+    level and the ladder. Construction requires r(0) = base_R exactly
+    and refuses a level or weight that breaks the rows contract
+    (clf.check_rows, on r).
     """
 
     def __init__(self, V, sys, weight, base_Q, base_R, scaling, level=None):
@@ -263,6 +260,7 @@ class InverseOptimalCost:
         self.scaling = scaling
         if not np.array_equal(self.r(np.zeros(sys.n)), self.base_R):
             raise ValueError("r(0) must equal the base input weight exactly")
+        check_rows(sys.n, self.level_at, self.r)
 
     def q(self, x):
         x = np.asarray(x, dtype=float)

@@ -8,6 +8,7 @@ evaluation and orbital transfers included) shares this single code path.
 
 import numpy as np
 
+from .clf import check_rows
 from .errors import DivergenceError
 
 
@@ -152,15 +153,18 @@ def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
     """Closed-loop RK4 run of x' = a(x) + b(x) law(x) from x0.
 
     stop is an optional state predicate ending the run after the state
-    that triggered it; annotate maps column names to state functions,
-    each called once on the recorded states. The inputs are the ones the run's
-    own first stages computed (closed_loop_path), so the feedback is
-    evaluated 4 times per step plus once at the final state (through its
-    cost's stage for a cost's own optimal feedback). A run that leaves the
-    finite range or the field's domain raises rk4_path's DivergenceError.
+    that triggered it; annotate maps column names to state functions that
+    take rows (clf.check_rows), each called once on the recorded states.
+    The inputs are the ones the run's own first stages computed
+    (closed_loop_path), so the feedback is evaluated 4 times per step plus
+    once at the final state (through its cost's stage for a cost's own
+    optimal feedback). A run that leaves the finite range or the field's
+    domain raises rk4_path's DivergenceError.
     """
+    annotate = annotate or {}
+    check_rows(sys.n, *annotate.values())
     states, _, _, inputs = closed_loop_path(sys, law, x0, dt, T, stop=stop)
     times = dt * np.arange(states.shape[0])
     ann = {name: np.asarray(fn(states), dtype=float).reshape(len(states))
-           for name, fn in (annotate or {}).items()}
+           for name, fn in annotate.items()}
     return Trajectory(times, states, inputs, ann)

@@ -19,10 +19,12 @@ from clfsynth import clf, runner
 from clfsynth.clf import Clf, ControlAffineSystem, _scan_levels, lie_sweep, \
     local_quadratic_clf, strict_margin
 from clfsynth.errors import CertificateError
+from clfsynth.inverse_opt import InverseOptimalCost
 from clfsynth.orbital import OrbitalCostConfig, OrbitalParams, build_orbital_controller, \
     orbital_restriction, orbital_system
 from clfsynth.runner import expand_level_grid
 from clfsynth.sampling import Box, sample_box
+from clfsynth.sim import integrate
 from clfsynth.structured import backstepping_clf
 from clfsynth.synthesis import FeedbackLaw, sontag_controller
 from clfsynth.systems import REGISTRY, load_system
@@ -85,6 +87,29 @@ class TestGuard:
             FeedbackLaw("lq", lambda x: K @ x, 2, 1)
         law = FeedbackLaw("lq", lambda x: np.matvec(K, x), 2, 1)
         assert law.map(np.ones((3, 2))).shape == (3, 1)
+
+    def test_per_state_annotation_is_refused(self):
+        # on a two-state plant the per-state form returns two numbers, the
+        # squares of the first recorded state's coordinates
+        sys_ = ControlAffineSystem(2, 1, lambda x: -x, lambda x: np.array([[0.0], [1.0]]))
+        law = FeedbackLaw("static", lambda x: -x[..., 1:], 2, 1)
+        with pytest.raises(ValueError, match="rows contract"):
+            integrate(sys_, law, np.array([0.5, 0.5]), dt=0.1, T=0.5,
+                      annotate={"sq": lambda x: x[0] ** 2})
+        traj = integrate(sys_, law, np.array([0.5, 0.5]), dt=0.1, T=0.5,
+                         annotate={"sq": lambda x: x[..., 0] ** 2})
+        assert np.array_equal(traj.annotations["sq"], traj.states[:, 0] ** 2)
+
+    def test_per_level_weight_is_refused(self):
+        sys_ = ControlAffineSystem(2, 2, lambda x: -x, lambda x: np.eye(2))
+        V, R = local_quadratic_clf(np.eye(2)), np.diag([1.0, 2.0])
+        with pytest.raises(ValueError, match="rows contract"):
+            InverseOptimalCost(V, sys_, lambda v: R / (1.0 + v), np.eye(2), R, None)
+        cost = InverseOptimalCost(V, sys_, lambda v: R / (1.0 + np.asarray(v))[..., None, None],
+                                  np.eye(2), R, None)
+        pts = np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 0.0]])
+        assert_rows_are_states(cost.r, pts)
+        assert_rows_are_states(cost.q, pts)
 
     def test_constant_input_map_broadcasts(self):
         sys_ = ControlAffineSystem(2, 1, lambda x: -x, lambda x: np.array([[0.0], [1.0]]))
