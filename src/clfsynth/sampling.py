@@ -2,7 +2,18 @@
 
 All sampled certificates in this package draw scrambled Halton points with
 a fixed seed, so identical inputs reproduce identical reports.
+
+Unit-cube draws are memoized per (dimension, seed): a design draws the same
+sequence several times (the synthesis sweep and the seam pairs at one seed,
+the cost's fit sweep at it again), and a process that builds several
+designs at the same seeds draws them all again. A request is served as a
+prefix of the longest draw held, which has the same bits as a fresh scipy
+engine asked for that many points; a longer request rebuilds the draw.
+The memo keeps the HALTON_MEMO_SIZE most recently used sequences, each
+read-only; every call still returns a new array.
 """
+
+import threading
 
 import numpy as np
 from scipy.stats import qmc
@@ -39,15 +50,36 @@ class Box:
         return cls(lows, highs)
 
 
+# unit-cube draws by (dimension, seed), least recently used first; each is
+# read-only and the longest prefix of its sequence asked for so far. A design
+# at seed s draws seeds s, s + 1 and s + 17, so a sweep over seven seeds
+# cycles through 15 draws per dimension: 64 hold such a sweep in each of four
+# dimensions. A bound below a sweep's cycle evicts every draw before its reuse.
+HALTON_MEMO_SIZE = 64
+_halton_memo = {}
+_halton_lock = threading.Lock()
+
+
 def sample_box(box, n, seed=0):
     """The first n scrambled Halton points of a seed inside the box, shape (n, dim).
 
-    n must be a positive count (ValueError otherwise).
+    n must be a positive count and seed a non-negative integer (ValueError
+    otherwise). Each call returns a new array.
     """
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
-    u = qmc.Halton(d=box.dim, scramble=True, seed=seed).random(n)
-    return box.lows + u * (box.highs - box.lows)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"sampling seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
+    with _halton_lock:
+        u = _halton_memo.pop((box.dim, seed), None)
+        if u is None or len(u) < n:
+            u = qmc.Halton(d=box.dim, scramble=True, seed=seed).random(n)
+            u.flags.writeable = False
+        _halton_memo[box.dim, seed] = u
+        if len(_halton_memo) > HALTON_MEMO_SIZE:
+            del _halton_memo[next(iter(_halton_memo))]
+    return box.lows + u[:n] * (box.highs - box.lows)
 
 
 def quadratic_level_box(P, level):
