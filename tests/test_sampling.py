@@ -43,7 +43,7 @@ ORDERS = ((1, 3000, 7, 2999, 500), (3000, 100, 2500, 3000, 1), (64, 128, 32, 204
 
 @pytest.mark.parametrize("dim", range(1, 7))
 @pytest.mark.parametrize("seed", (0, 1, 17, 23))
-@pytest.mark.parametrize("order", ORDERS, ids=("grow", "shrink", "mixed"))
+@pytest.mark.parametrize("order", ORDERS, ids=("small-first", "large-first", "mixed"))
 def test_draws_equal_a_fresh_engine(dim, seed, order):
     for n in order:
         assert sample_box(unit_box(dim), n, seed=seed).tobytes() == fresh(dim, n, seed).tobytes()
