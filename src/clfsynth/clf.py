@@ -95,12 +95,15 @@ class Clf:
     value and gradient take rows (check_rows); a missing gradient falls
     back to central differences. A supplied Hessian is cross-checked
     against finite differences within 1e-3 relative; it must be SPD.
+    value_from_gradient(x, g), when given, is value(x) computed from
+    g = gradient(x) with value's bits (value_at).
     """
 
-    def __init__(self, n, value, gradient=None, hessian_origin=None):
+    def __init__(self, n, value, gradient=None, hessian_origin=None, value_from_gradient=None):
         self.n = int(n)
         self._value = value
         self._gradient = gradient
+        self._value_from_gradient = value_from_gradient
         z = np.zeros(self.n)
         v0 = self.value(z)
         if abs(v0) > ORIGIN_TOL:
@@ -132,6 +135,14 @@ class Clf:
         g = numdiff.gradient(self.value, x) if self._gradient is None else self._gradient(x)
         return np.ascontiguousarray(g, dtype=float).reshape(x.shape)
 
+    def value_at(self, x, g):
+        """value(x) when g = gradient(x) is known: from g where the candidate
+        gives a formula (value_from_gradient), else one value call."""
+        if self._value_from_gradient is None:
+            return self.value(x)
+        v = self._value_from_gradient(x, g)
+        return float(v) if x.ndim == 1 else v
+
 
 def local_quadratic_clf(P):
     """V(x) = x' P x for symmetric positive definite P; exact derivatives.
@@ -139,7 +150,10 @@ def local_quadratic_clf(P):
     Each entry of the gradient (2P) x, of P x and the value x . (P x) is
     one np.vecdot of C-ordered rows, whose sums do not depend on the
     layout of x: a row view, its copy, a Fortran-ordered row and the
-    same row of a stack give the same bits.
+    same row of a stack give the same bits. The value equals
+    (1/2) x . grad V(x) bit for bit (value_from_gradient): doubling P
+    doubles every product and partial sum exactly, short of overflow
+    and subnormals.
     """
     P = np.asarray(P, dtype=float)
     P = 0.5 * (P + P.T)
@@ -152,7 +166,8 @@ def local_quadratic_clf(P):
 
     return Clf(P.shape[0], value,
                lambda x: np.vecdot(H, np.ascontiguousarray(x)[..., None, :]),
-               hessian_origin=H)
+               hessian_origin=H,
+               value_from_gradient=lambda x, g: 0.5 * np.vecdot(np.ascontiguousarray(x), g))
 
 
 def lie_forms(g, a, b):

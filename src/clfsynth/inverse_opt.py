@@ -192,11 +192,8 @@ class LevelScaling:
             raise ValueError("ladder constants must be >= 1")
         self.knots_s = [0.0, 0.5 * r0] + [k * r0 for k in range(1, len(self.ladder) + 1)]
         self.knots_v = [1.0] + list(accumulate(self.ladder, max, initial=1.0))
+        self.certified_top = (len(self.ladder) + 1) * r0
         self._warned = False
-
-    @property
-    def certified_top(self):
-        return (len(self.ladder) + 1) * self.r0
 
     def mu(self, s):
         column = isinstance(s, np.ndarray)
@@ -245,7 +242,8 @@ class InverseOptimalCost:
     envelope that bends base_R into r away from it and owns the base
     level and the ladder. Construction requires r(0) = base_R exactly
     and refuses a level or weight that breaks the rows contract
-    (clf.check_rows, on r).
+    (clf.check_rows, on r). feedback_memo is one (state bytes, optimal
+    input) entry that evaluate_cost writes and optimal_feedback reads.
     """
 
     def __init__(self, V, sys, weight, base_Q, base_R, scaling, level=None):
@@ -257,7 +255,10 @@ class InverseOptimalCost:
         self.level_at = V.value if level is None else level
         self.base_Q = np.asarray(base_Q, dtype=float)
         self.base_R = np.asarray(base_R, dtype=float)
+        p = self.base_R.shape[0]
+        self._pp = (p, p)  # the shape of one weight
         self.scaling = scaling
+        self.feedback_memo = None
         if not np.array_equal(self.r(np.zeros(sys.n)), self.base_R):
             raise ValueError("r(0) must equal the base input weight exactly")
         check_rows(sys.n, self.level_at, self.r)
@@ -273,19 +274,21 @@ class InverseOptimalCost:
 
     def _r(self, v):
         """r at the states of level v, (p, p), or (..., p, p) for a level column."""
-        p = self.base_R.shape[0]
-        return np.asarray(self.weight(v), dtype=float).reshape(getattr(v, "shape", ()) + (p, p))
+        shape = v.shape + self._pp if isinstance(v, np.ndarray) else self._pp
+        return np.asarray(self.weight(v), dtype=float).reshape(shape)
 
     def stage(self, x, g, b):
         """(L_bV, r, w, u) at x from g = grad V(x) and b = b(x).
 
         w = r^-1 L_bV' with one solve, and u = -(1/2) w is the optimal
-        feedback. The one owner of this arithmetic: optimal_feedback's
-        map, evaluate_cost's field and sim.closed_loop_path's stage for
-        the optimal feedback all call it, so they agree bit for bit.
+        feedback. The level is V.value_at(x, g), from g for a quadratic
+        V, unless the cost follows its own level. The one owner of this
+        arithmetic: optimal_feedback's map, evaluate_cost's field and
+        sim.closed_loop_path's stage for the optimal feedback all call
+        it, so they agree bit for bit.
         """
         lb = np.vecmat(g, b)
-        r = self._r(self.level_at(x))
+        r = self._r(self.V.value_at(x, g) if self.level is None else self.level(x))
         w = _solve(r, lb)
         return lb, r, w, -0.5 * w
 
@@ -356,14 +359,19 @@ def optimal_feedback(cost):
     """u = -(1/2) r(x)^-1 L_bV(x)'; minimizes the reconstructed cost.
 
     V and the plant are the cost's own. u is cost.stage's at grad V(x) and
-    b(x); the drift is not evaluated. The law's metadata records the cost
-    it minimizes ("cost"): evaluate_cost and sim.closed_loop_path
-    recognise the law by it and call cost.stage themselves instead of the
-    law, with the b(x) their stage already holds.
+    b(x); the drift is not evaluated. A state whose bytes are those of
+    cost.feedback_memo gets a copy of its input instead, the bits of the
+    stage evaluate_cost has just computed there. The law's metadata
+    records the cost it minimizes ("cost"): evaluate_cost and
+    sim.closed_loop_path recognise the law by it and call cost.stage
+    themselves instead of the law, with the b(x) their stage already holds.
     """
     V, sys = cost.V, cost.sys
 
     def u(x):
+        memo = cost.feedback_memo  # read once: another thread may replace it
+        if memo is not None and x.ndim == 1 and memo[0] == x.tobytes():
+            return memo[1].copy()
         return cost.stage(x, V.gradient(x), sys.b(x))[3]
 
     return FeedbackLaw("optimal_feedback", u, sys.n, sys.p, metadata={"cost": cost})
@@ -385,14 +393,20 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     The running cost is an extra RK4 state on the same grid. Each stage
     evaluates grad V, a, b and cost.stage (level, r, w = r^-1 L_bV') once;
     dx = a + b u and the rate is (1/4) L_bV w - L_aV + u' r u = q + u' r u.
-    For this cost's own optimal feedback u = -(1/2) w and law is not
-    called; any other law is called once per stage. Integration stops
-    inside {V <= 1e-8 V(x0)}. The tail is V at the final state for the
-    optimal feedback (exact under the HJB identity), otherwise a labeled
-    linear-quadratic estimate. sys must be cost.sys, V (when given) cost.V,
-    and dt and horizon positive (sim.step_count); ValueError otherwise.
-    DivergenceError when the horizon ends before the terminal set or the
-    run fails (rk4_path); its last_state is a plant state.
+    The level comes from grad V where V gives the formula
+    (Clf.value_at): a run on a quadratic V calls V.value once per step,
+    in the stop test, whose last value is also the terminal check and
+    the value tail. For this cost's own optimal feedback u = -(1/2) w and
+    law is not called; any other law is called once per stage, after the
+    stage has put (x, -(1/2) w) in cost.feedback_memo, so a law built on
+    the optimal feedback reads that input instead of recomputing it.
+    Integration stops inside {V <= 1e-8 V(x0)}. The tail is V at the
+    final state for the optimal feedback (exact under the HJB identity),
+    otherwise a labeled linear-quadratic estimate. sys must be cost.sys,
+    V (when given) cost.V, and dt and horizon positive (sim.step_count);
+    ValueError otherwise. DivergenceError when the horizon ends before
+    the terminal set or the run fails (rk4_path); its last_state is a
+    plant state.
     """
     if V is not None and V is not cost.V:
         raise ValueError("V must be the cost's own value function cost.V")
@@ -401,39 +415,46 @@ def evaluate_cost(sys, cost, law, x0, horizon, dt, V=None):
     n_steps = step_count(horizon, dt)
     V = cost.V
     x0 = np.asarray(x0, dtype=float)
-    v0 = V.value(x0)
+    vT = v0 = V.value(x0)
     if v0 <= 0.0:
         return CostEstimate(0.0, 0.0, 0.0, "origin", 0.0, x0.copy())
     level = 1e-8 * v0
     own = law.metadata.get("cost") is cost
+    n = sys.n
+    gradient, a_at, b_at, stage, law_map = V.gradient, sys.a, sys.b, cost.stage, law.map
 
     def f(z):
-        x = z[:-1]
-        g = V.gradient(x)
-        a, b = sys.a(x), sys.b(x)
-        la = float(g @ a)
-        lb, r, w, u = cost.stage(x, g, b)
+        x = z[:n]
+        g = gradient(x)
+        a, b = a_at(x), b_at(x)
+        lb, r, w, u = stage(x, g, b)
         if not own:
-            u = law.map(x)
-        dz = np.empty(z.size)
-        dz[:-1] = a + b @ u
-        dz[-1] = 0.25 * float(lb @ w) - la + float(u @ r @ u)
+            cost.feedback_memo = (x.tobytes(), u)
+            u = law_map(x)
+        dz = np.empty(n + 1)
+        dz[:n] = a + b @ u
+        dz[n] = 0.25 * float(lb @ w) - float(g @ a) + float(u @ r @ u)
         return dz
+
+    def stop(z):
+        nonlocal vT
+        vT = V.value(z[:n])
+        return vT <= level
 
     z0 = np.append(x0, 0.0)
     try:
-        path = rk4_path(f, z0, dt, n_steps, stop=lambda z: V.value(z[:-1]) <= level)
+        path = rk4_path(f, z0, dt, n_steps, stop=stop)
     except DivergenceError as e:
         e.last_state = e.last_state[:-1]  # the plant state, without the cost
         raise
     zT = path[-1]
     xT, integral = zT[:-1], float(zT[-1])
-    if V.value(xT) > level:
+    if vT > level:  # vT is V(xT), from the last stop test
         raise DivergenceError(
-            f"horizon exhausted before the terminal set: V = {V.value(xT):.3e} "
+            f"horizon exhausted before the terminal set: V = {vT:.3e} "
             f"vs target {level:.3e}", last_state=xT, last_time=dt * (len(path) - 1))
     if own:
-        tail = V.value(xT)
+        tail = vT
         tail_kind = "value_tail"
     else:
         A, B = sys.linearization.A, sys.linearization.B

@@ -116,6 +116,23 @@ class TestClf:
                 assert V.value(x) == V.value(c), name
                 assert np.array_equal(V.gradient(x), V.gradient(c)), name
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_quadratic_value_from_gradient_has_the_value_bits(self, n):
+        rng = np.random.default_rng([n, 7])
+        M = rng.standard_normal((n, n))
+        V = local_quadratic_clf(M @ M.T + 0.1 * np.eye(n))
+        for scale in (1e-6, 1e-3, 1.0, 1e3):
+            pts = scale * sample_box(Box.centered([1.0] * n), 300, seed=n)
+            for rows in (pts, np.asfortranarray(pts), misaligned_copy(pts, 8)):
+                for x in rows:
+                    assert V.value_at(x, V.gradient(x)) == V.value(x)
+                assert np.array_equal(V.value_at(rows, V.gradient(rows)), V.value(rows))
+
+    def test_value_at_without_a_formula_calls_value(self):
+        V = Clf(1, lambda x: x[..., 0] ** 4 + x[..., 0] ** 2)
+        x = np.array([0.7])
+        assert V.value_at(x, np.zeros(1)) == V.value(x)
+
 
 def misaligned_copy(a, offset):
     """Copy of a float array whose data starts offset bytes past a 64-byte boundary."""

@@ -1,7 +1,9 @@
 """Closed-loop runs evaluate the plant once per RK4 stage.
 
 evaluate_cost computes grad V, a, b, V, r and one solve per stage and
-takes both the state derivative and the running cost from them; integrate
+takes both the state derivative and the running cost from them, and a law
+built on the cost's optimal feedback reads the stage's input from the
+cost's feedback memo; integrate
 and simulate_orbital read the inputs and annotations of each recorded
 state from the first stage of the step that leaves it, and compute a
 cost's own optimal feedback from the stage's b(x) without calling the
@@ -11,7 +13,9 @@ integrated by rk4_path, the inputs law.map(x) at every recorded state,
 and V' from a lie_sweep of the path.
 """
 
+import threading
 import warnings
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfsynth import clf, runner
-from clfsynth.inverse_opt import evaluate_cost
+from clfsynth.inverse_opt import LevelScaling, build_inverse_cost, evaluate_cost, \
+    optimal_feedback
 from clfsynth.linear_core import solve_lyapunov
 from clfsynth.orbital import OrbitalCostConfig, OrbitalParams, build_orbital_controller, \
     equilibrium, orbital_system, simulate_orbital
@@ -91,10 +96,11 @@ def unfused_cost(sys, cost, law, x0, horizon, dt):
 
 
 def count_calls(monkeypatch):
-    """Calls of ControlAffineSystem.a/.b and FeedbackLaw.map from here on."""
-    seen = {"a": 0, "b": 0, "map": 0}
+    """Calls of ControlAffineSystem.a/.b, Clf.value/.gradient and FeedbackLaw.map
+    from here on."""
+    seen = {"a": 0, "b": 0, "value": 0, "gradient": 0, "map": 0}
     for owner, name in ((clf.ControlAffineSystem, "a"), (clf.ControlAffineSystem, "b"),
-                        (FeedbackLaw, "map")):
+                        (clf.Clf, "value"), (clf.Clf, "gradient"), (FeedbackLaw, "map")):
         def counting(self, x, real=getattr(owner, name), name=name):
             seen[name] += 1
             return real(self, x)
@@ -116,6 +122,10 @@ class TestEvaluationCounts:
         assert steps > 100
         assert counts["a"] <= 4 * steps + 1
         assert counts["map"] == 0
+        # the stages take V from grad V, the stop test evaluates it once per
+        # step, and the terminal check and the tail reuse the last one
+        assert 0 < counts["value"] <= steps + 2
+        assert 0 < counts["gradient"] <= 4 * steps + 1
 
     def test_integrate_maps_four_times_per_step(self, designs, counts):
         # the optimal feedback calls no other law (a blended law calls its
@@ -221,6 +231,87 @@ class TestAgreementWithUnfusedArithmetic:
         vdot = [la + float(lb @ law.map(z)) for la, lb, z in zip(sweep.la, sweep.lb, states)]
         assert np.array_equal(traj.annotations["V"], sweep.values)
         assert np.array_equal(traj.annotations["Vdot"], vdot)
+
+
+class TestFeedbackMemo:
+    """cost.feedback_memo holds the last (state bytes, optimal input) of a
+    cost run's stage; the cost's optimal feedback serves exact hits."""
+
+    def last_stage(self, designs, scale=0.95):
+        box, synth, costrec = designs["strict_feedback_demo"]
+        cost = costrec.cost
+        evaluate_cost(synth.full, cost, perturbed(costrec.law, scale), 0.6 * box.highs,
+                      HORIZON, DT)
+        key, u = cost.feedback_memo
+        return synth, costrec, np.frombuffer(key).copy(), u
+
+    def test_hit_has_the_bits_of_a_fresh_stage(self, designs, monkeypatch):
+        synth, costrec, x, u = self.last_stage(designs)
+        fresh = costrec.cost.stage(x, synth.V.gradient(x), synth.full.b(x))[3]
+        seen = count_calls(monkeypatch)
+        assert costrec.law.map(x).tobytes() == fresh.tobytes() == u.tobytes()
+        assert seen["gradient"] == seen["b"] == 0
+
+    def test_another_state_misses(self, designs, monkeypatch):
+        synth, costrec, x, u = self.last_stage(designs)
+        y = np.nextafter(x, np.inf)
+        monkeypatch.setattr(costrec.cost, "feedback_memo", (x.tobytes(), np.full_like(u, 7.0)))
+        seen = count_calls(monkeypatch)
+        got = costrec.law.map(y)
+        assert seen["gradient"] == seen["b"] == 1
+        assert got.tobytes() == costrec.cost.stage(y, synth.V.gradient(y),
+                                                   synth.full.b(y))[3].tobytes()
+
+    def test_another_costs_law_is_not_served_this_entry(self, designs, monkeypatch):
+        box, synth, costrec = designs["strict_feedback_demo"]
+        other = build_inverse_cost(synth.V, synth.full, np.eye(1), np.eye(2),
+                                   LevelScaling(costrec.cost.scaling.r0, [2.0]))
+        x = 0.6 * box.highs
+        poison = np.full(1, 7.0)
+        monkeypatch.setattr(costrec.cost, "feedback_memo", (x.tobytes(), poison))
+        assert np.array_equal(costrec.law.map(x), poison)
+        got = optimal_feedback(other).map(x)
+        assert got.tobytes() == other.stage(x, synth.V.gradient(x), synth.full.b(x))[3].tobytes()
+        # a run of this cost with a law built on the other cost's feedback
+        law = perturbed(optimal_feedback(other), 1.05)
+        est = evaluate_cost(synth.full, costrec.cost, law, x, HORIZON, DT)
+        value, t_final = unfused_cost(synth.full, costrec.cost, law, x, HORIZON, DT)
+        assert (est.value, est.t_final) == (value, t_final)
+
+    def test_changing_a_returned_input_leaves_the_entry(self, designs):
+        synth, costrec, x, u = self.last_stage(designs)
+        want = u.tobytes()
+        costrec.law.map(x)[:] = 99.0
+        assert costrec.law.map(x).tobytes() == want
+
+    def test_threads_sharing_a_cost_give_the_sequential_bits(self, designs):
+        box, synth, costrec = designs["strict_feedback_demo"]
+        x0 = 0.6 * box.highs
+        scales = (0.95, 1.05, 0.95, 1.05)
+
+        def run(scale):
+            est = evaluate_cost(synth.full, costrec.cost, perturbed(costrec.law, scale), x0,
+                                HORIZON, DT)
+            return est.value, est.t_final, est.x_final.tobytes()
+
+        want = [run(s) for s in scales]
+        got = [None] * len(scales)
+
+        def work(i):
+            got[i] = run(scales[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(scales))]
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
 
 class TestForeignArguments:

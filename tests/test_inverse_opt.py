@@ -346,6 +346,15 @@ class TestBuildMu:
         assert d["ladder"] == [2.0, 4.0]
         assert d["certified_top"] == 3.0
 
+    def test_certified_top_and_warning_text(self):
+        # certified_top is computed once at construction, with the same bits
+        sc = LevelScaling(0.37, [1.5, 2.5, 2.0])
+        assert sc.certified_top == 4 * 0.37 == sc.to_dict()["certified_top"]
+        with pytest.warns(UserWarning) as caught:
+            sc.mu(np.array([0.2, 1.6]))
+        assert str(caught[0].message) == \
+            "scaling queried at level 1.6 beyond the certified range (frozen at 2.5)"
+
 
 class TestInverseCost:
     def setup_method(self):

@@ -1,19 +1,21 @@
 """Time closed-loop runs or designs of two checkouts interleaved in one process.
 
-    python tools/ab_time.py ROOT_A ROOT_B [--rounds 5] [--seed 3] [--design]
+    python tools/ab_time.py ROOT_A ROOT_B [--rounds 5] [--seed 3] [--design] [--json PATH]
 
 Copies each checkout's src/clfsynth into a temporary directory under its
 own package name (clfsynth_a, clfsynth_b), imports both and builds the
 designs of the benchmark's trajectories workload in each: four runner
 plants at 200 samples, k_max 2, seed 0, and the unit-parameter orbital
-controller at 300 samples, k_max 4. Each round then runs the same
-operations on both sides, one after the other, alternating which side
-goes first: per plant the optimal cost run, the cost run of 0.95 times
-the optimal feedback and the blended-law integrate run, and seven
-orbital transfers (dt 0.04, T 40) from seeded offsets. It prints, per
-kind, the median time of each side, the B/A ratio of the medians and
-whether B's outputs equal A's bit for bit (states and inputs of a run,
-value and final state of a cost run).
+controller at 300 samples, k_max 4. Each round then runs the
+workload's mix of operations on both sides, one after the other,
+alternating which side goes first: from each initial state (one per
+plant, three for strict_feedback_demo, drawn as the workload draws them)
+the optimal cost run, the cost runs of 0.95 and 1.05 times the optimal
+feedback and the blended-law integrate run, and seven orbital transfers
+(dt 0.04, T 40) from seeded offsets. It prints, per kind, the median
+time of each side, the B/A ratio of the medians and whether B's outputs
+equal A's bit for bit (states and inputs of a run, value and final state
+of a cost run).
 
 With --design it times the benchmark's design workload instead: each
 round builds every one of its five plants (scalar_linear, scalar_cubic,
@@ -33,6 +35,13 @@ cold path); the later rounds are the warm path of a process that repeats
 designs at the same seeds, and a median over all rounds alone would read
 as the warm-path gain.
 
+Both modes end with the median over the operations of each round, per
+side, and the median of those round medians: the in-process analogue of
+the benchmark's op_p50_s. --json PATH writes the same medians with both
+checkouts' commits (marked "+changes" when tracked files differ from it),
+the Python, numpy and scipy versions and the core count: the BENCH_<tag>.json
+record of a performance change.
+
 Separate timed runs on a small machine drift by much more than a few
 per cent, so both sides are timed under the same conditions here. This
 is a development aid, not the benchmark.
@@ -40,15 +49,20 @@ is a development aid, not the benchmark.
 
 import argparse
 import importlib
+import json
+import os
 import pathlib
+import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 import warnings
 
 import numpy as np
+import scipy
 
 # name, box half-widths, level grid (start, stop, num): the trajectories
 # workload's runner plants
@@ -73,6 +87,8 @@ DESIGN_PLANTS = {
     "duffing_json": (DUFFING, [1.0, 1.0], (0.02, 1.5, 28)),
 }
 DESIGN_SEEDS = range(7)
+# initial states per plant, as the trajectories workload draws them
+STARTS = {"strict_feedback_demo": 3}
 DT, HORIZON = 0.02, 40.0
 ORBITAL_DT, ORBITAL_T, TRANSFERS = 0.04, 40.0, 7
 ORBITAL_HALF = np.array([0.1, 0.05, 0.05, 0.1, 0.05, 0.05])
@@ -116,10 +132,12 @@ class Side:
         for name, x0 in starts:
             synth, costrec = self.designs[name]
             opt = costrec.law
-            pert = self.synthesis.FeedbackLaw("perturbed", lambda x, o=opt: 0.95 * o.map(x),
-                                              opt.n, opt.p)
             v0 = synth.V.value(x0)
-            for kind, law in (("cost", opt), ("cost_x0.95", pert)):
+            laws = [("cost", opt)] + [
+                (f"cost_x{scale}", self.synthesis.FeedbackLaw(
+                    "perturbed", lambda x, o=opt, s=scale: s * o.map(x), opt.n, opt.p))
+                for scale in (0.95, 1.05)]
+            for kind, law in laws:
                 out.append((f"{kind}/{name}", lambda law=law, s=synth, c=costrec, x0=x0:
                             self.inverse_opt.evaluate_cost(s.full, c.cost, law, x0,
                                                            horizon=HORIZON, dt=DT, V=s.V)))
@@ -175,16 +193,17 @@ def fingerprint(out):
 
 
 def initial_states(side):
-    """[(plant, x0)]: one seeded state per plant where side's V exceeds 1e-4."""
+    """[(plant, x0)]: the workload's seeded states, where side's V exceeds 1e-4."""
     starts = []
     for i, (name, (half, _)) in enumerate(PLANTS.items()):
         rng = np.random.default_rng([i])
         V = side.designs[name][0].V
-        while True:
-            x0 = rng.uniform(-0.9, 0.9, len(half)) * np.array(half)
-            if V.value(x0) > 1e-4:
-                starts.append((name, x0))
-                break
+        for _ in range(STARTS.get(name, 1)):
+            while True:
+                x0 = rng.uniform(-0.9, 0.9, len(half)) * np.array(half)
+                if V.value(x0) > 1e-4:
+                    starts.append((name, x0))
+                    break
     return starts
 
 
@@ -196,6 +215,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=3, help="seed of the transfer offsets")
     parser.add_argument("--design", action="store_true",
                         help="time the design workload's designs instead of closed-loop runs")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the medians, both commits, the Python, numpy and "
+                             "scipy versions and the core count to PATH")
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore")
     with tempfile.TemporaryDirectory() as tmp:
@@ -223,14 +245,49 @@ def main(argv=None):
     spans = [("1", 0, 1), (f"2-{args.rounds}", 1, args.rounds)] if args.design \
         else [(f"1-{args.rounds}", 0, args.rounds)]
     spans = [span for span in spans if span[1] < span[2]]
-    print(f"{'kind':34s} {'rounds':>7s} {'A median s':>11s} {'B median s':>11s} {'B/A':>6s}"
-          "  bit-equal")
+    rows = []  # (kind, rounds, A median, B median, bit-equal or None)
     for kind, sides in times.items():
         for label, lo, hi in spans:
             ma, mb = (statistics.median(t for r, t in side if lo <= r < hi) for side in sides)
-            print(f"{kind:34s} {label:>7s} {ma:11.5f} {mb:11.5f} {mb / ma:6.3f}  {equal[kind]}")
+            rows.append((kind, label, ma, mb, equal[kind]))
+    # per side and round, the median over all of the round's operations
+    per_round = [[statistics.median(t for side in times.values() for r2, t in side[s] if r2 == r)
+                  for r in range(args.rounds)] for s in (0, 1)]
+    rows += [("round median", str(r + 1), per_round[0][r], per_round[1][r], None)
+             for r in range(args.rounds)]
+    rows.append(("median of round medians", f"1-{args.rounds}",
+                 *(statistics.median(side) for side in per_round), all(equal.values())))
+    print(f"{'kind':34s} {'rounds':>7s} {'A median s':>11s} {'B median s':>11s} {'B/A':>6s}"
+          "  bit-equal")
+    for kind, label, ma, mb, same in rows:
+        print(f"{kind:34s} {label:>7s} {ma:11.5f} {mb:11.5f} {mb / ma:6.3f}"
+              + ("" if same is None else f"  {same}"))
+    if args.json:
+        write_json(args, rows)
     return 0 if all(equal.values()) else 1
 
+
+def commit_of(root):
+    """root's HEAD commit, with "+changes" when its tracked files differ from it."""
+    def git(*cmd):
+        return subprocess.run(["git", "-C", str(root), *cmd], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    return git("rev-parse", "HEAD") + ("+changes" if git("status", "--porcelain", "-uno") else "")
+
+
+def write_json(args, rows):
+    record = {
+        "tool": "tools/ab_time.py" + (" --design" if args.design else ""),
+        "rounds": args.rounds, "seed": args.seed,
+        "commit_a": commit_of(args.root_a), "commit_b": commit_of(args.root_b),
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "medians_s": [{"kind": kind, "rounds": label, "a": ma, "b": mb, "b_over_a": mb / ma,
+                       **({} if same is None else {"bit_equal": same})}
+                      for kind, label, ma, mb, same in rows],
+    }
+    pathlib.Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
 
 if __name__ == "__main__":
     sys.exit(main())
