@@ -52,7 +52,7 @@ def main():
     report = verify_decrease(sweep, law)
     print(f"\nclosed-loop decrease: {report.checked} states, "
           f"max V' = {report.max_vdot:.3e}, violations {len(report.violations)}")
-    seam = seam_diagnostics(law, V, blend_profile(r0), box, n_pairs=100)
+    seam = seam_diagnostics(law, V, blend_profile(r0), box)
     print(f"seam steepness      {seam['half_radius']:.4g} at V = r0/2, "
           f"{seam['radius']:.4g} at V = r0 (radial difference quotients)")
 

@@ -284,8 +284,8 @@ class InverseOptimalCost:
         feedback. The level is V.value_at(x, g), from g for a quadratic
         V, unless the cost follows its own level. The one owner of this
         arithmetic: optimal_feedback's map, evaluate_cost's field and
-        sim.closed_loop_path's stage for the optimal feedback all call
-        it, so they agree bit for bit.
+        sim.integrate's field for the optimal feedback all call it, so
+        they agree bit for bit.
         """
         lb = np.vecmat(g, b)
         r = self._r(self.V.value_at(x, g) if self.level is None else self.level(x))
@@ -363,8 +363,8 @@ def optimal_feedback(cost):
     cost.feedback_memo gets a copy of its input instead, the bits of the
     stage evaluate_cost has just computed there. The law's metadata
     records the cost it minimizes ("cost"): evaluate_cost and
-    sim.closed_loop_path recognise the law by it and call cost.stage
-    themselves instead of the law, with the b(x) their stage already holds.
+    sim.integrate recognise the law by it and call cost.stage themselves
+    instead of the law, with the b(x) their stage already holds.
     """
     V, sys = cost.V, cost.sys
 

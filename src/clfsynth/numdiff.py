@@ -2,14 +2,15 @@
 
 import numpy as np
 
+GRADIENT_STEP = 1e-5
+JACOBIAN_STEP = 1e-6
+HESSIAN_STEP = 1e-3
 
-def gradient(f, x, h=None):
+
+def gradient(f, x):
     """Central-difference gradient of a scalar function at x (..., n), in 2n calls of f."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-5 * (1.0 + np.abs(x))
-    else:
-        h = h * np.ones_like(x)
+    h = GRADIENT_STEP * (1.0 + np.abs(x))
     g = np.zeros_like(x)
     for j in range(x.shape[-1]):
         e = np.zeros_like(x)
@@ -18,13 +19,10 @@ def gradient(f, x, h=None):
     return g
 
 
-def jacobian(f, x, h=None):
+def jacobian(f, x):
     """Central-difference Jacobian of a vector function at x."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * (1.0 + np.abs(x))
-    else:
-        h = h * np.ones_like(x)
+    h = JACOBIAN_STEP * (1.0 + np.abs(x))
     cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -34,12 +32,12 @@ def jacobian(f, x, h=None):
     return np.column_stack(cols)
 
 
-def hessian(f, x, h=1e-3):
+def hessian(f, x):
     """Central second differences; adequate for smooth f and ~1e-3 relative targets."""
     x = np.asarray(x, dtype=float)
     n = x.size
     H = np.zeros((n, n))
-    step = h * (1.0 + np.abs(x))
+    step = HESSIAN_STEP * (1.0 + np.abs(x))
     f0 = f(x)
     for i in range(n):
         ei = np.zeros(n)

@@ -6,7 +6,7 @@ target value p0), and two out-of-plane inclination coordinates. Thrust
 enters through radial, transverse and normal channels. The target
 equilibrium is (0, 0, 0, p0, 0, 0). The field and its exact origin pair
 (A, B) are written once; the in-plane and four-state reductions are their
-slices (orbital_restriction), and transfers run through sim.closed_loop_path.
+slices (orbital_restriction), and transfers run through sim.integrate.
 
 The design is built from the inside out: a quadratic Lyapunov function
 x'P0x for the in-plane subsystem (restricted to orbit scale p0), then the
@@ -28,13 +28,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import block_diag
 
-from .clf import ControlAffineSystem, check_artstein_sampled, lie_forms, lie_sweep, \
-    local_quadratic_clf
+from .clf import ControlAffineSystem, check_artstein_sampled, lie_sweep, local_quadratic_clf
 from .errors import ArtsteinViolationError, CertificateError, DivergenceError
 from .inverse_opt import InverseOptimalCost, level_scaled_cost, optimal_feedback
 from .linear_core import LinearSystem, solve_care
 from .sampling import Box, sample_box
-from .sim import Trajectory, closed_loop_path
+from .sim import Trajectory, integrate
 
 
 @dataclass(frozen=True)
@@ -324,32 +323,31 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
 def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
     """Closed-loop run in the original coordinates from state s0.
 
-    sim.closed_loop_path runs orbital_system(params) from the offset
-    s0 - eq, and the recorded states are shifted back by eq; stop, when
-    given, sees original coordinates. That plant is the one
-    build_orbital_controller gave its cost, so the cost's optimal
-    feedback runs on the fused stage (no law.map call); any other law is
-    mapped once per stage. A domain breach (orbit collapse, radius sign
-    loss) ends the run with its DivergenceError, its last_state in
+    sim.integrate runs orbital_system(params) from the offset s0 - eq, and
+    the recorded states are shifted back by eq; stop, when given, sees
+    original coordinates. That plant is the one build_orbital_controller
+    gave its cost, so the cost's optimal feedback runs on the fused stage
+    (no law.map call per stage). A domain breach (orbit collapse, radius
+    sign loss) ends the run with its DivergenceError, its last_state in
     original coordinates. When V is supplied the trajectory is annotated
-    with V and V' = grad V (a + b u) from the run's own first-stage
-    (a, b, u), with one V and one grad V call on the recorded states.
+    with V and V' = grad V (a + b u), from one lie_sweep of the recorded
+    states and the trajectory's inputs.
     """
     star = equilibrium(params)
     s0 = np.asarray(s0, dtype=float).reshape(6)
     _coordinates(s0)  # the domain check
+    sys = orbital_system(params)
     try:
-        states, a, b, inputs = closed_loop_path(
-            orbital_system(params), law, s0 - star, dt, T,
-            stop=None if stop is None else (lambda z: stop(star + z)))
+        traj = integrate(sys, law, s0 - star, dt, T,
+                         stop=None if stop is None else (lambda z: stop(star + z)))
     except DivergenceError as e:
         e.last_state = star + e.last_state
         raise
     ann = {}
     if V is not None:
-        la, lb = lie_forms(V.gradient(states), a, b)
-        ann = {"V": V.value(states), "Vdot": la + np.vecdot(lb, inputs)}
-    return Trajectory(dt * np.arange(len(states)), states + star, inputs, ann)
+        sweep = lie_sweep(V, sys, traj.states)
+        ann = {"V": sweep.values, "Vdot": sweep.la + np.vecdot(sweep.lb, traj.inputs)}
+    return Trajectory(traj.times, traj.states + star, traj.inputs, ann)
 
 
 ORBITAL_STATE_NAMES = ["chi1", "chi2", "chi3", "chi4", "chi5", "chi6"]

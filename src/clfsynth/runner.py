@@ -92,7 +92,7 @@ def synthesize_problem(system, Q, R, box, level_grid, n_samples=2000, seed=0):
     decrease = verify_decrease(sweep, law)
     gain = local_gain(law)
     gain_error = float(np.max(np.abs(gain - K_o)))
-    seam = seam_diagnostics(law, V, blend_profile(r0), box, n_pairs=100, seed=seed)
+    seam = seam_diagnostics(law, V, blend_profile(r0), box, seed=seed)
     return SynthesisRecord(system=system, care=care, K_o=K_o, V=V,
                            law=law, r0=r0, artstein=artstein, decrease=decrease,
                            gain=gain, gain_error=gain_error, seam=seam)

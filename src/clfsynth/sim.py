@@ -4,6 +4,8 @@ One deliberate integrator: the blended feedback is only piecewise smooth
 across its seams, so a fixed-step classical Runge-Kutta scheme with a small
 step is preferred over adaptive error control, and every consumer (cost
 evaluation and orbital transfers included) shares this single code path.
+integrate is the one closed-loop driver (orbital transfers too), and a
+trajectory's inputs and annotations are one call on its recorded states.
 """
 
 import numpy as np
@@ -23,8 +25,8 @@ def rk4_step(f, x, dt):
 def step_count(T, dt):
     """Number of RK4 steps of size dt that cover the horizon T.
 
-    Raises ValueError unless dt and T are both positive: closed_loop_path
-    and inverse_opt.evaluate_cost count their steps here.
+    Raises ValueError unless dt and T are both positive: integrate and
+    inverse_opt.evaluate_cost count their steps here.
     """
     if not (dt > 0 and T > 0):
         raise ValueError(f"dt and T must be positive (integration step dt = {dt!r}, "
@@ -101,70 +103,34 @@ class Trajectory:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def closed_loop_path(sys, law, x0, dt, T, stop=None):
-    """RK4 states of x' = a(x) + b(x) law(x) from x0, with a, b and u at each.
+def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
+    """Closed-loop RK4 run of x' = a(x) + b(x) law(x) from x0: the one driver.
 
-    Returns (states, a, b, u), one row per recorded state. Each stage
-    evaluates a and b once. When law is the optimal feedback of a cost on
-    this very plant (law.metadata["cost"], whose sys is sys), u is that
-    cost's stage at the stage's own b(x), with the bits law.map would give,
-    and law.map is never called; any other law is called once per stage.
-    Every fourth field call (rk4_step's first stage) is the field at the
-    state its step starts from, so its (a, b, u) is kept for that state;
-    only the final state is evaluated once more. stop ends the run after
-    the state that triggered it; a run that leaves the finite range or the
-    field's domain raises rk4_path's DivergenceError. dt and T must be
-    positive (step_count).
+    Each stage evaluates a and b once. For the optimal feedback of a cost
+    on this very plant (law.metadata["cost"], whose sys is sys) u is the
+    cost's stage at the stage's own b(x), law.map's bits without calling
+    it; any other law is called once per stage. stop ends the run after
+    the state that triggered it; annotate maps column names to functions
+    of rows (clf.check_rows). The inputs (law.map) and each annotation
+    are one call on the recorded states. A run that leaves the finite
+    range or the field's domain raises rk4_path's DivergenceError; dt and
+    T must be positive (step_count).
     """
+    annotate = annotate or {}
+    check_rows(sys.n, *annotate.values())
     n_steps = step_count(T, dt)
-    a = np.empty((n_steps + 1, sys.n))
-    b = np.empty((n_steps + 1, sys.n, sys.p))
-    u = np.empty((n_steps + 1, sys.p))
-    calls = 0
     cost = law.metadata.get("cost")
     if cost is not None and cost.sys is sys:
         stage, gradient = cost.stage, cost.V.gradient
 
-        def feedback(x, bx):
-            return stage(x, gradient(x), bx)[3]
+        def f(x):
+            b = sys.b(x)
+            return sys.a(x) + b @ stage(x, gradient(x), b)[3]
     else:
-        def feedback(x, bx):
-            return law.map(x)
+        def f(x):
+            return sys.a(x) + sys.b(x) @ law.map(x)
 
-    def f(x):
-        nonlocal calls
-        ax, bx = sys.a(x), sys.b(x)
-        ux = feedback(x, bx)
-        if calls % 4 == 0:
-            k = calls // 4
-            a[k], b[k], u[k] = ax, bx, ux
-        calls += 1
-        return ax + bx @ ux
-
-    states = rk4_path(f, np.asarray(x0, dtype=float), dt, n_steps, stop=stop)
-    m = len(states)
-    xT = states[-1]
-    aT, bT = sys.a(xT), sys.b(xT)
-    a[m - 1], b[m - 1], u[m - 1] = aT, bT, feedback(xT, bT)
-    return states, a[:m], b[:m], u[:m]
-
-
-def integrate(sys, law, x0, dt, T, stop=None, annotate=None):
-    """Closed-loop RK4 run of x' = a(x) + b(x) law(x) from x0.
-
-    stop is an optional state predicate ending the run after the state
-    that triggered it; annotate maps column names to state functions that
-    take rows (clf.check_rows), each called once on the recorded states.
-    The inputs are the ones the run's own first stages computed
-    (closed_loop_path), so the feedback is evaluated 4 times per step plus
-    once at the final state (through its cost's stage for a cost's own
-    optimal feedback). A run that leaves the finite range or the field's
-    domain raises rk4_path's DivergenceError.
-    """
-    annotate = annotate or {}
-    check_rows(sys.n, *annotate.values())
-    states, _, _, inputs = closed_loop_path(sys, law, x0, dt, T, stop=stop)
-    times = dt * np.arange(states.shape[0])
+    states = rk4_path(f, x0, dt, n_steps, stop=stop)
     ann = {name: np.asarray(fn(states), dtype=float).reshape(len(states))
            for name, fn in annotate.items()}
-    return Trajectory(times, states, inputs, ann)
+    return Trajectory(dt * np.arange(len(states)), states, law.map(states), ann)

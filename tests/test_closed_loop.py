@@ -3,14 +3,14 @@
 evaluate_cost computes grad V, a, b, V, r and one solve per stage and
 takes both the state derivative and the running cost from them, and a law
 built on the cost's optimal feedback reads the stage's input from the
-cost's feedback memo; integrate
-and simulate_orbital read the inputs and annotations of each recorded
-state from the first stage of the step that leaves it, and compute a
-cost's own optimal feedback from the stage's b(x) without calling the
-law. These tests count the evaluations and check that the results are
-exactly those of the unfused arithmetic: the running cost q(x) + u' r(x) u
-integrated by rk4_path, the inputs law.map(x) at every recorded state,
-and V' from a lie_sweep of the path.
+cost's feedback memo. integrate, the one closed-loop driver
+(simulate_orbital runs through it), computes a cost's own optimal
+feedback from each stage's b(x) without calling the law, and evaluates
+the inputs and annotations in one stacked call on the recorded states.
+These tests count the evaluations, on one state and on stacks, and check
+that the results are exactly those of the unfused arithmetic: the running
+cost q(x) + u' r(x) u integrated by rk4_path, the inputs law.map(x) at
+every recorded state, and V' from a lie_sweep of the path.
 """
 
 import threading
@@ -30,7 +30,7 @@ from clfsynth.orbital import OrbitalCostConfig, OrbitalParams, build_orbital_con
     equilibrium, orbital_system, simulate_orbital
 from clfsynth.runner import DEFAULT_PROBLEMS, expand_level_grid
 from clfsynth.sampling import Box
-from clfsynth.sim import closed_loop_path, integrate, rk4_path
+from clfsynth.sim import integrate, rk4_path
 from clfsynth.synthesis import FeedbackLaw, local_gain
 from clfsynth.systems import load_system
 
@@ -97,12 +97,13 @@ def unfused_cost(sys, cost, law, x0, horizon, dt):
 
 def count_calls(monkeypatch):
     """Calls of ControlAffineSystem.a/.b, Clf.value/.gradient and FeedbackLaw.map
-    from here on."""
-    seen = {"a": 0, "b": 0, "value": 0, "gradient": 0, "map": 0}
+    from here on: seen[name] on one state, seen[name + "_rows"] on a stack."""
+    names = ("a", "b", "value", "gradient", "map")
+    seen = {name + kind: 0 for name in names for kind in ("", "_rows")}
     for owner, name in ((clf.ControlAffineSystem, "a"), (clf.ControlAffineSystem, "b"),
                         (clf.Clf, "value"), (clf.Clf, "gradient"), (FeedbackLaw, "map")):
         def counting(self, x, real=getattr(owner, name), name=name):
-            seen[name] += 1
+            seen[name if np.ndim(x) == 1 else name + "_rows"] += 1
             return real(self, x)
         monkeypatch.setattr(owner, name, counting)
     return seen
@@ -120,19 +121,22 @@ class TestEvaluationCounts:
         est = evaluate_cost(synth.full, costrec.cost, costrec.law, x0, HORIZON, 0.02)
         steps = round(est.t_final / 0.02)
         assert steps > 100
-        assert counts["a"] <= 4 * steps + 1
+        assert counts["a"] <= 4 * steps
         assert counts["map"] == 0
         # the stages take V from grad V, the stop test evaluates it once per
         # step, and the terminal check and the tail reuse the last one
         assert 0 < counts["value"] <= steps + 2
-        assert 0 < counts["gradient"] <= 4 * steps + 1
+        assert 0 < counts["gradient"] <= 4 * steps
+        # a cost run records no trace, so nothing is evaluated on a stack
+        assert not any(n for name, n in counts.items() if name.endswith("_rows"))
 
     def test_integrate_maps_four_times_per_step(self, designs, counts):
         # the optimal feedback calls no other law (a blended law calls its
         # universal-formula law inside its own map)
         box, synth, costrec = designs["strict_feedback_demo"]
         traj = integrate(synth.full, costrec.law, 0.6 * box.highs, 0.02, 10.0)
-        assert counts["map"] <= 4 * (len(traj) - 1) + 1
+        assert counts["map"] <= 4 * (len(traj) - 1)
+        assert counts["map_rows"] == 1  # the inputs at the recorded states
 
     def test_orbital_transfer_drift_four_times_per_step(self, orbital_design, monkeypatch):
         # the controller's plant is the one the transfer runs: no plant is
@@ -151,9 +155,13 @@ class TestEvaluationCounts:
         traj = simulate_orbital(params, law, s0, 0.04, 4.0, V=V)
         steps = len(traj) - 1
         assert steps == 100
-        assert seen["a"] <= 4 * steps + 1
-        assert seen["b"] <= 4 * steps + 1
+        assert seen["a"] <= 4 * steps
+        assert seen["b"] <= 4 * steps
         assert seen["map"] == 0
+        # on the recorded states: the inputs (whose stage evaluates grad V, b
+        # and the four-state level), then grad V, a, b and V for the annotations
+        assert (seen["map_rows"], seen["gradient_rows"], seen["a_rows"], seen["b_rows"],
+                seen["value_rows"]) == (1, 2, 1, 2, 2)
         assert not builds
 
 
@@ -165,8 +173,9 @@ class TestGenericPath:
         slower = perturbed(law, 0.9)
         seen = count_calls(monkeypatch)
         traj = simulate_orbital(params, slower, s0, 0.04, 4.0)
-        # each call of the perturbed map calls the optimal map once
-        assert seen["map"] == 2 * (4 * (len(traj) - 1) + 1)
+        # each call of the perturbed map calls the optimal map once, at each
+        # stage and on the recorded states
+        assert (seen["map"], seen["map_rows"]) == (2 * 4 * (len(traj) - 1), 2)
         ref = integrate(orbital_system(params), slower, s0 - star, 0.04, 4.0)
         assert np.array_equal(traj.states, ref.states + star)
         assert traj.inputs.tobytes() == ref.inputs.tobytes()
@@ -176,7 +185,7 @@ class TestGenericPath:
         twin = clf.ControlAffineSystem(synth.full.n, synth.full.p, synth.full.a,
                                        synth.full.b)
         traj = integrate(twin, costrec.law, 0.6 * box.highs, 0.02, 2.0)
-        assert counts["map"] == 4 * (len(traj) - 1) + 1
+        assert (counts["map"], counts["map_rows"]) == (4 * (len(traj) - 1), 1)
         fused = integrate(synth.full, costrec.law, 0.6 * box.highs, 0.02, 2.0)
         assert traj.states.tobytes() == fused.states.tobytes()
         assert traj.inputs.tobytes() == fused.inputs.tobytes()
@@ -201,7 +210,8 @@ class TestAgreementWithUnfusedArithmetic:
     @pytest.mark.parametrize("name", PLANTS)
     def test_integrate_inputs_are_the_law_at_every_state(self, designs, name):
         box, synth, costrec = designs[name]
-        for law in (synth.law, costrec.law):
+        opt = costrec.law
+        for law in (synth.law, opt, perturbed(opt, 0.95), perturbed(opt, 1.05)):
             traj = integrate(synth.full, law, 0.7 * box.highs, 0.05, 5.0)
             assert np.array_equal(traj.inputs, [law.map(x) for x in traj.states])
 
@@ -213,7 +223,7 @@ class TestAgreementWithUnfusedArithmetic:
         s0 = star + np.array(offsets) * np.array([0.1, 0.05, 0.05, 0.1, 0.05, 0.05])
         traj = simulate_orbital(params, law, s0, 0.04, 4.0)
         # the offset states the run went through, from the plant it runs
-        states = closed_loop_path(orbital_system(params), law, s0 - star, 0.04, 4.0)[0]
+        states = integrate(orbital_system(params), law, s0 - star, 0.04, 4.0).states
         assert np.array_equal(traj.states, states + star)
         assert traj.inputs.tobytes() == np.array([law.map(z) for z in states]).tobytes()
 

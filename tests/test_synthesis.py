@@ -114,6 +114,17 @@ class TestBlended:
         lo, hi = sorted((k * x[0], alpha.map(x)[0]))
         assert lo <= u <= hi
 
+    def test_stack_calls_the_global_law_only_on_rows_that_need_it(self, monkeypatch):
+        law, alpha, k = self._blended()
+        calls = []
+        real = alpha.map
+        monkeypatch.setattr(alpha, "map", lambda x: calls.append(len(x)) or real(x))
+        x = np.array([[0.1], [-0.3]])  # both inside the linear core
+        assert np.array_equal(law.map(x), k * x)
+        assert calls == []
+        law.map(np.array([[0.1], [2.0], [0.85]]))
+        assert calls == [1, 1]  # the row above the radius, then the one in the band
+
     def test_metadata_records_radius(self):
         law, _, _ = self._blended(r0=1.5)
         assert law.metadata["r0"] == 1.5

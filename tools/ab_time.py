@@ -14,8 +14,8 @@ the optimal cost run, the cost runs of 0.95 and 1.05 times the optimal
 feedback and the blended-law integrate run, and seven orbital transfers
 (dt 0.04, T 40) from seeded offsets. It prints, per kind, the median
 time of each side, the B/A ratio of the medians and whether B's outputs
-equal A's bit for bit (states and inputs of a run, value and final state
-of a cost run).
+equal A's bit for bit (states, inputs and every annotation of a run, V
+and V' of a transfer included; value and final state of a cost run).
 
 With --design it times the benchmark's design workload instead: each
 round builds every one of its five plants (scalar_linear, scalar_cubic,
@@ -184,7 +184,8 @@ class DesignSide:
 def fingerprint(out):
     """The bytes that must agree between the sides."""
     if hasattr(out, "states"):
-        return out.states.tobytes() + out.inputs.tobytes()
+        return out.states.tobytes() + out.inputs.tobytes() + b"".join(
+            name.encode() + v.tobytes() for name, v in sorted(out.annotations.items()))
     if isinstance(out, tuple):  # a design: r0, base level, ladder, q_min, seams
         synth, costrec = out
         return np.array([synth.r0, costrec.r0, *costrec.cost.scaling.ladder, costrec.q_min,
