@@ -22,7 +22,7 @@ np.set_printoptions(precision=6, suppress=True)
 
 def main():
     cascade = load_system("strict_feedback_demo")
-    A, B = cascade.assemble()
+    A, B = cascade.linearization.A, cascade.linearization.B
     print("assembled linearization A:")
     print(A)
     print(f"input column b      {B.ravel()}")

@@ -216,8 +216,6 @@ class LevelScaling:
             return kv[j]
         return (kv[j + 1] - kv[j]) / (ks[j + 1] - ks[j]) * (s - ks[j]) + kv[j]
 
-    __call__ = mu
-
     def to_dict(self):
         return {
             "r0": self.r0,

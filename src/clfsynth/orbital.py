@@ -320,26 +320,24 @@ def build_orbital_controller(params, cfg, level_grid=None, n_samples=1500,
     return V, cost, law
 
 
-def simulate_orbital(params, law, s0, dt, T, V=None, stop=None):
+def simulate_orbital(params, law, s0, dt, T, V=None):
     """Closed-loop run in the original coordinates from state s0.
 
     sim.integrate runs orbital_system(params) from the offset s0 - eq, and
-    the recorded states are shifted back by eq; stop, when given, sees
-    original coordinates. That plant is the one build_orbital_controller
-    gave its cost, so the cost's optimal feedback runs on the fused stage
-    (no law.map call per stage). A domain breach (orbit collapse, radius
-    sign loss) ends the run with its DivergenceError, its last_state in
-    original coordinates. When V is supplied the trajectory is annotated
-    with V and V' = grad V (a + b u), from one lie_sweep of the recorded
-    states and the trajectory's inputs.
+    the recorded states are shifted back by eq. That plant is the one
+    build_orbital_controller gave its cost, so the cost's optimal feedback
+    runs on the fused stage (no law.map call per stage). A domain breach
+    (orbit collapse, radius sign loss) ends the run with its
+    DivergenceError, its last_state in original coordinates. When V is
+    supplied the trajectory is annotated with V and V' = grad V (a + b u),
+    from one lie_sweep of the recorded states and the trajectory's inputs.
     """
     star = equilibrium(params)
     s0 = np.asarray(s0, dtype=float).reshape(6)
     _coordinates(s0)  # the domain check
     sys = orbital_system(params)
     try:
-        traj = integrate(sys, law, s0 - star, dt, T,
-                         stop=None if stop is None else (lambda z: stop(star + z)))
+        traj = integrate(sys, law, s0 - star, dt, T)
     except DivergenceError as e:
         e.last_state = star + e.last_state
         raise

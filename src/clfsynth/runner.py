@@ -171,8 +171,9 @@ DEFAULT_PROBLEMS = {
 
 # entry kinds besides int and float: MATRIX is a JSON matrix (read by matrix_from_json
 # where used), BOX an object or null, GRID a level list, a {start, stop, num} object or
-# null, STATES a list of states (initial_states checks it against the plant)
-MATRIX, BOX, GRID, STATES = "matrix", "box", "level grid", "states"
+# null, STATES a list of states (initial_states checks it against the plant), LEVEL a
+# positive number
+MATRIX, BOX, GRID, STATES, LEVEL = "matrix", "box", "level grid", "states", "level"
 # left out of the config when not given: its reader defaults it
 OMIT = "omit"
 # one table per run kind: each top-level entry but 'system' -> (kind, default), each
@@ -196,8 +197,8 @@ ORBITAL_RUN = {
     "orbital_cost": {"Q0": (MATRIX, OMIT), "R_r": (float, OMIT), "R_theta": (float, OMIT),
                      "R_h": (float, OMIT), "rho1": (float, OMIT), "rho2": (float, OMIT)},
 }
-# the keys of a {start, stop, num} level grid, all required
-LEVEL_GRID_KEYS = {"start": (float, None), "stop": (float, None), "num": (int, None)}
+# the keys of a {start, stop, num} level grid, all required; num must be at least 1
+LEVEL_GRID_KEYS = {"start": (LEVEL, None), "stop": (LEVEL, None), "num": (int, None)}
 
 
 def _convert(value, kind, name):
@@ -209,6 +210,10 @@ def _convert(value, kind, name):
             return kind(value)
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+    if kind is LEVEL:
+        if not (value := _convert(value, float, name)) > 0:
+            raise ConfigError(f"{name} must be a positive level, got {json.dumps(value)}")
+        return value
     if kind is MATRIX and isinstance(value, (bool, str)):
         raise ConfigError(f"{name} must be a matrix, got {json.dumps(value)}")
     if kind is BOX and not isinstance(value, (dict, type(None))):
@@ -217,11 +222,13 @@ def _convert(value, kind, name):
     if kind is STATES and not isinstance(value, (list, type(None))):
         raise ConfigError(f"'{name}' must be a list of states, got {json.dumps(value)}")
     if kind is GRID and isinstance(value, list):
-        return [_convert(v, float, f"{name}[{i}]") for i, v in enumerate(value)]
+        return [_convert(v, LEVEL, f"{name}[{i}]") for i, v in enumerate(value)]
     if kind is GRID and isinstance(value, dict):
         if missing := sorted(set(LEVEL_GRID_KEYS) - set(value)):
             raise ConfigError(f"{name} needs 'start', 'stop' and 'num'; missing {missing}")
-        return _entries(value, LEVEL_GRID_KEYS, name)
+        if (grid := _entries(value, LEVEL_GRID_KEYS, name))["num"] < 1:
+            raise ConfigError(f"{name}.num must be at least 1, got {grid['num']}")
+        return grid
     if kind is GRID and value is not None:
         raise ConfigError(f"'{name}' must be a list of levels or an object with "
                           f"'start', 'stop' and 'num', got {json.dumps(value)}")

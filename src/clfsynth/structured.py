@@ -66,13 +66,9 @@ class StrictFeedbackSystem(ControlAffineSystem):
             return col
 
         super().__init__(n, 1, a, b, linearization=linearization)
-        A, B = self.assemble()
+        A, B = self.linearization.A, self.linearization.B
         self.H1, self.H2 = A[:n_y, :n_y], A[:n_y, n_y]
         self.F1, self.F2, self.G = A[n_y, :n_y], float(A[n_y, n_y]), float(B[n_y, 0])
-
-    def assemble(self):
-        """Origin linearization (A, B) of the cascade."""
-        return self.linearization.A, self.linearization.B
 
 
 class FeedforwardSystem(ControlAffineSystem):
@@ -232,7 +228,7 @@ def backstepping_synthesize(sys, K_o, P=None, box=None, level_grid=None,
     of the working box; the law's metadata keeps the radius and the
     partition.
     """
-    A, B = sys.assemble()
+    A, B = sys.linearization.A, sys.linearization.B
     K_o = np.asarray(K_o, dtype=float).reshape(1, sys.n)
     if not is_hurwitz(A + B @ K_o):
         raise ValueError("K_o does not stabilize the cascade linearization")

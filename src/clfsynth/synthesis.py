@@ -16,6 +16,7 @@ from .errors import ArtsteinViolationError
 from .sampling import sample_box
 
 GAIN_STEP = 2.0 ** -20
+SEAM_PAIRS = 100  # sampled states per seam_diagnostics call
 
 
 class FeedbackLaw:
@@ -157,15 +158,15 @@ def verify_decrease(sweep, law):
         violations=[np.array(x) for x in pts[vdot >= -strict_margin(la)]])
 
 
-def seam_diagnostics(law, V, rho, region, n_pairs=100, seed=0):
+def seam_diagnostics(law, V, rho, region, seed=0):
     """Difference quotients across the two blend seams.
 
-    Samples region states, rescales them onto the level sets {V = r0/2}
+    Samples SEAM_PAIRS region states, rescales them onto the level sets {V = r0/2}
     and {V = r0}, and measures the map's variation across each seam along
     the radial direction, with np.linalg.norm's arithmetic for one vector.
     Reported for inspection, not asserted.
     """
-    pts = sample_box(region, n_pairs, seed=seed)
+    pts = sample_box(region, SEAM_PAIRS, seed=seed)
     v = V.value(pts)
     pts, v = pts[v > 1e-9 * rho.r0], v[v > 1e-9 * rho.r0]
     out = {}

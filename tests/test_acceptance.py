@@ -238,7 +238,7 @@ def test_criterion_7_composite_candidate_structure(demos):
         if rel > 1e-3:
             problems.append(f"{name}: Hessian of V at 0 off 2P by {rel:.3e}")
         part = backstepping_partition(P)
-        _, B = demo.synth.system.assemble()
+        B = demo.synth.system.linearization.B
         tpb = np.max(np.abs(part.T.T @ P @ B))
         if tpb > 1e-12:
             problems.append(f"{name}: annihilator misses PB by {tpb:.3e}")
@@ -247,7 +247,7 @@ def test_criterion_7_composite_candidate_structure(demos):
         1, h1=lambda y: np.array([0.0]), h2=lambda y: np.array([1.0]),
         f=lambda y, x: 0.0, g=lambda y, x: 1.0,
         blocks=([[0.0]], [1.0], [0.0], 0.0, 1.0))
-    A, B = cascade.assemble()
+    A, B = cascade.linearization.A, cascade.linearization.B
     lin = LinearSystem(A, B)
     care = solve_care(lin, np.eye(2), np.eye(1))
     K = lqr_gain(care, lin, np.eye(1))

@@ -367,13 +367,3 @@ class TestSimulate:
             simulate_orbital(par, law, s0, 5.0, 50.0)
         assert np.allclose(exc.value.last_state, s0, rtol=0.0, atol=1e-15)
         assert exc.value.last_time == 0.0
-
-    def test_stop_callback_truncates(self, unit_design):
-        par, _, V, _, law = unit_design
-        star = equilibrium(par)
-        s0 = star + np.array([0.1, 0.05, -0.05, 0.1, 0.05, -0.05])
-        level = 0.5 * V.value(s0 - star)
-        traj = simulate_orbital(par, law, s0, 0.02, 20.0, V=V,
-                                stop=lambda s: V.value(s - star) <= level)
-        assert traj.times[-1] < 20.0
-        assert V.value(traj.states[-1] - star) <= level

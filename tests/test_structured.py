@@ -53,7 +53,8 @@ def linear_cascade():
 
 class TestStrictFeedbackSystem:
     def test_assembled_linearization(self):
-        A, B = cascade_demo().assemble()
+        lin = cascade_demo().linearization
+        A, B = lin.A, lin.B
         assert np.allclose(A, [[0.0, 1.0], [0.0, 0.0]], atol=1e-9)
         assert np.allclose(B, [[0.0], [1.0]])
 

@@ -1,45 +1,27 @@
-"""Time closed-loop runs or designs of two checkouts interleaved in one process.
+"""Time one benchmark workload's rounds on two checkouts interleaved in one process.
 
-    python tools/ab_time.py ROOT_A ROOT_B [--rounds 5] [--seed 3] [--design] [--json PATH]
+    python tools/ab_time.py ROOT_A ROOT_B [--workload W] [--rounds 5] [--seed 3] [--json PATH]
 
 Copies each checkout's src/clfsynth into a temporary directory under its
-own package name (clfsynth_a, clfsynth_b), imports both and builds the
-designs of the benchmark's trajectories workload in each: four runner
-plants at 200 samples, k_max 2, seed 0, and the unit-parameter orbital
-controller at 300 samples, k_max 4. Each round then runs the
-workload's mix of operations on both sides, one after the other,
-alternating which side goes first: from each initial state (one per
-plant, three for strict_feedback_demo, drawn as the workload draws them)
-the optimal cost run, the cost runs of 0.95 and 1.05 times the optimal
-feedback and the blended-law integrate run, and seven orbital transfers
-(dt 0.04, T 40) from seeded offsets. It prints, per kind, the median
-time of each side, the B/A ratio of the medians and whether B's outputs
-equal A's bit for bit (states, inputs and every annotation of a run, V
-and V' of a transfer included; value and final state of a cost run).
+own package name (clfsynth_a, clfsynth_b) and imports this repository's
+perfbench/workloads.py once per side, with clfsynth and clfsynth.* pointing
+at that side's package in sys.modules while the module runs, so both
+sides run the benchmark's own operations and only the program differs.
+Each side builds WORKLOADS[workload](seed). Operation j of round(r) runs
+on both sides back to back, alternating which side goes first, timed
+around op.run() as perfbench/run.py times it; op.check(out) then runs
+untimed on each side's output. An operation that raises ends the tool.
 
-With --design it times the benchmark's design workload instead: each
-round builds every one of its five plants (scalar_linear, scalar_cubic,
-strict_feedback_demo, orbital_reduced and the Duffing polynomial plant)
-at each Halton seed 0-6 with runner.synthesize_problem and
-runner.reconstruct_cost (500 samples, k_max 4), on both sides in
-alternating order. It prints, per plant, the median time of each side,
-the B/A ratio of the medians and whether B's blend radius r0, base level,
-ladder, smallest sampled state weight q_min and seam values equal A's
-bit for bit at every seed. Round 1 is printed apart from the medians of
-the later rounds: a checkout that memoizes its Halton draws per
-(dimension, seed) (sampling.sample_box) builds them in round 1 only,
-because both sides' memos start empty and each round asks for the same
-draws again. Round 1 holds every first request of a draw (plants of one
-dimension share draws, so the first plant of each dimension is the fully
-cold path); the later rounds are the warm path of a process that repeats
-designs at the same seeds, and a median over all rounds alone would read
-as the warm-path gain.
-
-Both modes end with the median over the operations of each round, per
-side, and the median of those round medians: the in-process analogue of
-the benchmark's op_p50_s. --json PATH writes the same medians with both
-checkouts' commits (marked "+changes" when tracked files differ from it),
-the Python, numpy and scipy versions and the core count: the BENCH_<tag>.json
+It prints, per kind, the median time of each side, the B/A ratio and
+whether B's outputs equal A's bit for bit (both design records as the
+report writes them, every field of a cost estimate, the times, states,
+inputs and every annotation of a trajectory, a Riccati certificate);
+then each side's median over the operations of each round, the median of
+those (the in-process analogue of op_p50_s) and each side's check
+problems. It exits 0 when every output is bit-equal and no check reports
+a problem, 1 otherwise. --json PATH writes the same medians with both
+commits (marked "+changes" when tracked files differ from it), the
+Python, numpy and scipy versions and the core count: the BENCH_<tag>.json
 record of a performance change.
 
 Separate timed runs on a small machine drift by much more than a few
@@ -48,7 +30,7 @@ is a development aid, not the benchmark.
 """
 
 import argparse
-import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -64,195 +46,84 @@ import warnings
 import numpy as np
 import scipy
 
-# name, box half-widths, level grid (start, stop, num): the trajectories
-# workload's runner plants
-PLANTS = {
-    "scalar_linear": ([2.0], (0.05, 4.0, 28)),
-    "scalar_cubic": ([1.5], (0.05, 2.0, 28)),
-    "strict_feedback_demo": ([1.5, 1.5], (0.02, 1.5, 28)),
-    "orbital_reduced": ([0.5, 0.5], (0.01, 1.0, 28)),
-}
-# x1' = x2, x2' = x1 - x1^3/2 + u, the design workload's polynomial plant
-DUFFING = {"n": 2, "p": 1,
-           "drift": [[{"coeff": 1.0, "exponents": [0, 1]}],
-                     [{"coeff": 1.0, "exponents": [1, 0]},
-                      {"coeff": -0.5, "exponents": [3, 0]}]],
-           "input": [[[]], [[{"coeff": 1.0, "exponents": [0, 0]}]]]}
-# name, load_system spec, box half-widths, level grid: the design workload's plants
-DESIGN_PLANTS = {
-    "scalar_linear": ("scalar_linear", [2.0], (0.05, 4.0, 28)),
-    "scalar_cubic": ("scalar_cubic", [1.5], (0.05, 2.0, 28)),
-    "strict_feedback_demo": ("strict_feedback_demo", [1.5, 1.5], (0.02, 1.5, 28)),
-    "orbital_reduced": ("orbital_reduced", [0.5, 0.5], (0.01, 1.0, 28)),
-    "duffing_json": (DUFFING, [1.0, 1.0], (0.02, 1.5, 28)),
-}
-DESIGN_SEEDS = range(7)
-# initial states per plant, as the trajectories workload draws them
-STARTS = {"strict_feedback_demo": 3}
-DT, HORIZON = 0.02, 40.0
-ORBITAL_DT, ORBITAL_T, TRANSFERS = 0.04, 40.0, 7
-ORBITAL_HALF = np.array([0.1, 0.05, 0.05, 0.1, 0.05, 0.05])
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load(root, name, tmp):
-    """Import root's src/clfsynth as the package name."""
+def load_workloads(root, name, tmp):
+    """perfbench/workloads.py bound to root's src/clfsynth, copied as package name."""
     shutil.copytree(pathlib.Path(root) / "src" / "clfsynth", pathlib.Path(tmp) / name)
-    return importlib.import_module(name)
+    importlib.import_module(name)
+    saved = {k: v for k, v in sys.modules.items() if k.split(".")[0] == "clfsynth"}
+    bound = {"clfsynth" + k[len(name):]: v for k, v in sys.modules.items()
+             if k.split(".")[0] == name}
+    sys.modules.update(bound)
+    try:
+        spec = importlib.util.spec_from_file_location(f"workloads_{name}",
+                                                      PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        for k in bound:
+            del sys.modules[k]
+        sys.modules.update(saved)
+    return module
 
 
-class Side:
-    """One checkout's designs and the operations run on them."""
-
-    def __init__(self, pkg):
-        runner = importlib.import_module(pkg.__name__ + ".runner")
-        self.sampling = importlib.import_module(pkg.__name__ + ".sampling")
-        self.synthesis = importlib.import_module(pkg.__name__ + ".synthesis")
-        self.inverse_opt = importlib.import_module(pkg.__name__ + ".inverse_opt")
-        self.sim = importlib.import_module(pkg.__name__ + ".sim")
-        self.orbital = importlib.import_module(pkg.__name__ + ".orbital")
-        systems = importlib.import_module(pkg.__name__ + ".systems")
-        self.designs = {}
-        for name, (half, grid) in PLANTS.items():
-            n = len(half)
-            box = self.sampling.Box.centered(half)
-            grid = list(np.geomspace(*grid))
-            synth = runner.synthesize_problem(systems.load_system(name), np.eye(n),
-                                              np.eye(1), box, grid, n_samples=200, seed=0)
-            costrec = runner.reconstruct_cost(synth.full, synth.V, np.eye(n), np.eye(1),
-                                              box, grid, k_max=2, n_samples=200, seed=0)
-            self.designs[name] = (synth, costrec)
-        self.params = self.orbital.OrbitalParams()
-        cfg = self.orbital.OrbitalCostConfig.build(self.params)
-        self.controller = self.orbital.build_orbital_controller(
-            self.params, cfg, n_samples=300, k_max=4, seed=0)
-
-    def ops(self, starts, offsets):
-        """[(kind, thunk)] of one round; the same kinds in the same order on each side."""
-        out = []
-        for name, x0 in starts:
-            synth, costrec = self.designs[name]
-            opt = costrec.law
-            v0 = synth.V.value(x0)
-            laws = [("cost", opt)] + [
-                (f"cost_x{scale}", self.synthesis.FeedbackLaw(
-                    "perturbed", lambda x, o=opt, s=scale: s * o.map(x), opt.n, opt.p))
-                for scale in (0.95, 1.05)]
-            for kind, law in laws:
-                out.append((f"{kind}/{name}", lambda law=law, s=synth, c=costrec, x0=x0:
-                            self.inverse_opt.evaluate_cost(s.full, c.cost, law, x0,
-                                                           horizon=HORIZON, dt=DT, V=s.V)))
-            out.append((f"integrate/{name}", lambda s=synth, x0=x0, v0=v0:
-                        self.sim.integrate(s.full, s.law, x0, dt=DT, T=HORIZON,
-                                           stop=lambda x: s.V.value(x) <= 1e-8 * v0,
-                                           annotate={"V": s.V.value})))
-        V, _, law = self.controller
-        star = self.orbital.equilibrium(self.params)
-        for off in offsets:
-            out.append(("orbital_transfer", lambda s0=star + off:
-                        self.orbital.simulate_orbital(self.params, law, s0, dt=ORBITAL_DT,
-                                                      T=ORBITAL_T, V=V)))
-        return out
-
-
-class DesignSide:
-    """One checkout's design operations, one per plant and Halton seed."""
-
-    def __init__(self, pkg):
-        self.runner = importlib.import_module(pkg.__name__ + ".runner")
-        sampling = importlib.import_module(pkg.__name__ + ".sampling")
-        systems = importlib.import_module(pkg.__name__ + ".systems")
-        self.plants = {name: (systems.load_system(spec), sampling.Box.centered(half),
-                              list(np.geomspace(*grid)), len(half))
-                       for name, (spec, half, grid) in DESIGN_PLANTS.items()}
-
-    def ops(self):
-        out = []
-        for name, (system, box, grid, n) in self.plants.items():
-            for seed in DESIGN_SEEDS:
-                out.append((f"design/{name}", lambda system=system, box=box, grid=grid, n=n,
-                            seed=seed: self.design(system, box, grid, n, seed)))
-        return out
-
-    def design(self, system, box, grid, n, seed):
-        synth = self.runner.synthesize_problem(system, np.eye(n), np.eye(1), box, grid,
-                                               n_samples=500, seed=seed)
-        costrec = self.runner.reconstruct_cost(synth.full, synth.V, np.eye(n), np.eye(1), box,
-                                               grid, k_max=4, n_samples=500, seed=seed)
-        return synth, costrec
-
-
-def fingerprint(out):
-    """The bytes that must agree between the sides."""
-    if hasattr(out, "states"):
-        return out.states.tobytes() + out.inputs.tobytes() + b"".join(
-            name.encode() + v.tobytes() for name, v in sorted(out.annotations.items()))
-    if isinstance(out, tuple):  # a design: r0, base level, ladder, q_min, seams
-        synth, costrec = out
-        return np.array([synth.r0, costrec.r0, *costrec.cost.scaling.ladder, costrec.q_min,
-                         *(synth.seam[k] for k in sorted(synth.seam))]).tobytes()
-    return np.float64(out.value).tobytes() + out.x_final.tobytes()
-
-
-def initial_states(side):
-    """[(plant, x0)]: the workload's seeded states, where side's V exceeds 1e-4."""
-    starts = []
-    for i, (name, (half, _)) in enumerate(PLANTS.items()):
-        rng = np.random.default_rng([i])
-        V = side.designs[name][0].V
-        for _ in range(STARTS.get(name, 1)):
-            while True:
-                x0 = rng.uniform(-0.9, 0.9, len(half)) * np.array(half)
-                if V.value(x0) > 1e-4:
-                    starts.append((name, x0))
-                    break
-    return starts
+def fingerprint(value):
+    """The bytes of an output that must agree between the sides."""
+    if isinstance(value, np.ndarray):
+        return repr((value.dtype.str, value.shape)).encode() + value.tobytes()
+    if isinstance(value, float):
+        return value.hex().encode()
+    if isinstance(value, dict):
+        return b"{" + b",".join(k.encode() + b":" + fingerprint(v)
+                                for k, v in sorted(value.items())) + b"}"
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(map(fingerprint, value)) + b"]"
+    if hasattr(value, "to_dict"):  # a design record or a Riccati certificate
+        return fingerprint(value.to_dict())
+    if hasattr(value, "__dict__"):  # a trajectory or a cost estimate
+        return fingerprint(vars(value))
+    return repr(value).encode()
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root_a", help="checkout A (e.g. the parent)")
     parser.add_argument("root_b", help="checkout B (e.g. the change)")
+    parser.add_argument("--workload", choices=("design", "trajectories", "riccati_scale"),
+                        default="trajectories")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=3, help="seed of the transfer offsets")
-    parser.add_argument("--design", action="store_true",
-                        help="time the design workload's designs instead of closed-loop runs")
+    parser.add_argument("--seed", type=int, default=3, help="the workload seed")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the medians, both commits, the Python, numpy and "
                              "scipy versions and the core count to PATH")
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore")
+    sys.path.insert(0, str(PERFBENCH))  # workloads.py imports checks
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        side_type = DesignSide if args.design else Side
-        sides = [side_type(load(args.root_a, "clfsynth_a", tmp)),
-                 side_type(load(args.root_b, "clfsynth_b", tmp))]
-        starts = [] if args.design else initial_states(sides[0])
-        times = {}
+        sides = [load_workloads(root, name, tmp).WORKLOADS[args.workload](args.seed)
+                 for root, name in ((args.root_a, "clfsynth_a"), (args.root_b, "clfsynth_b"))]
+        times = {}  # kind -> ([(round, s)] of A, [(round, s)] of B)
         equal = {}
+        problems = ([], [])
         for r in range(args.rounds):
-            rng = np.random.default_rng([args.seed, r])
-            offsets = [rng.uniform(-1.0, 1.0, 6) * ORBITAL_HALF for _ in range(TRANSFERS)]
-            rounds = [side.ops() if args.design else side.ops(starts, offsets)
-                      for side in sides]
-            for j, (kind, _) in enumerate(rounds[0]):
+            for j, ops in enumerate(zip(*(side.round(r) for side in sides))):
+                kind = ops[0].kind
                 outs = [None, None]
                 for s in ((0, 1) if (r + j) % 2 == 0 else (1, 0)):
                     t0 = time.perf_counter()
-                    outs[s] = rounds[s][j][1]()
+                    outs[s] = ops[s].run()
                     times.setdefault(kind, ([], []))[s].append((r, time.perf_counter() - t0))
-                same = fingerprint(outs[0]) == fingerprint(outs[1])
-                equal[kind] = equal.get(kind, True) and same
-    # (label, first round, end round): design rounds split cold from warm
-    spans = [("1", 0, 1), (f"2-{args.rounds}", 1, args.rounds)] if args.design \
-        else [(f"1-{args.rounds}", 0, args.rounds)]
-    spans = [span for span in spans if span[1] < span[2]]
-    rows = []  # (kind, rounds, A median, B median, bit-equal or None)
-    for kind, sides in times.items():
-        for label, lo, hi in spans:
-            ma, mb = (statistics.median(t for r, t in side if lo <= r < hi) for side in sides)
-            rows.append((kind, label, ma, mb, equal[kind]))
+                for s in (0, 1):
+                    problems[s].extend(f"{kind} (round {r}): {p}" for p in ops[s].check(outs[s]))
+                equal[kind] = equal.get(kind, True) and fingerprint(outs[0]) == fingerprint(outs[1])
+    # (kind, rounds, A median, B median, bit-equal or None)
+    rows = [(kind, f"1-{args.rounds}", *(statistics.median(t for _, t in side) for side in both),
+             equal[kind]) for kind, both in times.items()]
     # per side and round, the median over all of the round's operations
-    per_round = [[statistics.median(t for side in times.values() for r2, t in side[s] if r2 == r)
+    per_round = [[statistics.median(t for both in times.values() for r2, t in both[s] if r2 == r)
                   for r in range(args.rounds)] for s in (0, 1)]
     rows += [("round median", str(r + 1), per_round[0][r], per_round[1][r], None)
              for r in range(args.rounds)]
@@ -263,9 +134,12 @@ def main(argv=None):
     for kind, label, ma, mb, same in rows:
         print(f"{kind:34s} {label:>7s} {ma:11.5f} {mb:11.5f} {mb / ma:6.3f}"
               + ("" if same is None else f"  {same}"))
+    for side, found in zip("AB", problems):
+        for p in found:
+            print(f"check failed on {side}: {p}")
     if args.json:
-        write_json(args, rows)
-    return 0 if all(equal.values()) else 1
+        write_json(args, rows, problems)
+    return 0 if all(equal.values()) and not any(problems) else 1
 
 
 def commit_of(root):
@@ -276,9 +150,9 @@ def commit_of(root):
     return git("rev-parse", "HEAD") + ("+changes" if git("status", "--porcelain", "-uno") else "")
 
 
-def write_json(args, rows):
+def write_json(args, rows, problems):
     record = {
-        "tool": "tools/ab_time.py" + (" --design" if args.design else ""),
+        "tool": f"tools/ab_time.py --workload {args.workload}",
         "rounds": args.rounds, "seed": args.seed,
         "commit_a": commit_of(args.root_a), "commit_b": commit_of(args.root_b),
         "python": platform.python_version(), "numpy": np.__version__,
@@ -287,8 +161,10 @@ def write_json(args, rows):
         "medians_s": [{"kind": kind, "rounds": label, "a": ma, "b": mb, "b_over_a": mb / ma,
                        **({} if same is None else {"bit_equal": same})}
                       for kind, label, ma, mb, same in rows],
+        "problems": {"a": problems[0], "b": problems[1]},
     }
     pathlib.Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
+
 
 if __name__ == "__main__":
     sys.exit(main())
