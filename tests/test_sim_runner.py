@@ -329,6 +329,8 @@ class TestLoadConfig:
         ({"level_grid": {"start": 0.1, "stop": 1.0, "num": 5.5}}, r"level_grid\.num"),
         ({"level_grid": {"start": 0.1, "stop": 1.0, "num": 5, "base": 2}},
          r"level_grid\.base"),
+        ({"target_tolerance": None}, "target_tolerance"),
+        ({"sampling": {"seed": -1}}, r"sampling\.seed must be non-negative"),
         ({"level_grid": [0.1, 0.0, 1.0]}, r"level_grid\[1\] must be a positive level"),
         ({"level_grid": [-0.5, 1.0]}, r"level_grid\[0\] must be a positive level"),
         ({"level_grid": {"start": 0, "stop": 1.0, "num": 5}},
@@ -339,8 +341,6 @@ class TestLoadConfig:
          r"level_grid\.num must be at least 1"),
         ({"level_grid": {"start": 0.1, "stop": 1.0, "num": -3}},
          r"level_grid\.num must be at least 1"),
-        ({"target_tolerance": None}, "target_tolerance"),
-        ({"sampling": {"seed": -1}}, r"sampling\.seed must be non-negative"),
     ])
     def test_grid_tolerance_and_seed_are_checked(self, entry, name):
         # only an orbital run reads target_tolerance
