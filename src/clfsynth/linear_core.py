@@ -4,15 +4,15 @@ The Riccati solver is a Kleinman-Newton iteration seeded with the gain read
 off the stable invariant subspace of the Hamiltonian matrix (Laub 1979);
 each step solves one Lyapunov equation, and from that seed one step
 usually meets the residual bar. Lyapunov equations are solved by
-Bartels-Stewart (1972): a complex Schur form, then a triangular
-back-substitution, O(n^3) in all. scipy.linalg.schur is the one
-factorization taken from outside numpy.
+Bartels-Stewart (1972): a complex Schur form, then one LAPACK ?trsyl call,
+O(n^3) in all. The PBH rank tests of stabilizability and detectability take
+one stacked SVD, one block per conjugate pair of eigenvalues with Re >= 0.
 """
 
 import warnings
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
+from scipy.linalg import lapack, schur
 
 from .errors import CertificateError
 
@@ -62,17 +62,18 @@ def spectral_abscissa(A):
 def unstabilizable_modes(A, B):
     """Eigenvalues with Re >= 0 that fail the rank test on [A - lam I, B].
 
-    The rank is judged by singular values: s_min <= 1e-10 s_max.
+    The rank is judged by singular values: s_min <= 1e-10 s_max, in one stacked
+    SVD over Im >= 0; the block of conj(lam) is conjugate, with lam's values.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
-    bad = []
-    for lam in np.linalg.eigvals(A):
-        if lam.real >= 0:
-            s = np.linalg.svd(np.hstack([A - lam * np.eye(A.shape[0]), B]), compute_uv=False)
-            if s[-1] <= _RANK_RTOL * s[0]:
-                bad.append(lam)
-    return bad
+    lams = np.linalg.eigvals(A)
+    tested = lams[(lams.real >= 0) & (lams.imag >= 0)]
+    blocks = np.concatenate([A - tested[:, None, None] * np.eye(A.shape[0]),
+                             np.broadcast_to(B, (tested.size, *B.shape))], axis=2)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    failed = tested[s[:, -1] <= _RANK_RTOL * s[:, 0]]
+    return list(lams[np.isin(np.where(lams.imag >= 0, lams, lams.conj()), failed)])
 
 
 class LinearSystem:
@@ -96,25 +97,26 @@ class LinearSystem:
 
 
 def _schur_lyapunov(T, C):
-    """Y with T^H Y + Y T = -C for upper triangular T, column by column.
+    """Y with T^H Y + Y T = -C for upper triangular T: one LAPACK ztrsyl call.
 
-    Column j needs only the columns before it: (T^H + t_jj I) y_j =
-    -c_j - Y[:, :j] T[:j, j], a lower triangular solve.
+    ztrsyl reports info 1 when it perturbed an eigenvalue sum conj(t_ii) +
+    t_jj below eps ||T||; its Y is then wrong, so that is a CertificateError.
     """
-    n = T.shape[0]
-    TH, eye = T.conj().T, np.eye(n)
-    Y = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        rhs = -C[:, j] - Y[:, :j] @ T[:j, j]
-        Y[:, j] = solve_triangular(TH + T[j, j] * eye, rhs, lower=True, check_finite=False)
-    return Y
+    Y, scale, info = lapack.ztrsyl(T, T, -C, trana="C", tranb="N")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of ztrsyl")
+    if info == 1:
+        sums = (np.diag(T).conj()[:, None] + np.diag(T)).ravel()
+        raise CertificateError("Lyapunov equation is near singular: eigenvalue sum "
+                               f"{sums[np.argmin(np.abs(sums))]:.3e} of A_cl below eps ||A_cl||")
+    return Y / scale
 
 
 def solve_lyapunov(A_cl, Q):
     """Solve A_cl' P + P A_cl = -Q for symmetric P, A_cl Hurwitz.
 
     Bartels-Stewart: with the complex Schur form A_cl = Z T Z^H, Y = Z^H P Z
-    solves T^H Y + Y T = -Z^H Q Z by back-substitution. Emits a warning when
+    solves T^H Y + Y T = -Z^H Q Z by one ?trsyl call. Emits a warning when
     the condition estimate 2 ||A_cl||_2 ||X_I||_2 is large, X_I being the
     solution for Q = I: Q -> P is a positive map, so ||X_I||_2 is its norm.
     """
@@ -198,19 +200,16 @@ class RiccatiCertificate:
         }
 
 
-def _sqrtm_psd(Q):
-    w, U = np.linalg.eigh(Q)
-    if np.min(w) < -1e-10 * max(1.0, np.max(np.abs(w))):
-        raise ValueError("Q must be positive semidefinite")
-    return U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.T
-
-
 def undetectable_modes(A, Q):
     """Eigenvalues with Re >= 0 failing the rank test on [A - lam I; Q^(1/2)].
 
     By duality, the stabilizability test on the pair (A', Q^(1/2)).
     """
-    return unstabilizable_modes(np.transpose(A), _sqrtm_psd(Q))
+    w, U = np.linalg.eigh(Q)
+    if np.min(w) < -1e-10 * max(1.0, np.max(np.abs(w))):
+        raise ValueError("Q must be positive semidefinite")
+    root = U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.T
+    return unstabilizable_modes(np.transpose(A), root)
 
 
 def riccati_residual(A, B, Q, R, P):
@@ -284,9 +283,8 @@ def solve_care(sys, Q, R):
         raise CertificateError(
             f"Newton iteration did not converge: residual {best_res:.3e} "
             f"after {steps} iterations")
-    P = best_P
-    K = -np.linalg.solve(R, B.T @ P)
-    return RiccatiCertificate(P, best_res, spectral_abscissa(A + B @ K))
+    K = -np.linalg.solve(R, B.T @ best_P)
+    return RiccatiCertificate(best_P, best_res, spectral_abscissa(A + B @ K))
 
 
 def lqr_gain(cert, sys, R):

@@ -221,6 +221,8 @@ def _convert(value, kind, name):
                           f"{json.dumps(value)}")
     if kind is STATES and not isinstance(value, (list, type(None))):
         raise ConfigError(f"'{name}' must be a list of states, got {json.dumps(value)}")
+    if kind is GRID and value == []:
+        raise ConfigError(f"{name} must hold at least one level, got []")
     if kind is GRID and isinstance(value, list):
         return [_convert(v, LEVEL, f"{name}[{i}]") for i, v in enumerate(value)]
     if kind is GRID and isinstance(value, dict):

@@ -126,6 +126,41 @@ class TestPbh:
         modes = undetectable_modes(A, Q)
         assert len(modes) == 1 and modes[0] == pytest.approx(1.0)
 
+    def test_stacked_test_matches_loop(self):
+        # the rank test of each eigenvalue with Re >= 0, one SVD at a time
+        def reference(A, B):
+            return [lam for lam in np.linalg.eigvals(A) if lam.real >= 0 and (
+                s := np.linalg.svd(np.hstack([A - lam * np.eye(len(A)), B]),
+                                   compute_uv=False))[-1] <= 1e-10 * s[0]]
+
+        rng = np.random.default_rng(24)
+        found = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            A = rng.standard_normal((n, n))
+            B = rng.standard_normal((n, int(rng.integers(1, 4))))
+            if rng.random() < 0.5:
+                # an uncontrollable block: B reaches only the last n - k states
+                k = int(rng.integers(1, n + 1))
+                A[k:, :k] = 0.0
+                B[:k] = 0.0
+            modes = unstabilizable_modes(A, B)
+            assert modes == reference(A, B)
+            found += bool(modes)
+        # the uncontrollable blocks make the comparison cover failing modes
+        assert found > 10
+
+    def test_uncontrollable_complex_pair_reports_both(self):
+        A = np.zeros((3, 3))
+        A[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+        A[2, 2] = -1.0
+        B = np.array([[0.0], [0.0], [1.0]])
+        modes = unstabilizable_modes(A, B)
+        assert sorted(modes, key=lambda lam: lam.imag) == pytest.approx([-1j, 1j])
+        with pytest.raises(ValueError, match="not stabilizable") as caught:
+            LinearSystem(A, B)
+        assert all(str(lam) in str(caught.value) for lam in modes)
+
 
 class TestLyapunov:
     def test_matches_scipy(self):
@@ -146,6 +181,24 @@ class TestLyapunov:
             X = solve_continuous_lyapunov(A.T, -Q)
             assert np.allclose(P, X, atol=1e-9)
             assert np.allclose(A.T @ P + P @ A, -Q, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 60])
+    def test_schur_kernel_residual(self, n):
+        rng = np.random.default_rng(n)
+        T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        T[np.diag_indices(n)] = -rng.uniform(0.1, 3.0, n) + 1j * rng.standard_normal(n)
+        C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Y = linear_core._schur_lyapunov(T, C)
+        # relative to the sizes of the terms (a normwise backward error): the
+        # O(1) off-diagonal of T lets ||Y|| reach 1e12 at n = 60
+        residual = np.linalg.norm(T.conj().T @ Y + Y @ T + C)
+        assert residual <= 1e-12 * (np.linalg.norm(C) + 2 * np.linalg.norm(T) * np.linalg.norm(Y))
+
+    def test_near_singular_eigenvalue_sum_raises(self):
+        # -2e-9 + -2e-9 lies below eps ||A_cl|| = 2.2e-8: LAPACK perturbs the
+        # sum and its solution is wrong, so the solver must refuse
+        with pytest.raises(CertificateError, match="near singular: eigenvalue sum -4.000e-09"):
+            solve_lyapunov(np.diag([-2e-9, -1e8]), np.eye(2))
 
     def test_ill_conditioned_warns(self):
         with pytest.warns(UserWarning, match="ill conditioned"):

@@ -341,6 +341,8 @@ class TestLoadConfig:
          r"level_grid\.num must be at least 1"),
         ({"level_grid": {"start": 0.1, "stop": 1.0, "num": -3}},
          r"level_grid\.num must be at least 1"),
+        ({"sampling": {"n_samples": 300}, "level_grid": []},
+         r"level_grid must hold at least one level"),
     ])
     def test_grid_tolerance_and_seed_are_checked(self, entry, name):
         # only an orbital run reads target_tolerance
