@@ -4,8 +4,8 @@ Each case runs the tool in a subprocess for one round. The repository
 against itself must be bit-equal with no check problem; against a copy
 whose solve_care returns P (1 + 1e-6) the tool must report the differing
 outputs, their relative difference of about 1e-6 and the failed checks,
-and exit 1. Both fail when perfbench's
-workload API (WORKLOADS, round, Op.run, Op.check) changes under the tool.
+and exit 1. Both fail when perfbench's workload API (WORKLOADS, round,
+Op.run, Op.check) changes under the tool.
 """
 
 import json
