@@ -1,14 +1,21 @@
 """Memoized Halton draws of sampling.sample_box.
 
 sample_box keeps one read-only unit-cube draw per (dimension, seed) and
-serves a request as a prefix of it. These tests check that every result
-has the bits of a fresh scipy engine asked for that many points, whatever
-the order of the requests, that a caller cannot write into the memo, that
-the memo stays bounded, also with threads sharing it, that a seed which
-does not name one sequence is refused, and how many engines one design
-builds.
+serves a request as a prefix of it. These tests check that the in-house
+draw has the bits, shape and strides of a fresh scipy engine asked for
+that many points, and pinned digests that hold whatever scipy later does;
+that every result of sample_box has those bits whatever the order of the
+requests, that a caller cannot write into the memo, that the memo stays
+bounded, also with threads sharing it, that a seed which does not name one
+sequence, a count that is not a positive integer and a box with a
+non-finite bound are refused, how many draws one design makes, and that
+importing the package leaves scipy.stats unloaded.
 """
 
+import hashlib
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 
@@ -35,6 +42,38 @@ def unit_box(dim):
 
 def fresh(dim, n, seed):
     return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+
+
+@pytest.mark.parametrize("dim", (*range(1, 9), 12, 20, 50))
+def test_in_house_draw_equals_scipy_bit_for_bit(dim):
+    wrong = []
+    for seed in (*range(40), 2**31 - 1):
+        for n in (1, 2, 7, 500, 3000):
+            ours, theirs = sampling._halton(dim, n, seed), fresh(dim, n, seed)
+            if (ours.shape, ours.strides, ours.dtype, ours.tobytes()) != \
+                    (theirs.shape, theirs.strides, theirs.dtype, theirs.tobytes()):
+                wrong.append((seed, n))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("dim, n, seed, digest", (
+    (2, 2000, 0, "ad5569d314b92c8055194f36973bdf467da86750ffb72de78a0bda1f24dbf31d"),
+    (4, 1500, 17, "11d5a25af107120fbcbd8f2729a554f281c009449d8b5ea31e9dbb3e8206a423"),
+    (50, 3000, 2**31 - 1, "5569649c52f74ecd61f4ad15b9c7a60468db63892e25d1e8798f6a8888540262"),
+))
+def test_draws_keep_their_pinned_digest(dim, n, seed, digest):
+    assert hashlib.sha256(sampling._halton(dim, n, seed).tobytes()).hexdigest() == digest
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, clfsynth, clfsynth.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # each order asks for a smaller draw after a larger one and a larger after a smaller
@@ -125,6 +164,32 @@ def test_seed_must_be_a_non_negative_integer(seed):
     assert not sampling._halton_memo
 
 
+@pytest.mark.parametrize("n", (0, -2, True, False, 2.5, 3.0, "3", None, np.float64(4.0)),
+                         ids=("zero", "negative", "True", "False", "fraction", "whole-float",
+                              "string", "None", "numpy-float"))
+def test_sample_count_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match="sample count must be positive") as e:
+        sample_box(unit_box(2), n, seed=0)
+    assert repr(n) in str(e.value)
+    assert not sampling._halton_memo
+
+
+@pytest.mark.parametrize("n", (np.int64(40), np.int32(40), np.uint16(40)))
+def test_numpy_integer_counts_draw_the_int_count(n):
+    assert sample_box(unit_box(2), n, seed=4).tobytes() == fresh(2, 40, 4).tobytes()
+
+
+@pytest.mark.parametrize("make, coordinate", (
+    (lambda: Box([np.nan], [1.0]), 0),
+    (lambda: Box.centered([np.inf]), 0),
+    (lambda: Box([0.0, -np.inf], [1.0, 1.0]), 1),
+    (lambda: Box([0.0, 0.0, 0.0], [1.0, 1.0, np.nan]), 2),
+), ids=("nan-low", "inf-half-width", "minus-inf-low", "nan-high"))
+def test_box_bounds_must_be_finite(make, coordinate):
+    with pytest.raises(ValueError, match=f"box bounds must be finite; coordinate {coordinate} "):
+        make()
+
+
 @pytest.mark.parametrize("seed", (np.int64(4), np.int32(4), np.uint8(4)))
 def test_numpy_integer_seeds_share_the_int_sequence(seed):
     expected = sample_box(unit_box(2), 40, seed=4)
@@ -134,13 +199,13 @@ def test_numpy_integer_seeds_share_the_int_sequence(seed):
 
 def test_one_design_builds_three_engines_and_a_repeat_builds_none(monkeypatch):
     built = []
-    halton = qmc.Halton
+    halton = sampling._halton
 
-    def counting(*args, **kwargs):
-        built.append(kwargs["seed"])
-        return halton(*args, **kwargs)
+    def counting(dim, n, seed):
+        built.append(seed)
+        return halton(dim, n, seed)
 
-    monkeypatch.setattr(sampling.qmc, "Halton", counting)
+    monkeypatch.setattr(sampling, "_halton", counting)
     problem = DEFAULT_PROBLEMS["strict_feedback_demo"]
     box = Box.from_dict(problem["box"])
     grid = expand_level_grid(problem["level_grid"])
